@@ -155,7 +155,7 @@ def build_ann(cfg: dict, input_dim: int, n_classes: int, path: str = "model") ->
 
 
 _TRAIN_KEYS = ("epochs", "batch_size", "lr", "optimizer", "grad_clip", "precision",
-               "workers", "lr_decay_epochs", "lr_decay_factor", "micro_batch")
+               "lr_decay_epochs", "lr_decay_factor")
 
 
 def build_train_config(cfg: dict, seed: int, mask: TrainMask, path: str = "train") -> TrainConfig:
@@ -167,10 +167,8 @@ def build_train_config(cfg: dict, seed: int, mask: TrainMask, path: str = "train
         optimizer=_typed(cfg, "optimizer", str, path, "adam"),
         grad_clip=_typed(cfg, "grad_clip", float, path, 5.0),
         precision=_typed(cfg, "precision", str, path, "f64"),
-        workers=_typed(cfg, "workers", int, path, 1),
         lr_decay_epochs=tuple(_typed(cfg, "lr_decay_epochs", list, path, [])),
         lr_decay_factor=_typed(cfg, "lr_decay_factor", float, path, 0.1),
-        micro_batch=_typed(cfg, "micro_batch", int, path, 32),
         seed=seed,
         mask=mask,
     )
@@ -187,8 +185,6 @@ def cmd_train_ann(args) -> int:
     train, val, _ = build_dataset(cfg["dataset"])
     model = build_ann(cfg.get("model", {}), train.sequences.shape[2], train.n_classes)
     tc = build_train_config(cfg.get("train", {}), seed, TrainMask())
-    if args.workers is not None:
-        tc.workers = args.workers
     model, history = fit(model, (train.sequences, train.labels),
                          (val.sequences, val.labels), tc, out_dir=cfg["out_dir"])
     best = max(h["accuracy"] for h in history if h["split"] == "val")
@@ -261,8 +257,6 @@ def cmd_train_snn(args) -> int:
             scale=_typed(mc, "init_scale", float, "model", 0.3), surrogate_gamma=gamma,
             forget_bias=_typed(mc, "forget_bias", float, "model", 0.0))
     tc = build_train_config(cfg.get("train", {}), seed, mask)
-    if args.workers is not None:
-        tc.workers = args.workers
     model, history = fit(model, (train.sequences, train.labels),
                          (val.sequences, val.labels), tc, out_dir=cfg["out_dir"])
     best = max(h["accuracy"] for h in history if h["split"] == "val")
@@ -298,7 +292,6 @@ def cmd_pipeline_sim(args) -> int:
         model = checkpoint.load_model(args.ckpt)
         if isinstance(model, AnnLSTM):
             raise ValidationError("pipeline-sim needs a spiking checkpoint")
-        model.time_steps = args.t
     else:
         model = _demo_model(T=args.t, seed=args.seed)
     rng = np.random.default_rng(args.seed)
@@ -340,7 +333,7 @@ def cmd_energy_report(args) -> int:
     totals = None
     sparsity_rows = []
     for k in range(limit):
-        _, stats, ops = snn_forward(model, test.sequences[k], rng_seed=args.seed + k)
+        _, stats, ops = snn_forward(model, test.sequences[k], rng_seed=args.seed, first_index=k)
         audit_multiplier_free(ops)
         energy = estimate_energy(ops, em)
         if totals is None:
@@ -409,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-ann", help="train the hard-activation LSTM baseline")
     p.add_argument("--config", required=True, help="JSON config path")
-    p.add_argument("--workers", type=int, default=None,
-                   help="deterministic micro-batch parallelism")
     p.set_defaults(func=cmd_train_ann)
 
     p = sub.add_parser("convert", help="convert an ANN checkpoint to a spiking model")
@@ -428,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-threshold", choices=("on", "off"), default=None)
     p.add_argument("--train-leak", choices=("on", "off"), default=None)
     p.add_argument("--train-init", choices=("on", "off"), default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="deterministic micro-batch parallelism")
     p.set_defaults(func=cmd_train_snn)
 
     p = sub.add_parser("eval", help="accuracy and sparsity of a checkpoint")
@@ -477,7 +466,7 @@ def main(argv=None) -> int:
     except SpikeLstmError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -7,11 +7,10 @@ from __future__ import annotations
 import numpy as np
 
 from .activations import hard_sigmoid, hard_tanh
-from .encoding import encode_sequence
 from .errors import DimensionMismatch, ValidationError
-from .lstm import GATES, AnnLSTM
-from .snn import (CellStepState, ConversionPlan, SpikingLSTM, SpikingLSTMCell,
-                  default_gate_params, snn_cell_step)
+from .lstm import AnnLSTM, ann_batch_forward
+from .snn import (ConversionPlan, SpikingLSTM, SpikingLSTMCell, default_gate_params,
+                  snn_batch_forward)
 
 
 def convert(ann_model: AnnLSTM, T: int, plan: ConversionPlan | None = None,
@@ -39,60 +38,7 @@ def convert(ann_model: AnnLSTM, T: int, plan: ConversionPlan | None = None,
                        time_steps=T, encoding=encoding, act=ann_model.act)
 
 
-def _ann_gate_trace(model: AnnLSTM, sequence: np.ndarray) -> list:
-    """Per layer: dict gate -> [N, hidden] hard-activation gate values
-    (plus the cell-output tanh under key 'c')."""
-    x_seq = np.asarray(sequence, dtype=np.float64)
-    traces = []
-    for w in model.layers:
-        h = np.zeros(w.hidden_dim)
-        c = np.zeros(w.hidden_dim)
-        rec = {a: [] for a in ("f", "i", "g", "o", "c")}
-        outs = []
-        for n in range(x_seq.shape[0]):
-            z = {a: w.w_x[a] @ x_seq[n] + w.w_h[a] @ h + w.b[a] for a in GATES}
-            f, i, o = (hard_sigmoid(z[a], model.act) for a in ("f", "i", "o"))
-            g = hard_tanh(z["g"], model.act)
-            c = f * c + i * g
-            tc = hard_tanh(c, model.act)
-            h = o * tc
-            for a, val in (("f", f), ("i", i), ("g", g), ("o", o), ("c", tc)):
-                rec[a].append(val)
-            outs.append(h)
-        traces.append({a: np.stack(v) for a, v in rec.items()})
-        x_seq = np.stack(outs)
-    return traces
-
-
-def _snn_gate_rate_trace(model: SpikingLSTM, sequence: np.ndarray, T: int,
-                         rng_seed: int = 0) -> list:
-    """Per layer: dict gate -> [N, hidden] per-element spike rates (spiking
-    gates) or time-averaged analog values (the analog gate)."""
-    sequence = np.asarray(sequence, dtype=np.float64)
-    n_elements = sequence.shape[0]
-    encoded = encode_sequence(sequence, T, model.encoding, rng_seed)
-    h_stream = [np.zeros((T, c.hidden_dim)) for c in model.cells]
-    c_stream = [np.zeros((T, c.hidden_dim)) for c in model.cells]
-    rates = [{a: np.zeros((n_elements, c.hidden_dim)) for a in ("f", "i", "g", "o", "c")}
-             for c in model.cells]
-    for n in range(n_elements):
-        below = encoded[n]
-        for li, cell in enumerate(model.cells):
-            state = CellStepState.fresh(cell)
-            new_h = np.empty_like(h_stream[li])
-            new_c = np.empty_like(c_stream[li])
-            x_is_spikes = not (li == 0 and model.encoding == "direct")
-            for t in range(T):
-                rec = {}
-                new_h[t], new_c[t] = snn_cell_step(
-                    cell, state, below[t], h_stream[li][t], c_stream[li][t],
-                    x_is_spikes=x_is_spikes, record=rec)
-                for a in ("f", "i", "g", "o", "c"):
-                    rates[li][a][n] += rec[a] / T
-            h_stream[li] = new_h
-            c_stream[li] = new_c
-            below = new_h
-    return rates
+REPORT_GATES = ("f", "i", "g", "o", "c")
 
 
 def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
@@ -100,23 +46,35 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
     """Mean absolute error between SNN gate rates and ANN gate values, per
     gate per layer, averaged over the probe set.
 
+    ANN gate values (and the cell-output tanh under 'c') come from
+    ann_batch_forward; SNN values are per-element spike rates of the
+    spiking gates and time-averaged values of the analog gate, from the
+    taped snn_batch_forward over the probes as one batch.
+
     Returns a list of rows: {"layer": idx, "gate": name, "mae": float}.
     """
     if ann_model.hidden_dims != snn_model.hidden_dims:
         raise DimensionMismatch("models must share layer dimensions")
-    sums = [{a: 0.0 for a in ("f", "i", "g", "o", "c")} for _ in ann_model.layers]
-    counts = [{a: 0 for a in ("f", "i", "g", "o", "c")} for _ in ann_model.layers]
-    for seq in probe_inputs:
-        ann_tr = _ann_gate_trace(ann_model, seq)
-        snn_tr = _snn_gate_rate_trace(snn_model, seq, T, rng_seed)
-        for li in range(len(ann_model.layers)):
-            for a in ("f", "i", "g", "o", "c"):
-                sums[li][a] += float(np.abs(ann_tr[li][a] - snn_tr[li][a]).sum())
-                counts[li][a] += ann_tr[li][a].size
+    try:
+        X = np.asarray(probe_inputs, dtype=np.float64)  # [P, N, F]
+    except ValueError as err:
+        raise ValidationError(f"probe sequences must share one [N, F] shape ({err})") from None
+    _, ann_caches = ann_batch_forward(ann_model, X, want_caches=True)
+    _, tapes, _ = snn_batch_forward(snn_model, X, T, snn_model.encoding, rng_seed,
+                                    want_tapes=True)
     rows = []
-    for li in range(len(ann_model.layers)):
-        for a in ("f", "i", "g", "o", "c"):
-            rows.append({"layer": li, "gate": a, "mae": sums[li][a] / max(counts[li][a], 1)})
+    for li, (cache, tape) in enumerate(zip(ann_caches["layers"], tapes)):
+        cell = snn_model.cells[li]
+        ann_gates = dict(zip(REPORT_GATES, (np.stack(v) for v in zip(*cache["gates"]))))
+        snn_values = {g: tape.S_pos[g] - tape.S_neg[g] if g in tape.S_neg else tape.S_pos[g]
+                      for g in cell.plan.spiking_gates}
+        analog = cell.plan.analog_gate
+        act = hard_sigmoid if analog == "i" else hard_tanh
+        snn_values[analog] = act(tape.P_analog, cell.act)
+        for a in REPORT_GATES:
+            rate = snn_values[a].mean(axis=1)  # [N, P, H]
+            rows.append({"layer": li, "gate": a,
+                         "mae": float(np.abs(ann_gates[a] - rate).mean())})
     return rows
 
 

@@ -36,25 +36,32 @@ def encode_poisson(x, T: int, rng_seed: int) -> SpikeTrain:
     return SpikeTrain(values=(draws < x).astype(np.float64), kind="binary")
 
 
-def encode_sequence(sequence: np.ndarray, T: int, encoding: str, rng_seed: int = 0) -> np.ndarray:
-    """Encode a whole [N, F] sequence to [N, T, F] step inputs.
+def encode_sequence(sequence: np.ndarray, T: int, encoding: str, rng_seed: int = 0,
+                    first_index: int = 0) -> np.ndarray:
+    """Encode an [N, F] sequence to [N, T, F] step inputs, or a [B, N, F]
+    batch to [B, N, T, F].
 
-    Element n gets its own substream of the seed so results do not depend
-    on evaluation order (sequential vs pipelined).
+    Poisson spikes of sample b come from one [N, T, F] draw of
+    SeedSequence([rng_seed, first_index + b]); a single sequence is sample
+    first_index. A sample's spikes thus depend only on the seed and its
+    index in the evaluated set, not on how that set is batched or chunked.
     """
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim != 2:
-        raise ValidationError(f"sequence must be [N, F], got shape {sequence.shape}")
-    n_elements = sequence.shape[0]
+    if T < 1:
+        raise ValidationError("T must be >= 1")
+    x = np.asarray(sequence, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise ValidationError(f"sequence must be [N, F] or [B, N, F], got shape {x.shape}")
+    batch = x if x.ndim == 3 else x[None]
+    steps = batch[:, :, None, :]
     if encoding == "direct":
-        return np.stack([encode_direct(sequence[n], T) for n in range(n_elements)])
-    if encoding == "poisson":
-        if np.any(sequence < 0.0) or np.any(sequence > 1.0):
+        out = np.broadcast_to(steps, batch.shape[:2] + (T,) + batch.shape[2:]).copy()
+    elif encoding == "poisson":
+        if np.any(x < 0.0) or np.any(x > 1.0):
             raise ValidationError("poisson encoding requires values in [0, 1]")
-        seeds = np.random.SeedSequence(rng_seed).spawn(n_elements)
-        out = np.empty((n_elements, T, sequence.shape[1]))
-        for n in range(n_elements):
-            rng = np.random.default_rng(seeds[n])
-            out[n] = (rng.random((T, sequence.shape[1])) < sequence[n]).astype(np.float64)
-        return out
-    raise ValidationError(f"unknown encoding {encoding!r}")
+        out = np.empty(batch.shape[:2] + (T,) + batch.shape[2:])
+        for b in range(batch.shape[0]):
+            rng = np.random.default_rng(np.random.SeedSequence([rng_seed, first_index + b]))
+            out[b] = rng.random(out.shape[1:]) < steps[b]
+    else:
+        raise ValidationError(f"unknown encoding {encoding!r}")
+    return out if x.ndim == 3 else out[0]

@@ -1,5 +1,8 @@
 """Hard-activation LSTM: weights, cell recurrence, stacked model, FC head.
 
+ann_batch_forward is the one ANN forward; ann_cell_step is the per-step
+reference cell the tests hold it to.
+
 Gate order everywhere (including checkpoints) is f, i, g, o. The cell
 output nonlinearity shares the hard-tanh scales of the g gate.
 """
@@ -96,12 +99,19 @@ class ClassifierHead:
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         """v: [units] or [batch, units] -> logits."""
+        return self.forward_cached(v)[0]
+
+    def forward_cached(self, v: np.ndarray):
+        """Logits plus the layer inputs (pre-ReLU after the first) that the
+        backward pass needs."""
         out = np.asarray(v)
+        caches = [out]
         for k, (W, b) in enumerate(self.weights):
             out = out @ W.T + b
             if k < len(self.weights) - 1:
+                caches.append(out)
                 out = np.maximum(out, 0.0)
-        return out
+        return out, caches
 
 
 @dataclass
@@ -165,28 +175,44 @@ def ann_cell_step(weights: LSTMWeights, h_prev, c_prev, x, cfg: HardActConfig):
     return h, c
 
 
-def ann_forward(model: AnnLSTM, sequence) -> np.ndarray:
-    """Run the stacked recurrence over an [N, F] sequence; returns logits.
+def ann_batch_forward(model: AnnLSTM, X: np.ndarray, want_caches: bool = False):
+    """Batched forward over [B, N, F]; returns logits (+caches).
 
     h and c start at zero; logits come from the head on the final hidden
-    state of the top layer.
+    state of the top layer. The caches hold every gate value the backward
+    pass and the conversion-error report read.
     """
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim != 2 or sequence.shape[0] < 1:
-        raise ValidationError(f"sequence must be non-empty [N, F], got shape {sequence.shape}")
-    x_seq = sequence
-    for weights in model.layers:
-        h = np.zeros(weights.hidden_dim)
-        c = np.zeros(weights.hidden_dim)
-        outs = []
-        for n in range(x_seq.shape[0]):
-            h, c = ann_cell_step(weights, h, c, x_seq[n], model.act)
-            outs.append(h)
-        x_seq = np.stack(outs)
-    return model.head.forward(x_seq[-1])
-
-
-def stack_layers(layer1: LSTMWeights, layer2: LSTMWeights, head: ClassifierHead,
-                 act: HardActConfig | None = None) -> AnnLSTM:
-    """Compose two cells into a 2-layer model; layer 2 consumes layer 1's hidden stream."""
-    return AnnLSTM(layers=[layer1, layer2], head=head, act=act or HardActConfig())
+    X = np.asarray(X)
+    if X.ndim != 3 or 0 in X.shape[:2]:
+        raise ValidationError(f"input must be non-empty [B, N, F], got shape {X.shape}")
+    if X.shape[2] != model.input_dim:
+        raise DimensionMismatch(f"input has {X.shape[2]} features, model wants {model.input_dim}")
+    batch, n_elements, _ = X.shape
+    x_seq = X
+    layer_caches = []
+    for w in model.layers:
+        h = np.zeros((batch, w.hidden_dim), dtype=X.dtype)
+        c = np.zeros_like(h)
+        cache = {"z": [], "gates": [], "c": [c], "h": [h], "x": x_seq}
+        outs = np.empty((batch, n_elements, w.hidden_dim), dtype=X.dtype)
+        for n in range(n_elements):
+            z = {a: x_seq[:, n] @ w.w_x[a].T + h @ w.w_h[a].T + w.b[a] for a in GATES}
+            f = hard_sigmoid(z["f"], model.act)
+            i = hard_sigmoid(z["i"], model.act)
+            o = hard_sigmoid(z["o"], model.act)
+            g = hard_tanh(z["g"], model.act)
+            c = f * c + i * g
+            tc = hard_tanh(c, model.act)
+            h = o * tc
+            outs[:, n] = h
+            if want_caches:
+                cache["z"].append(z)
+                cache["gates"].append((f, i, g, o, tc))
+                cache["c"].append(c)
+                cache["h"].append(h)
+        x_seq = outs
+        layer_caches.append(cache)
+    logits, head_cache = model.head.forward_cached(x_seq[:, -1])
+    if want_caches:
+        return logits, {"layers": layer_caches, "head": head_cache}
+    return logits

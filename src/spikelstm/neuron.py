@@ -225,19 +225,6 @@ def spike_ramp(u, v_th, gamma: float):
     return gamma * np.where(x <= 1.0, lower, upper)
 
 
-def spike_ramp_dtheta(u, v_th, gamma: float):
-    """Exact d spike_ramp / d v_th = -(u/v_th) * surrogate_grad'(...) term.
-
-    Needed so the relaxed-forward oracle differentiates its own forward
-    exactly; the production (hard) engine instead uses the conventional
-    -surrogate for d spike / d threshold.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v_th, dtype=np.float64)
-    tri = np.maximum(0.0, 1.0 - np.abs(u / v - 1.0))
-    return -(gamma * u / (v * v)) * tri
-
-
 def optimal_shift(v_th: float, T: int) -> float:
     """Sign-preserving optimal staircase shift v_th / (2T)."""
     if T < 1:

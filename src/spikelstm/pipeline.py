@@ -75,9 +75,9 @@ def simulate_pipelined(model: SpikingLSTM, sequence, T: int | None = None,
     """Execute the cell steps in tick-major schedule order.
 
     Returns (logits, trace) where trace is a list of per-tick dicts
-    (tick, active elements, synaptic ACs, compares, emitted spikes). The
-    logits are bit-identical to snn_forward's: the same snn_cell_step
-    calls run on the same inputs, only reordered.
+    (tick, active elements, synaptic ACs, compares, emitted spikes). It
+    runs the per-step snn_cell_step oracle in schedule order; its logits
+    must equal snn_forward's (the batched engine) bit for bit.
     """
     T = model.time_steps if T is None else T
     encoding = model.encoding if encoding is None else encoding

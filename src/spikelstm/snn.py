@@ -10,6 +10,10 @@ pipeline schedule.
 The hidden state is ternary (o AND the c-neuron's sign), the cell value
 is multi-bit but only ever multiplied by spikes, and exactly one of the
 i/g gates stays analog so the datapath needs no multiplier.
+
+snn_batch_forward is the one spiking forward; snn_forward is it at B=1.
+snn_cell_step is the per-step reference cell the tests and the pipeline
+simulator hold it to.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from .encoding import encode_sequence
 from .energy import LayerSpikeStats, SpikeStats, count_ops_snn
 from .errors import DimensionMismatch, MultiplierAuditError, ValidationError
 from .lstm import GATES, ClassifierHead, LSTMWeights
-from .neuron import LIFGateParams, NeuronState, step_sigmoid_neuron, step_tanh_neuron
+from .neuron import (LIFGateParams, NeuronState, _check_finite, step_sigmoid_neuron,
+                     step_tanh_neuron)
 
 SPIKE_ALPHABET = (-1.0, 0.0, 1.0)
 
@@ -193,9 +198,163 @@ def _new_stats(model: SpikingLSTM, n_elements: int, T: int, encoding: str) -> Sp
     return SpikeStats(layers=layers, n_elements=n_elements, time_steps=T, encoding=encoding)
 
 
+def _lif_vec(cell, gate):
+    p = cell.gate_params[gate]
+    return p.leak, p.threshold_pos, p.threshold_neg, p.step_bias, p.surrogate_gamma
+
+
+def _ramp(x):
+    x = np.clip(x, 0.0, 2.0)
+    return np.where(x <= 1.0, 0.5 * x * x, 1.0 - 0.5 * (2.0 - x) ** 2)
+
+
+def _spike(V, theta, gamma, relaxed):
+    """Monotone spike component of V against one threshold: the indicator
+    of V/theta > 1 (covers both threshold signs) or, relaxed, its
+    triangle-ramp relaxation gamma * ramp(V/theta). snn_backward supplies
+    the partials."""
+    x = V / theta
+    if relaxed:
+        return gamma * _ramp(x)
+    return (x > 1.0).astype(V.dtype)
+
+
+class _SnnLayerTape:
+    """Forward recordings of one spiking layer over the (n, t) lattice."""
+
+    def __init__(self, cell, batch, n_elements, T, dtype):
+        h = cell.hidden_dim
+        shape = (n_elements, T, batch, h)
+        self.V = {g: np.zeros(shape, dtype=dtype) for g in cell.gate_params}
+        # component spike values: sigmoid gates use only 'pos'
+        self.S_pos = {g: np.zeros(shape, dtype=dtype) for g in cell.gate_params}
+        self.S_neg = {g: np.zeros(shape, dtype=dtype)
+                      for g in ("g", "c") if g in cell.gate_params}
+        self.Upost = {g: np.zeros((n_elements, T + 1, batch, h), dtype=dtype)
+                      for g in cell.gate_params}
+        self.P_analog = np.zeros(shape, dtype=dtype)
+        self.C = np.zeros(shape, dtype=dtype)
+        self.H = np.zeros(shape, dtype=dtype)
+
+
+def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
+                   tape: _SnnLayerTape | None, stats: LayerSpikeStats) -> np.ndarray:
+    """Run one spiking layer over x_feed [B, N, T, F]; returns its hidden
+    spikes [N, T, B, H] and fills the tape (when given) and the stats."""
+    batch, n_elements, T, _ = x_feed.shape
+    dtype = x_feed.dtype
+    w = cell.weights
+    hidden = cell.hidden_dim
+    analog = cell.plan.analog_gate
+    spiking_ig = "g" if analog == "i" else "i"
+    analog_act = hard_sigmoid if analog == "i" else hard_tanh
+    H = tape.H if tape is not None else np.zeros((n_elements, T, batch, hidden), dtype=dtype)
+    mem_init = {g: np.broadcast_to(np.asarray(p.mem_init, dtype=dtype), (batch, hidden))
+                for g, p in cell.gate_params.items()}
+    if tape is not None:
+        for g, u0 in mem_init.items():
+            tape.Upost[g][:, 0] = u0
+    spikes = dict.fromkeys(("f", spiking_ig, "o", "c"), 0)
+    h_prev = np.zeros((T, batch, hidden), dtype=dtype)
+    c_prev = np.zeros_like(h_prev)
+    for n in range(n_elements):
+        c_cur = tape.C[n] if tape is not None else np.empty_like(c_prev)
+        U = dict(mem_init)
+        for t in range(T):
+            x_in = x_feed[:, n, t]
+            p = {a: x_in @ w.w_x[a].T + h_prev[t] @ w.w_h[a].T + w.b[a] for a in GATES}
+            vals = {}
+            for gate in ("f", "o", spiking_ig, "c"):
+                if gate == "c":  # the cell combine drives the c neuron
+                    vals[analog] = analog_act(p[analog], cell.act)
+                    drive = vals["f"] * c_prev[t] + vals["i"] * vals["g"]
+                    c_cur[t] = drive
+                else:
+                    drive = p[gate]
+                leak, th_p, th_n, beta, gamma = _lif_vec(cell, gate)
+                V = leak * U[gate] + drive + beta
+                s_pos = _spike(V, th_p, gamma, relaxed)
+                if th_n is not None:
+                    s_neg = _spike(V, th_n, gamma, relaxed)
+                    u_next = V - th_p * s_pos - th_n * s_neg
+                    vals[gate] = s_pos - s_neg
+                else:
+                    u_next = V - th_p * s_pos
+                    vals[gate] = s_pos
+                # membranes are kept at the layer's dtype (the analog
+                # activations compute in f64 even in an f32 run)
+                U[gate] = np.asarray(u_next, dtype=dtype)
+                if tape is not None:
+                    tape.V[gate][n, t] = V
+                    tape.S_pos[gate][n, t] = s_pos
+                    if th_n is not None:
+                        tape.S_neg[gate][n, t] = s_neg
+                    tape.Upost[gate][n, t + 1] = U[gate]
+                spikes[gate] += int(np.count_nonzero(vals[gate]))
+            H[n, t] = vals["o"] * vals["c"]
+            if tape is not None:
+                tape.P_analog[n, t] = p[analog]
+        for u in U.values():  # a non-finite membrane stays so until the element ends
+            _check_finite(u)
+        h_prev = H[n]
+        c_prev = c_cur
+    if not relaxed:
+        _assert_spikes("hidden output", H, ternary=True)
+    if not stats.input_analog:
+        stats.input_nnz = int(np.count_nonzero(x_feed))
+    stats.hidden_nnz_total = int(np.count_nonzero(H))
+    stats.hidden_nnz_last = int(np.count_nonzero(H[n_elements - 1]))
+    stats.gate_spikes = spikes
+    stats.gate_possible = dict.fromkeys(spikes, batch * n_elements * T * hidden)
+    return H
+
+
+def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
+                      seed: int, relaxed: bool = False, want_tapes: bool = False,
+                      first_index: int = 0):
+    """Batched spiking forward over [B, N, F]: the one SNN forward that
+    streaming inference, training, evaluation and the conversion report
+    share.
+
+    Inputs are encoded by encode_sequence, sample b as sample
+    first_index + b of the evaluated set. relaxed=True replaces every hard
+    spike by its triangle-ramp relaxation (same code path otherwise).
+    With want_tapes every layer records what snn_backward reads; without,
+    only each layer's hidden spikes are kept. Returns (logits,
+    tapes_or_none, aux); aux holds the head cache, the encoded input and
+    the SpikeStats tallied over the batch.
+
+    Raises NumericalFault on a non-finite membrane and, on hard spikes,
+    MultiplierAuditError when a tensor that must carry spikes is not
+    ternary.
+    """
+    X = np.asarray(X)
+    if X.ndim != 3 or 0 in X.shape[:2]:
+        raise ValidationError(f"input must be non-empty [B, N, F], got shape {X.shape}")
+    if X.shape[2] != model.input_dim:
+        raise DimensionMismatch(f"input has {X.shape[2]} features, model wants {model.input_dim}")
+    batch, n_elements, _ = X.shape
+    encoded = encode_sequence(X, T, encoding, seed, first_index).astype(X.dtype, copy=False)
+    stats = _new_stats(model, n_elements, T, encoding)
+    if not stats.layers[0].input_analog:
+        _assert_spikes("encoded input", encoded, ternary=True)
+    tapes = []
+    x_feed = encoded  # [B, N, T, F]
+    for cell, layer_stats in zip(model.cells, stats.layers):
+        tape = _SnnLayerTape(cell, batch, n_elements, T, X.dtype) if want_tapes else None
+        H = _layer_forward(cell, x_feed, relaxed, tape, layer_stats)
+        tapes.append(tape)
+        x_feed = np.moveaxis(H, 2, 0)  # [B, N, T, H]
+    hbar = H[n_elements - 1].mean(axis=0)  # [B, H]
+    logits, head_cache = model.head.forward_cached(hbar)
+    aux = {"head_cache": head_cache, "encoded": encoded, "stats": stats}
+    return logits, (tapes if want_tapes else None), aux
+
+
 def snn_forward(model: SpikingLSTM, sequence, T: int | None = None,
-                encoding: str | None = None, rng_seed: int = 0):
-    """Streaming evaluation of an [N, F] sequence.
+                encoding: str | None = None, rng_seed: int = 0, first_index: int = 0):
+    """Streaming evaluation of an [N, F] sequence: the batched engine at
+    B=1, the sequence being sample first_index of its set under rng_seed.
 
     Returns (logits, spike_stats, op_counts). The readout is the head
     applied to the time-averaged ternary hidden spikes of the final
@@ -203,37 +362,13 @@ def snn_forward(model: SpikingLSTM, sequence, T: int | None = None,
     """
     T = model.time_steps if T is None else T
     encoding = model.encoding if encoding is None else encoding
-    if T < 1:
-        raise ValidationError("T must be >= 1")
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 2 or sequence.shape[0] < 1:
         raise ValidationError(f"sequence must be non-empty [N, F], got shape {sequence.shape}")
-    n_elements = sequence.shape[0]
-    encoded = encode_sequence(sequence, T, encoding, rng_seed)  # [N, T, F]
-    stats = _new_stats(model, n_elements, T, encoding)
-
-    n_layers = len(model.cells)
-    h_stream = [np.zeros((T, c.hidden_dim)) for c in model.cells]
-    c_stream = [np.zeros((T, c.hidden_dim)) for c in model.cells]
-    for n in range(n_elements):
-        below = encoded[n]  # [T, F] analog (direct) or spikes (poisson)
-        for li, cell in enumerate(model.cells):
-            state = CellStepState.fresh(cell)
-            new_h = np.empty_like(h_stream[li])
-            new_c = np.empty_like(c_stream[li])
-            x_is_spikes = not (li == 0 and encoding == "direct")
-            for t in range(T):
-                new_h[t], new_c[t] = snn_cell_step(
-                    cell, state, below[t], h_stream[li][t], c_stream[li][t],
-                    stats=stats.layers[li], x_is_spikes=x_is_spikes,
-                    last_element=(n == n_elements - 1))
-            h_stream[li] = new_h
-            c_stream[li] = new_c
-            below = new_h
-    readout = h_stream[-1].sum(axis=0) / T
-    logits = model.head.forward(readout)
-    op_counts = count_ops_snn(stats, model, n_elements, T, encoding)
-    return logits, stats, op_counts
+    logits, _, aux = snn_batch_forward(model, sequence[None], T, encoding, rng_seed,
+                                       first_index=first_index)
+    stats = aux["stats"]
+    return logits[0], stats, count_ops_snn(stats, model, sequence.shape[0], T, encoding)
 
 
 def default_gate_params(plan: ConversionPlan, act: HardActConfig, hidden: int,

@@ -1,5 +1,8 @@
 """Reverse-mode training engines.
 
+Both run BPTT over the tapes of the one batched forward per model kind:
+`ann_batch_forward` (lstm) and `snn_batch_forward` (snn), re-exported here.
+
 ann_backward: exact BPTT through the hard-activation LSTM (subgradients
 from the linear side at clip kinks).
 
@@ -10,7 +13,7 @@ triangular surrogate; ternary neurons use the sum of the two triangles
 centred at the two thresholds. The soft-reset path carries gradient by
 default.
 
-Both engines share one backward implementation; `relaxed=True` switches
+The hard and relaxed SNN modes share one backward; `relaxed=True` switches
 the forward to the triangle-ramp relaxation of every spike (whose exact
 derivative IS the surrogate), which makes the engine the exact gradient
 of a differentiable function and therefore checkable against central
@@ -24,15 +27,14 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .activations import hard_sigmoid, hard_sigmoid_grad, hard_tanh, hard_tanh_grad
 from .errors import NumericalFault, TrainingDiverged, ValidationError
-from .lstm import GATES, AnnLSTM
-from .snn import SpikingLSTM
+from .lstm import GATES, AnnLSTM, ann_batch_forward
+from .snn import SpikingLSTM, _lif_vec, snn_batch_forward
 
 # A GradientBundle is a dict param-name -> gradient array, shapes matching
 # model_parameters(model).
@@ -79,20 +81,16 @@ class TrainConfig:
     mask: TrainMask = field(default_factory=TrainMask)
     lr_decay_epochs: tuple = ()
     lr_decay_factor: float = 0.1
-    workers: int = 1
-    micro_batch: int = 32
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.micro_batch < 1:
-            raise ValidationError("epochs, batch_size, micro_batch must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValidationError("epochs and batch_size must be >= 1")
         if self.lr <= 0:
             raise ValidationError("lr must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
         if self.precision not in ("f64", "f32"):
             raise ValidationError(f"precision must be f64 or f32, got {self.precision!r}")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +173,6 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, dlogits / batch
 
 
-def _head_forward_cached(head, v):
-    caches = [v]
-    out = v
-    for k, (W, b) in enumerate(head.weights):
-        out = out @ W.T + b
-        if k < len(head.weights) - 1:
-            caches.append(out)       # pre-ReLU
-            out = np.maximum(out, 0.0)
-    return out, caches
-
-
 def _head_backward(head, caches, dlogits, grads, prefix="head"):
     d = dlogits
     for k in range(len(head.weights) - 1, -1, -1):
@@ -203,40 +190,6 @@ def _head_backward(head, caches, dlogits, grads, prefix="head"):
 
 # ---------------------------------------------------------------------------
 # ANN engine
-
-def ann_batch_forward(model: AnnLSTM, X: np.ndarray, want_caches: bool = False):
-    """Batched forward over [B, N, F]; returns logits (+caches)."""
-    X = np.asarray(X)
-    batch, n_elements, _ = X.shape
-    x_seq = X
-    layer_caches = []
-    for w in model.layers:
-        h = np.zeros((batch, w.hidden_dim), dtype=X.dtype)
-        c = np.zeros_like(h)
-        cache = {"z": [], "gates": [], "c": [c], "h": [h], "x": x_seq}
-        outs = np.empty((batch, n_elements, w.hidden_dim), dtype=X.dtype)
-        for n in range(n_elements):
-            z = {a: x_seq[:, n] @ w.w_x[a].T + h @ w.w_h[a].T + w.b[a] for a in GATES}
-            f = hard_sigmoid(z["f"], model.act)
-            i = hard_sigmoid(z["i"], model.act)
-            o = hard_sigmoid(z["o"], model.act)
-            g = hard_tanh(z["g"], model.act)
-            c = f * c + i * g
-            tc = hard_tanh(c, model.act)
-            h = o * tc
-            outs[:, n] = h
-            if want_caches:
-                cache["z"].append(z)
-                cache["gates"].append((f, i, g, o, tc))
-                cache["c"].append(c)
-                cache["h"].append(h)
-        x_seq = outs
-        layer_caches.append(cache)
-    logits, head_cache = _head_forward_cached(model.head, x_seq[:, -1])
-    if want_caches:
-        return logits, {"layers": layer_caches, "head": head_cache}
-    return logits
-
 
 def ann_loss(model: AnnLSTM, batch) -> float:
     X, y = batch
@@ -304,146 +257,23 @@ def ann_backward(model: AnnLSTM, batch):
 # ---------------------------------------------------------------------------
 # SNN engine
 
-def _encode_batch(X: np.ndarray, T: int, encoding: str, seed: int) -> np.ndarray:
-    """[B, N, F] -> [B, N, T, F] step inputs (replication or Bernoulli)."""
-    batch, n_elements, feats = X.shape
-    if encoding == "direct":
-        return np.broadcast_to(X[:, :, None, :], (batch, n_elements, T, feats)).copy()
-    if encoding == "poisson":
-        if np.any(X < 0.0) or np.any(X > 1.0):
-            raise ValidationError("poisson encoding requires values in [0, 1]")
-        rng = np.random.default_rng(seed)
-        return (rng.random((batch, n_elements, T, feats)) < X[:, :, None, :]).astype(X.dtype)
-    raise ValidationError(f"unknown encoding {encoding!r}")
-
-
 def _tri(x):
     return np.maximum(0.0, 1.0 - np.abs(x - 1.0))
 
 
-def _ramp(x):
-    x = np.clip(x, 0.0, 2.0)
-    return np.where(x <= 1.0, 0.5 * x * x, 1.0 - 0.5 * (2.0 - x) ** 2)
+def _spike_partials(V, theta, gamma, relaxed):
+    """V- and theta-partials of a spike component (snn._spike).
 
-
-def _spike_component(V, theta, gamma, relaxed):
-    """Monotone spike component sigma(V; theta) and its V/theta partials.
-
-    Hard: indicator of V/theta > 1 (covers both threshold signs), with the
-    triangular surrogate as dV-partial and the conventional -surrogate
-    as theta-partial. Relaxed: gamma * ramp(V / theta), with its
-    exact partials.
+    Hard: the triangular surrogate as dV-partial and the conventional
+    -surrogate as theta-partial. Relaxed: the exact partials of
+    gamma * ramp(V / theta).
     """
-    x = V / theta
-    tri = _tri(x)
+    tri = _tri(V / theta)
     if relaxed:
-        s = gamma * _ramp(x)
         dsdth = -(gamma * V / (theta * theta)) * tri
     else:
-        s = (x > 1.0).astype(V.dtype)
         dsdth = -(gamma / theta) * tri
-    dsdv = (gamma / theta) * tri
-    return s, dsdv, dsdth
-
-
-class _SnnLayerTape:
-    """Forward recordings of one spiking layer over the (n, t) lattice."""
-
-    def __init__(self, cell, batch, n_elements, T, dtype):
-        h = cell.hidden_dim
-        self.cell = cell
-        shape = (n_elements, T, batch, h)
-        self.V = {g: np.zeros(shape, dtype=dtype) for g in cell.gate_params}
-        # component spike values: sigmoid gates use only 'pos'
-        self.S_pos = {g: np.zeros(shape, dtype=dtype) for g in cell.gate_params}
-        self.S_neg = {g: np.zeros(shape, dtype=dtype)
-                      for g in ("g", "c") if g in cell.gate_params}
-        self.Upost = {g: np.zeros((n_elements, T + 1, batch, h), dtype=dtype)
-                      for g in cell.gate_params}
-        self.P_analog = np.zeros(shape, dtype=dtype)
-        self.C = np.zeros(shape, dtype=dtype)
-        self.H = np.zeros(shape, dtype=dtype)
-
-
-def _lif_vec(cell, gate):
-    p = cell.gate_params[gate]
-    return p.leak, p.threshold_pos, p.threshold_neg, p.step_bias, p.surrogate_gamma
-
-
-def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
-                      seed: int, relaxed: bool = False, want_tapes: bool = False):
-    """Batched spiking forward over [B, N, F]; optionally records tapes.
-
-    relaxed=True replaces every hard spike by its triangle-ramp relaxation
-    (same code path otherwise). Returns (logits, tapes_or_none, mean
-    hidden spike magnitude).
-    """
-    X = np.asarray(X)
-    batch, n_elements, _ = X.shape
-    dtype = X.dtype
-    encoded = _encode_batch(X, T, encoding, seed)
-    tapes = []
-    x_feed = encoded  # [B, N, T, F]
-    hidden_mag = 0.0
-    hidden_count = 0
-    for li, cell in enumerate(model.cells):
-        analog = cell.plan.analog_gate
-        spiking_ig = "g" if analog == "i" else "i"
-        w = cell.weights
-        tape = _SnnLayerTape(cell, batch, n_elements, T, dtype)
-        for g in cell.gate_params:
-            tape.Upost[g][:, 0] = np.broadcast_to(
-                np.asarray(cell.gate_params[g].mem_init, dtype=dtype),
-                (batch, cell.hidden_dim))
-        h_prev_elem = np.zeros((T, batch, cell.hidden_dim), dtype=dtype)
-        c_prev_elem = np.zeros_like(h_prev_elem)
-        for n in range(n_elements):
-            for t in range(T):
-                x_in = x_feed[:, n, t]
-                h_in = h_prev_elem[t]
-                p = {a: x_in @ w.w_x[a].T + h_in @ w.w_h[a].T + w.b[a] for a in GATES}
-                vals = {}
-                for gate in ("f", "o", spiking_ig):
-                    leak, th_p, th_n, beta, gamma = _lif_vec(cell, gate)
-                    V = leak * tape.Upost[gate][n, t] + p[gate] + beta
-                    s_pos, _, _ = _spike_component(V, th_p, gamma, relaxed)
-                    if gate == spiking_ig and gate == "g":
-                        s_neg, _, _ = _spike_component(V, th_n, gamma, relaxed)
-                        tape.S_neg[gate][n, t] = s_neg
-                        tape.Upost[gate][n, t + 1] = V - th_p * s_pos - th_n * s_neg
-                        vals[gate] = s_pos - s_neg
-                    else:
-                        tape.Upost[gate][n, t + 1] = V - th_p * s_pos
-                        vals[gate] = s_pos
-                    tape.V[gate][n, t] = V
-                    tape.S_pos[gate][n, t] = s_pos
-                tape.P_analog[n, t] = p[analog]
-                if analog == "i":
-                    vals["i"] = hard_sigmoid(p["i"], cell.act)
-                else:
-                    vals["g"] = hard_tanh(p["g"], cell.act)
-                c_val = vals["f"] * c_prev_elem[t] + vals["i"] * vals["g"]
-                tape.C[n, t] = c_val
-                leak, th_p, th_n, beta, gamma = _lif_vec(cell, "c")
-                V = leak * tape.Upost["c"][n, t] + c_val + beta
-                s_pos, _, _ = _spike_component(V, th_p, gamma, relaxed)
-                s_neg, _, _ = _spike_component(V, th_n, gamma, relaxed)
-                tape.V["c"][n, t] = V
-                tape.S_pos["c"][n, t] = s_pos
-                tape.S_neg["c"][n, t] = s_neg
-                tape.Upost["c"][n, t + 1] = V - th_p * s_pos - th_n * s_neg
-                tape.H[n, t] = vals["o"] * (s_pos - s_neg)
-            h_prev_elem = tape.H[n]
-            c_prev_elem = tape.C[n]
-        hidden_mag += float(np.abs(tape.H).sum())
-        hidden_count += tape.H.size
-        x_feed = np.moveaxis(tape.H, 2, 0)  # [B, N, T, H]
-        tapes.append(tape)
-    hbar = tapes[-1].H[n_elements - 1].mean(axis=0)  # [B, H]
-    logits, head_cache = _head_forward_cached(model.head, hbar)
-    aux = {"mean_hidden_rate": hidden_mag / hidden_count, "head_cache": head_cache,
-           "encoded": encoded}
-    return logits, (tapes if want_tapes else None), aux
+    return (gamma / theta) * tri, dsdth
 
 
 def snn_relaxed_loss(model: SpikingLSTM, batch, T: int, encoding: str, seed: int) -> float:
@@ -514,8 +344,8 @@ def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
                 D = dUpost["c"]
                 ds_pos = dsc - D * th_p
                 ds_neg = -dsc - D * th_n
-                _, dpv, dpt = _spike_component(tape.V["c"][n, t], th_p, gamma, relaxed)
-                _, dnv, dnt = _spike_component(tape.V["c"][n, t], th_n, gamma, relaxed)
+                dpv, dpt = _spike_partials(tape.V["c"][n, t], th_p, gamma, relaxed)
+                dnv, dnt = _spike_partials(tape.V["c"][n, t], th_n, gamma, relaxed)
                 dV_c = D + ds_pos * dpv + ds_neg * dnv
                 grads[f"{gp}.lif.c.threshold_pos"] += (
                     ds_pos * dpt - D * tape.S_pos["c"][n, t]).sum(axis=0)
@@ -546,11 +376,11 @@ def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
                 for gate in ("f", "o", spiking_ig):
                     leak, th_p, th_n, beta, gamma = _lif_vec(cell, gate)
                     D = dUpost[gate]
-                    _, dpv, dpt = _spike_component(tape.V[gate][n, t], th_p, gamma, relaxed)
+                    dpv, dpt = _spike_partials(tape.V[gate][n, t], th_p, gamma, relaxed)
                     if gate == "g":
                         ds_pos = ds[gate] - D * th_p
                         ds_neg = -ds[gate] - D * th_n
-                        _, dnv, dnt = _spike_component(tape.V[gate][n, t], th_n, gamma, relaxed)
+                        dnv, dnt = _spike_partials(tape.V[gate][n, t], th_n, gamma, relaxed)
                         dV = D + ds_pos * dpv + ds_neg * dnv
                         grads[f"{gp}.lif.g.threshold_pos"] += (
                             ds_pos * dpt - D * tape.S_pos["g"][n, t]).sum(axis=0)
@@ -648,64 +478,33 @@ class SGD:
             params[name] -= self.lr * grads[name]
 
 
-def _batch_grads(model, X, y, config: TrainConfig, snn_seed=None):
-    """Loss and gradients of the batch mean, computed over fixed-size
-    micro-batches reduced in index order (deterministic for any worker
-    count)."""
-    total = X.shape[0]
-    bounds = list(range(0, total, config.micro_batch))
-    chunks = [(lo, min(lo + config.micro_batch, total)) for lo in bounds]
-
-    def one(chunk):
-        lo, hi = chunk
-        if snn_seed is None:
-            loss, grads = ann_backward(model, (X[lo:hi], y[lo:hi]))
-        else:
-            loss, grads = snn_backward(model, (X[lo:hi], y[lo:hi]), seed=snn_seed)
-        return loss, grads, hi - lo
-
-    if config.workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(one, chunks))
-    else:
-        results = [one(c) for c in chunks]
-
-    loss = 0.0
-    grads = None
-    for chunk_loss, chunk_grads, size in results:  # fixed order
-        w = size / total
-        loss += w * chunk_loss
-        if grads is None:
-            grads = {k: w * g for k, g in chunk_grads.items()}
-        else:
-            for k, g in chunk_grads.items():
-                grads[k] += w * g
-    return loss, grads
-
-
 def evaluate(model, X, y, chunk=256, seed=0):
-    """(loss, accuracy, mean hidden spike rate) on a labeled set."""
+    """(loss, accuracy, mean hidden spike rate) on a labeled set.
+
+    Sample k is poisson-encoded as sample k of the set, so the result
+    does not depend on `chunk` (beyond loss summation order).
+    """
     losses = []
     correct = 0
-    rates = []
+    hidden_spikes = hidden_slots = 0
     dtype = model_dtype(model)
     for lo in range(0, X.shape[0], chunk):
         xb = np.asarray(X[lo:lo + chunk], dtype=dtype)
         yb = np.asarray(y[lo:lo + chunk])
         if isinstance(model, AnnLSTM):
             logits = ann_batch_forward(model, xb)
-            rate = np.nan
         else:
             logits, _, aux = snn_batch_forward(
-                model, xb, model.time_steps, model.encoding, seed)
-            rate = aux["mean_hidden_rate"]
+                model, xb, model.time_steps, model.encoding, seed, first_index=lo)
+            stats = aux["stats"]
+            hidden_spikes += sum(layer.hidden_nnz_total for layer in stats.layers)
+            hidden_slots += (len(yb) * stats.n_elements * stats.time_steps
+                             * sum(model.hidden_dims))
         loss, _ = softmax_cross_entropy(logits, yb)
         losses.append(float(loss) * len(yb))
         correct += int((logits.argmax(axis=1) == yb).sum())
-        rates.append(rate)
     n = X.shape[0]
-    finite_rates = [r for r in rates if not np.isnan(r)]
-    rate = float(np.mean(finite_rates)) if finite_rates else float("nan")
+    rate = hidden_spikes / hidden_slots if hidden_slots else float("nan")
     return sum(losses) / n, correct / n, rate
 
 
@@ -722,8 +521,7 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
     train_set / val_set: (X [count, N, F], y [count]) pairs. Writes
     metrics.csv, manifest.json and a best-validation checkpoint under
     out_dir when given. Non-finite loss restores the best parameters and
-    raises TrainingDiverged. Fully seed-deterministic for any worker
-    count.
+    raises TrainingDiverged. Fully seed-deterministic.
     """
     X_train, y_train = train_set
     X_val, y_val = val_set
@@ -755,12 +553,13 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
             seen = 0
             for b0 in range(0, len(order), config.batch_size):
                 idx = order[b0:b0 + config.batch_size]
-                seed = None
+                batch = (X_train[idx], y_train[idx])
                 if is_snn:
                     seed = int(np.random.SeedSequence(
                         [config.seed, epoch, b0]).generate_state(1)[0])
-                loss, grads = _batch_grads(model, X_train[idx], y_train[idx], config,
-                                           snn_seed=seed)
+                    loss, grads = snn_backward(model, batch, seed=seed)
+                else:
+                    loss, grads = ann_backward(model, batch)
                 clip_global_norm(grads, config.grad_clip)
                 opt.step(params, grads, trainable)
                 epoch_loss += loss * len(idx)

@@ -184,3 +184,19 @@ def test_verify_command_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_os_error_exits_1_without_traceback(tmp_path, capsys):
+    assert main(["pipeline-sim", "--n", "3", "--t", "2", "--ckpt", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_removed_train_keys_exit_2(tmp_path, capsys):
+    for key in ("workers", "micro_batch"):
+        cfg = write_json(tmp_path / f"{key}.json", {
+            "config_version": 1, "dataset": DATASET, "train": {key: 2},
+            "out_dir": str(tmp_path / key)})
+        assert main(["train-ann", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err

@@ -106,3 +106,9 @@ def test_error_report_near_zero_at_large_t():
     assert "layer" in table
     for row in rows:
         assert row["mae"] <= 0.02
+
+
+def test_error_report_rejects_ragged_probes(tiny_ann):
+    snn = convert(tiny_ann, T=2)
+    with pytest.raises(ValidationError):
+        conversion_error_report(tiny_ann, snn, [np.zeros((3, 2)), np.zeros((4, 2))], T=2)

@@ -51,3 +51,15 @@ def test_encode_sequence_shapes_and_determinism():
     np.testing.assert_array_equal(p1, p2)
     with pytest.raises(ValidationError):
         encode_sequence(seq, 4, "morse", 0)
+
+
+def test_encode_sequence_batch_keys_each_sample_by_its_index():
+    X = np.random.default_rng(1).random((4, 3, 2))
+    batch = encode_sequence(X, 5, "poisson", 9, first_index=10)
+    assert batch.shape == (4, 3, 5, 2)
+    for b in range(4):
+        single = encode_sequence(X[b], 5, "poisson", 9, first_index=10 + b)
+        np.testing.assert_array_equal(batch[b], single)
+    tail = encode_sequence(X[2:], 5, "poisson", 9, first_index=12)
+    np.testing.assert_array_equal(tail, batch[2:])
+    np.testing.assert_array_equal(encode_sequence(X, 5, "direct")[:, :, 4], X)

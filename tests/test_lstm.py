@@ -3,12 +3,16 @@ import pytest
 
 from spikelstm.activations import HardActConfig, hard_tanh
 from spikelstm.errors import DimensionMismatch, ValidationError
-from spikelstm.lstm import (AnnLSTM, ClassifierHead, ann_cell_step, ann_forward,
-                            stack_layers)
+from spikelstm.lstm import AnnLSTM, ClassifierHead, ann_batch_forward, ann_cell_step
 
 from conftest import zero_weights
 
 CFG = HardActConfig()
+
+
+def ann_forward(model, sequence):
+    """Logits of one [N, F] sequence through the batched engine."""
+    return ann_batch_forward(model, np.asarray(sequence)[None])[0]
 
 
 def test_cell_step_zero_weights():
@@ -81,19 +85,21 @@ def test_forward_matches_independent_reference():
 def test_forward_rejects_empty_sequence():
     model = AnnLSTM.random(2, [3], [2], np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        ann_forward(model, np.zeros((0, 2)))
+        ann_batch_forward(model, np.zeros((1, 0, 2)))
+    with pytest.raises(ValidationError):
+        ann_batch_forward(model, np.zeros((0, 4, 2)))
 
 
 def test_stacked_zero_weight_layers_emit_zero_hidden():
     head = ClassifierHead([[np.zeros((2, 3)), np.zeros(2)]])
-    model = stack_layers(zero_weights(2, 3), zero_weights(3, 3), head)
+    model = AnnLSTM(layers=[zero_weights(2, 3), zero_weights(3, 3)], head=head)
     np.testing.assert_array_equal(ann_forward(model, np.ones((3, 2))), 0.0)
 
 
 def test_stack_dimension_mismatch():
     head = ClassifierHead([[np.zeros((2, 4)), np.zeros(2)]])
     with pytest.raises(DimensionMismatch):
-        stack_layers(zero_weights(2, 3), zero_weights(4, 4), head)
+        AnnLSTM(layers=[zero_weights(2, 3), zero_weights(4, 4)], head=head)
 
 
 def test_two_layer_matches_manual_composition():

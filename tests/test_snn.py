@@ -3,11 +3,11 @@ import pytest
 
 from spikelstm.activations import HardActConfig
 from spikelstm.convert import convert
-from spikelstm.errors import MultiplierAuditError, ValidationError
-from spikelstm.lstm import AnnLSTM
+from spikelstm.errors import MultiplierAuditError, NumericalFault, ValidationError
+from spikelstm.lstm import AnnLSTM, ann_batch_forward
 from spikelstm.snn import (CellStepState, ConversionPlan, SpikingLSTMCell,
-                           default_gate_params, random_spiking_lstm, snn_cell_step,
-                           snn_forward)
+                           default_gate_params, random_spiking_lstm, snn_batch_forward,
+                           snn_cell_step, snn_forward)
 
 from conftest import one_unit_cell, zero_weights
 
@@ -118,13 +118,13 @@ def test_large_t_rates_converge_to_ann_gates():
     rng = np.random.default_rng(0)
     ann = AnnLSTM.random(1, [1], [2], rng, scale=1.0)
     snn = convert(ann, T=256, plan=ConversionPlan("g"))
-    x = np.array([[0.6]])
-    from spikelstm.convert import _ann_gate_trace, _snn_gate_rate_trace
-
-    ann_gates = _ann_gate_trace(ann, x)[0]
-    snn_rates = _snn_gate_rate_trace(snn, x, 256)[0]
-    for gate in ("f", "i", "o"):
-        assert abs(ann_gates[gate][0, 0] - snn_rates[gate][0, 0]) <= 2.0 / 256.0
+    x = np.array([[[0.6]]])
+    _, caches = ann_batch_forward(ann, x, want_caches=True)
+    f, i, _, o, _ = caches["layers"][0]["gates"][0]
+    _, tapes, _ = snn_batch_forward(snn, x, 256, "direct", 0, want_tapes=True)
+    rates = {gate: tapes[0].S_pos[gate][0].mean() for gate in ("f", "i", "o")}
+    for gate, ann_gate in (("f", f), ("i", i), ("o", o)):
+        assert abs(ann_gate[0, 0] - rates[gate]) <= 2.0 / 256.0
 
 
 def test_forward_stats_geometry():
@@ -136,3 +136,22 @@ def test_forward_stats_geometry():
     layer = stats.layers[0]
     assert layer.gate_possible["f"] == 3 * 4 * 2
     assert ops.layers[0].macs == 4 * 3 * 2 * 4  # direct input projection, once per element
+
+
+def test_forward_rejects_non_finite_membrane():
+    rng = np.random.default_rng(10)
+    model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, scale=1.0)
+    model.cells[0].gate_params["o"].step_bias = np.array([0.0, np.inf, 0.0])
+    with pytest.raises(NumericalFault):
+        snn_forward(model, rng.random((3, 2)))
+
+
+def test_forward_rejects_multi_bit_spike_input(monkeypatch):
+    import spikelstm.snn as snn_module
+
+    rng = np.random.default_rng(11)
+    model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, encoding="poisson")
+    monkeypatch.setattr(snn_module, "encode_sequence",
+                        lambda X, T, *args: np.full(X.shape[:2] + (T,) + X.shape[2:], 0.5))
+    with pytest.raises(MultiplierAuditError):
+        snn_forward(model, rng.random((3, 2)))
