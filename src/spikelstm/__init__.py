@@ -10,14 +10,14 @@ __version__ = "0.1.0"
 
 from .activations import HardActConfig, hard_sigmoid, hard_tanh
 from .convert import convert, conversion_error_report
-from .encoding import encode_direct, encode_poisson
+from .encoding import encode_sequence
 from .energy import (EnergyModel, OpCountReport, SpikeStats, audit_multiplier_free,
                      count_ops_ann, count_ops_snn, estimate_energy)
 from .errors import SpikeLstmError
 from .lstm import AnnLSTM, ClassifierHead, LSTMWeights, ann_batch_forward, ann_cell_step
-from .neuron import (NEVER, LIFGateParams, NeuronState, SpikeTrain, if_avg_sigmoid,
-                     if_avg_tanh, lif_avg_sigmoid, lif_first_spike_time, optimal_shift,
-                     step_sigmoid_neuron, step_tanh_neuron, surrogate_grad)
+from .neuron import (NEVER, LIFGateParams, NeuronState, if_avg_sigmoid, if_avg_tanh,
+                     lif_avg_sigmoid, lif_first_spike_time, optimal_shift, spike,
+                     spike_partials, step_sigmoid_neuron, step_tanh_neuron)
 from .pipeline import LatencyModel, PipelineSchedule, build_schedule, latency_report, simulate_pipelined
 from .snn import (CellStepState, ConversionPlan, SpikingLSTM, SpikingLSTMCell,
                   snn_batch_forward, snn_cell_step, snn_forward)

@@ -1,39 +1,10 @@
-"""Input encoders: direct (analog replication) and Poisson rate coding."""
+"""The input encoder: direct (analog replication) and Poisson rate coding."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ValidationError
-from .neuron import SpikeTrain
-
-
-def encode_direct(x, T: int) -> np.ndarray:
-    """Replicate the analog input at each of T steps.
-
-    Shape contract: input [...] -> output [T, ...]. The input-layer
-    projection of these values is the one place MACs are allowed.
-    """
-    if T < 1:
-        raise ValidationError("T must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    return np.broadcast_to(x, (T,) + x.shape).copy()
-
-
-def encode_poisson(x, T: int, rng_seed: int) -> SpikeTrain:
-    """Bernoulli spikes with per-step probability x, reproducible by seed.
-
-    Entries must be normalized to [0, 1].
-    """
-    if T < 1:
-        raise ValidationError("T must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        bad = x[(x < 0.0) | (x > 1.0)].flat[0]
-        raise ValidationError(f"poisson encoding requires values in [0, 1], got {bad}")
-    rng = np.random.default_rng(rng_seed)
-    draws = rng.random((T,) + x.shape)
-    return SpikeTrain(values=(draws < x).astype(np.float64), kind="binary")
 
 
 def encode_sequence(sequence: np.ndarray, T: int, encoding: str, rng_seed: int = 0,

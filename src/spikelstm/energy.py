@@ -175,6 +175,20 @@ def count_ops_ann(model, n_elements: int) -> OpCountReport:
                          encoding="analog", head_macs=head_macs)
 
 
+def step_comparisons(cell) -> int:
+    """Comparisons of one spiking-cell step: a threshold compare per unit
+    and spiking neuron (two for ternary ones) plus the three mask/sign
+    selects of the cell datapath."""
+    h = cell.hidden_dim
+    return sum((2 if p.is_ternary else 1) * h for p in cell.gate_params.values()) + 3 * h
+
+
+def direct_input_macs(cell) -> int:
+    """MACs of a cell's direct-encoding input projection for one element
+    (computed once and reused across its T steps)."""
+    return 4 * cell.hidden_dim * cell.input_dim
+
+
 def count_ops_snn(stats: SpikeStats, model, n_elements: int, time_steps: int,
                   encoding: str) -> OpCountReport:
     """Event-driven op tallies of a spiking run from its recorded stats."""
@@ -196,21 +210,17 @@ def count_ops_snn(stats: SpikeStats, model, n_elements: int, time_steps: int,
         fanout = 4 * h
         recurrent_nnz = s.hidden_nnz_total - s.hidden_nnz_last
         acc = fanout * (s.input_nnz + recurrent_nnz)
-        compares = 0
-        for gate, params in cell.gate_params.items():
-            compares += (2 if params.is_ternary else 1) * h * steps
-        compares += 3 * h * steps  # mask/sign selects of the cell datapath
         leak_units = 0
         for params in cell.gate_params.values():
             leak_units += int(np.count_nonzero(np.broadcast_to(
                 np.asarray(params.leak, dtype=np.float64), (h,)) != 1.0))
         layers.append(LayerOps(
             hidden=h, fan_in=s.fan_in,
-            macs=4 * h * s.fan_in * n_elements if s.input_analog else 0,
+            macs=direct_input_macs(cell) * n_elements if s.input_analog else 0,
             multiplies=0,
             accumulates=acc,
             recurrent_accumulates=fanout * recurrent_nnz,
-            comparisons=compares,
+            comparisons=step_comparisons(cell) * steps,
             activations=h * steps,  # the one analog gate's hard-activation evals
             leak_multiplies=leak_units * steps,
         ))

@@ -3,7 +3,8 @@
 Conventions, fixed across the toolkit:
 
 * membrane update: U <- leak * U + pre_act + step_bias
-* spiking is strict (U > threshold_pos, U < threshold_neg)
+* spiking is strict (U > threshold_pos, U < threshold_neg); the engines'
+  spike rule `spike` (V/theta > 1) decides the same for either sign
 * reset is always by subtraction of the crossed threshold (soft reset),
   so residual charge survives a spike
 * sigmoid-type neurons realize the intrinsic half-offset of the hard
@@ -50,8 +51,8 @@ class LIFGateParams:
             raise ValidationError("threshold_pos must be > 0")
         if self.threshold_neg is not None and np.any(np.asarray(self.threshold_neg) >= 0):
             raise ValidationError("threshold_neg must be < 0 when present")
-        # gamma 0 is allowed here (it collapses the surrogate support, a
-        # useful training diagnostic); surrogate_grad itself requires > 0
+        # gamma 0 is allowed (it collapses the surrogate support, a useful
+        # training diagnostic)
         if self.surrogate_gamma < 0:
             raise ValidationError("surrogate_gamma must be >= 0")
 
@@ -67,24 +68,10 @@ class NeuronState:
     membrane: np.ndarray
 
     @classmethod
-    def initialized(cls, params: LIFGateParams, units: int, dtype=np.float64) -> "NeuronState":
-        mem = np.broadcast_to(np.asarray(params.mem_init, dtype=dtype), (units,))
+    def initialized(cls, params: LIFGateParams, shape, dtype=np.float64) -> "NeuronState":
+        """A bank of the given shape ([units] or [batch, units]) at mem_init."""
+        mem = np.broadcast_to(np.asarray(params.mem_init, dtype=dtype), shape)
         return cls(membrane=mem.copy())
-
-
-@dataclass
-class SpikeTrain:
-    """Binary or ternary activation record, shape [steps, units]."""
-
-    values: np.ndarray
-    kind: str  # "binary" | "ternary"
-
-    def __post_init__(self):
-        if self.kind not in ("binary", "ternary"):
-            raise ValidationError(f"unknown spike train kind {self.kind!r}")
-        alphabet = {0, 1} if self.kind == "binary" else {-1, 0, 1}
-        if not set(np.unique(self.values)).issubset(alphabet):
-            raise ValidationError(f"{self.kind} train contains values outside {sorted(alphabet)}")
 
 
 def _check_finite(membrane: np.ndarray) -> None:
@@ -195,34 +182,33 @@ def lif_avg_sigmoid(z_bar: float, T: int, v: float, leak: float) -> float:
     return float(np.floor(T / t)) / T
 
 
-def surrogate_grad(u, v_th, gamma: float):
-    """Triangular surrogate for the spike derivative:
-    (gamma/|v_th|) * max(0, 1 - |u/v_th - 1|).
+def spike(V, theta, gamma, relaxed):
+    """Monotone spike component of membrane V against one threshold: the
+    indicator of V/theta > 1 (covers both threshold signs) or, relaxed,
+    its triangle-ramp relaxation gamma * ramp(V/theta), which rises from 0
+    at V/theta <= 0 to gamma at V/theta >= 2. A ternary neuron emits
+    spike(V, theta_pos) - spike(V, theta_neg)."""
+    x = V / theta
+    if relaxed:
+        x = np.clip(x, 0.0, 2.0)
+        return gamma * np.where(x <= 1.0, 0.5 * x * x, 1.0 - 0.5 * (2.0 - x) ** 2)
+    return (x > 1.0).astype(V.dtype)
 
-    Peak gamma/v_th at u = v_th, support (0, 2*v_th) for positive v_th;
-    passing a negative v_th yields the mirrored triangle used for the
-    negative threshold of ternary neurons.
+
+def spike_partials(V, theta, gamma, relaxed):
+    """V- and theta-partials of spike(V, theta, gamma, relaxed).
+
+    Both rest on the triangle max(0, 1 - |V/theta - 1|), which integrates
+    to |theta| in V. Hard: the triangular surrogate (gamma/theta) * tri as
+    V-partial and the conventional -(gamma/theta) * tri as theta-partial.
+    Relaxed: the exact partials of gamma * ramp(V/theta).
     """
-    v_th = np.asarray(v_th, dtype=np.float64)
-    if np.any(v_th == 0):
-        raise ValidationError("v_th must be nonzero")
-    if not gamma > 0:
-        raise ValidationError("gamma must be > 0")
-    u = np.asarray(u, dtype=np.float64)
-    return (gamma / np.abs(v_th)) * np.maximum(0.0, 1.0 - np.abs(u / v_th - 1.0))
-
-
-def spike_ramp(u, v_th, gamma: float):
-    """Antiderivative of surrogate_grad in u: the triangle-ramp relaxation
-    of the hard spike. Rises smoothly from 0 (u <= 0) to gamma (u >= 2*v_th
-    for positive v_th; u <= 2*v_th for negative). Used by the
-    relaxed-forward gradient oracle; exact derivative is surrogate_grad.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    x = np.clip(u / np.asarray(v_th, dtype=np.float64), 0.0, 2.0)
-    lower = 0.5 * x * x
-    upper = 1.0 - 0.5 * (2.0 - x) ** 2
-    return gamma * np.where(x <= 1.0, lower, upper)
+    tri = np.maximum(0.0, 1.0 - np.abs(V / theta - 1.0))
+    if relaxed:
+        dsdth = -(gamma * V / (theta * theta)) * tri
+    else:
+        dsdth = -(gamma / theta) * tri
+    return (gamma / theta) * tri, dsdth
 
 
 def optimal_shift(v_th: float, T: int) -> float:
@@ -242,7 +228,7 @@ def run_constant_drive(
     z_bar = np.atleast_1d(np.asarray(z_bar, dtype=np.float64))
     if units is None:
         units = z_bar.shape[0]
-    state = NeuronState.initialized(params, units)
+    state = NeuronState.initialized(params, (units,))
     step = step_tanh_neuron if ternary else step_sigmoid_neuron
     out = np.empty((T, units))
     for t in range(T):

@@ -17,21 +17,15 @@ import numpy as np
 from .encoding import encode_sequence
 from .errors import SpikeLstmError, ValidationError
 from .snn import CellStepState, SpikingLSTM, snn_cell_step
-from .energy import LayerSpikeStats, OpCountReport
-
-
-@dataclass(frozen=True)
-class ScheduleEntry:
-    element: int  # n, 1-based
-    step: int     # tau, 1-based
-    tick: int     # n + tau - 1
+from .energy import LayerSpikeStats, OpCountReport, direct_input_macs, step_comparisons
 
 
 @dataclass
 class PipelineSchedule:
+    """Block n (1-based) runs its step tau at tick n + tau - 1."""
+
     n_elements: int
     time_steps: int
-    entries: list
 
     @property
     def total_ticks(self) -> int:
@@ -45,14 +39,6 @@ class PipelineSchedule:
     def concurrency_profile(self) -> list:
         return [len(self.active_elements(k)) for k in range(1, self.total_ticks + 1)]
 
-    def dependencies(self, entry: ScheduleEntry) -> list:
-        deps = []
-        if entry.step > 1:
-            deps.append(ScheduleEntry(entry.element, entry.step - 1, entry.tick - 1))
-        if entry.element > 1:
-            deps.append(ScheduleEntry(entry.element - 1, entry.step, entry.tick - 1))
-        return deps
-
 
 def build_schedule(n_elements: int, time_steps: int) -> PipelineSchedule:
     """Diagonal schedule mapping (n, tau) -> tick n + tau - 1.
@@ -62,12 +48,7 @@ def build_schedule(n_elements: int, time_steps: int) -> PipelineSchedule:
     """
     if n_elements < 1 or time_steps < 1:
         raise ValidationError("n_elements and time_steps must be >= 1")
-    entries = [
-        ScheduleEntry(n, tau, n + tau - 1)
-        for n in range(1, n_elements + 1)
-        for tau in range(1, time_steps + 1)
-    ]
-    return PipelineSchedule(n_elements=n_elements, time_steps=time_steps, entries=entries)
+    return PipelineSchedule(n_elements=n_elements, time_steps=time_steps)
 
 
 def simulate_pipelined(model: SpikingLSTM, sequence, T: int | None = None,
@@ -126,11 +107,8 @@ def simulate_pipelined(model: SpikingLSTM, sequence, T: int | None = None,
                 nnz_h_in = int(np.count_nonzero(h_in))
                 row["accumulates"] += fanout * (stats.input_nnz + nnz_h_in)
                 if not x_is_spikes and tau == 1:
-                    # direct-encoding input projection, computed once per element
-                    row["macs"] += 4 * cell.hidden_dim * cell.input_dim
-                row["comparisons"] += sum(
-                    (2 if p.is_ternary else 1) * cell.hidden_dim
-                    for p in cell.gate_params.values()) + 3 * cell.hidden_dim
+                    row["macs"] += direct_input_macs(cell)
+                row["comparisons"] += step_comparisons(cell)
                 row["spikes"] += stats.hidden_nnz_total
         trace.append(row)
 

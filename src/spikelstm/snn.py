@@ -27,7 +27,7 @@ from .encoding import encode_sequence
 from .energy import LayerSpikeStats, SpikeStats, count_ops_snn
 from .errors import DimensionMismatch, MultiplierAuditError, ValidationError
 from .lstm import GATES, ClassifierHead, LSTMWeights
-from .neuron import (LIFGateParams, NeuronState, _check_finite, step_sigmoid_neuron,
+from .neuron import (LIFGateParams, NeuronState, _check_finite, spike, step_sigmoid_neuron,
                      step_tanh_neuron)
 
 SPIKE_ALPHABET = (-1.0, 0.0, 1.0)
@@ -89,11 +89,8 @@ class CellStepState:
     @classmethod
     def fresh(cls, cell: SpikingLSTMCell, batch: int | None = None) -> "CellStepState":
         shape = (cell.hidden_dim,) if batch is None else (batch, cell.hidden_dim)
-        membranes = {}
-        for gate, params in cell.gate_params.items():
-            mem = np.broadcast_to(np.asarray(params.mem_init, dtype=np.float64), shape).copy()
-            membranes[gate] = NeuronState(membrane=mem)
-        return cls(membranes=membranes)
+        return cls(membranes={gate: NeuronState.initialized(params, shape)
+                              for gate, params in cell.gate_params.items()})
 
 
 @dataclass
@@ -203,22 +200,6 @@ def _lif_vec(cell, gate):
     return p.leak, p.threshold_pos, p.threshold_neg, p.step_bias, p.surrogate_gamma
 
 
-def _ramp(x):
-    x = np.clip(x, 0.0, 2.0)
-    return np.where(x <= 1.0, 0.5 * x * x, 1.0 - 0.5 * (2.0 - x) ** 2)
-
-
-def _spike(V, theta, gamma, relaxed):
-    """Monotone spike component of V against one threshold: the indicator
-    of V/theta > 1 (covers both threshold signs) or, relaxed, its
-    triangle-ramp relaxation gamma * ramp(V/theta). snn_backward supplies
-    the partials."""
-    x = V / theta
-    if relaxed:
-        return gamma * _ramp(x)
-    return (x > 1.0).astype(V.dtype)
-
-
 class _SnnLayerTape:
     """Forward recordings of one spiking layer over the (n, t) lattice."""
 
@@ -273,9 +254,9 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
                     drive = p[gate]
                 leak, th_p, th_n, beta, gamma = _lif_vec(cell, gate)
                 V = leak * U[gate] + drive + beta
-                s_pos = _spike(V, th_p, gamma, relaxed)
+                s_pos = spike(V, th_p, gamma, relaxed)
                 if th_n is not None:
-                    s_neg = _spike(V, th_n, gamma, relaxed)
+                    s_neg = spike(V, th_n, gamma, relaxed)
                     u_next = V - th_p * s_pos - th_n * s_neg
                     vals[gate] = s_pos - s_neg
                 else:

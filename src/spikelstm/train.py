@@ -9,9 +9,9 @@ from the linear side at clip kinks).
 snn_backward: surrogate-gradient BPTT unrolled over (element, step),
 jointly over weights, thresholds, leaks, per-step biases and membrane
 initializations. The spike Heaviside's derivative is replaced by the
-triangular surrogate; ternary neurons use the sum of the two triangles
-centred at the two thresholds. The soft-reset path carries gradient by
-default.
+triangular surrogate (neuron.spike_partials); ternary neurons use the sum
+of the two triangles centred at the two thresholds. The soft-reset path
+carries gradient by default.
 
 The hard and relaxed SNN modes share one backward; `relaxed=True` switches
 the forward to the triangle-ramp relaxation of every spike (whose exact
@@ -34,6 +34,7 @@ import numpy as np
 from .activations import hard_sigmoid, hard_sigmoid_grad, hard_tanh, hard_tanh_grad
 from .errors import NumericalFault, TrainingDiverged, ValidationError
 from .lstm import GATES, AnnLSTM, ann_batch_forward
+from .neuron import spike_partials
 from .snn import SpikingLSTM, _lif_vec, snn_batch_forward
 
 # A GradientBundle is a dict param-name -> gradient array, shapes matching
@@ -257,23 +258,40 @@ def ann_backward(model: AnnLSTM, batch):
 # ---------------------------------------------------------------------------
 # SNN engine
 
-def _tri(x):
-    return np.maximum(0.0, 1.0 - np.abs(x - 1.0))
+def _emitted(tape, gate, n, t):
+    """The spike value a neuron emitted at (n, t): ternary ones store it as
+    two components."""
+    s_pos = tape.S_pos[gate][n, t]
+    return s_pos - tape.S_neg[gate][n, t] if gate in tape.S_neg else s_pos
 
 
-def _spike_partials(V, theta, gamma, relaxed):
-    """V- and theta-partials of a spike component (snn._spike).
+def _lif_backward(cell, gate, tape, n, t, ds, dUpost, grads, prefix, relaxed):
+    """Backward of one LIF neuron's step at (n, t).
 
-    Hard: the triangular surrogate as dV-partial and the conventional
-    -surrogate as theta-partial. Relaxed: the exact partials of
-    gamma * ramp(V / theta).
+    ds is the gradient into the spike value it emitted, dUpost[gate] the
+    gradient into its post-reset membrane (advanced here to the previous
+    step). Accumulates the neuron's LIF gradients and returns dL/dV, which
+    is also the gradient into the neuron's drive.
     """
-    tri = _tri(V / theta)
-    if relaxed:
-        dsdth = -(gamma * V / (theta * theta)) * tri
-    else:
-        dsdth = -(gamma / theta) * tri
-    return (gamma / theta) * tri, dsdth
+    leak, th_p, th_n, _, gamma = _lif_vec(cell, gate)
+    D = dUpost[gate]
+    V = tape.V[gate][n, t]
+    key = f"{prefix}.lif.{gate}"
+    ds_pos = ds - D * th_p
+    dpv, dpt = spike_partials(V, th_p, gamma, relaxed)
+    dV = D + ds_pos * dpv
+    grads[f"{key}.threshold_pos"] += (ds_pos * dpt - D * tape.S_pos[gate][n, t]).sum(axis=0)
+    if th_n is not None:
+        ds_neg = -ds - D * th_n
+        dnv, dnt = spike_partials(V, th_n, gamma, relaxed)
+        dV = dV + ds_neg * dnv
+        grads[f"{key}.threshold_neg"] += (ds_neg * dnt - D * tape.S_neg[gate][n, t]).sum(axis=0)
+    grads[f"{key}.leak"] += (dV * tape.Upost[gate][n, t]).sum(axis=0)
+    grads[f"{key}.step_bias"] += dV.sum(axis=0)
+    dUpost[gate] = leak * dV
+    if t == 0:
+        grads[f"{key}.mem_init"] += dUpost[gate].sum(axis=0)
+    return dV
 
 
 def snn_relaxed_loss(model: SpikingLSTM, batch, T: int, encoding: str, seed: int) -> float:
@@ -320,6 +338,8 @@ def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
         tape = tapes[li]
         analog = cell.plan.analog_gate
         spiking_ig = "g" if analog == "i" else "i"
+        analog_act, analog_grad = ((hard_sigmoid, hard_sigmoid_grad) if analog == "i"
+                                   else (hard_tanh, hard_tanh_grad))
         w = cell.weights
         gp = f"cells.{li}"
         want_dx = li > 0
@@ -335,73 +355,21 @@ def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
                       for g in cell.gate_params}
             for t in range(T - 1, -1, -1):
                 dh = dH_seed[n, t] + dH_next[t]
-                s_c = tape.S_pos["c"][n, t] - tape.S_neg["c"][n, t]
-                ds = {}
-                ds["o"] = dh * s_c
-                dsc = dh * tape.S_pos["o"][n, t]
-                # --- c neuron (ternary) ---
-                leak, th_p, th_n, beta, gamma = _lif_vec(cell, "c")
-                D = dUpost["c"]
-                ds_pos = dsc - D * th_p
-                ds_neg = -dsc - D * th_n
-                dpv, dpt = _spike_partials(tape.V["c"][n, t], th_p, gamma, relaxed)
-                dnv, dnt = _spike_partials(tape.V["c"][n, t], th_n, gamma, relaxed)
-                dV_c = D + ds_pos * dpv + ds_neg * dnv
-                grads[f"{gp}.lif.c.threshold_pos"] += (
-                    ds_pos * dpt - D * tape.S_pos["c"][n, t]).sum(axis=0)
-                grads[f"{gp}.lif.c.threshold_neg"] += (
-                    ds_neg * dnt - D * tape.S_neg["c"][n, t]).sum(axis=0)
-                grads[f"{gp}.lif.c.leak"] += (dV_c * tape.Upost["c"][n, t]).sum(axis=0)
-                grads[f"{gp}.lif.c.step_bias"] += dV_c.sum(axis=0)
-                dUpost["c"] = leak * dV_c
-                if t == 0:
-                    grads[f"{gp}.lif.c.mem_init"] += dUpost["c"].sum(axis=0)
+                ds = {"o": dh * _emitted(tape, "c", n, t)}
+                dV_c = _lif_backward(cell, "c", tape, n, t, dh * tape.S_pos["o"][n, t],
+                                     dUpost, grads, gp, relaxed)
                 # --- cell combine ---
                 dc_total = dC_next[t] + dV_c
-                c_in = tapes[li].C[n - 1, t] if n > 0 else np.zeros_like(dc_total)
+                c_in = tape.C[n - 1, t] if n > 0 else np.zeros_like(dc_total)
                 ds["f"] = dc_total * c_in
                 dC_prev[t] += dc_total * tape.S_pos["f"][n, t]
-                if analog == "i":
-                    a_val = hard_sigmoid(tape.P_analog[n, t], cell.act)
-                    s_ig = tape.S_pos["g"][n, t] - tape.S_neg["g"][n, t]
-                    ds["g"] = dc_total * a_val
-                    dA = dc_total * s_ig
-                else:
-                    a_val = hard_tanh(tape.P_analog[n, t], cell.act)
-                    s_ig = tape.S_pos["i"][n, t]
-                    ds["i"] = dc_total * a_val
-                    dA = dc_total * s_ig
-                # --- spiking gates ---
-                dP = {}
-                for gate in ("f", "o", spiking_ig):
-                    leak, th_p, th_n, beta, gamma = _lif_vec(cell, gate)
-                    D = dUpost[gate]
-                    dpv, dpt = _spike_partials(tape.V[gate][n, t], th_p, gamma, relaxed)
-                    if gate == "g":
-                        ds_pos = ds[gate] - D * th_p
-                        ds_neg = -ds[gate] - D * th_n
-                        dnv, dnt = _spike_partials(tape.V[gate][n, t], th_n, gamma, relaxed)
-                        dV = D + ds_pos * dpv + ds_neg * dnv
-                        grads[f"{gp}.lif.g.threshold_pos"] += (
-                            ds_pos * dpt - D * tape.S_pos["g"][n, t]).sum(axis=0)
-                        grads[f"{gp}.lif.g.threshold_neg"] += (
-                            ds_neg * dnt - D * tape.S_neg["g"][n, t]).sum(axis=0)
-                    else:
-                        ds_eff = ds[gate] - D * th_p
-                        dV = D + ds_eff * dpv
-                        grads[f"{gp}.lif.{gate}.threshold_pos"] += (
-                            ds_eff * dpt - D * tape.S_pos[gate][n, t]).sum(axis=0)
-                    grads[f"{gp}.lif.{gate}.leak"] += (dV * tape.Upost[gate][n, t]).sum(axis=0)
-                    grads[f"{gp}.lif.{gate}.step_bias"] += dV.sum(axis=0)
-                    dP[gate] = dV
-                    dUpost[gate] = leak * dV
-                    if t == 0:
-                        grads[f"{gp}.lif.{gate}.mem_init"] += dUpost[gate].sum(axis=0)
-                # --- analog gate ---
-                if analog == "i":
-                    dP["i"] = dA * hard_sigmoid_grad(tape.P_analog[n, t], cell.act)
-                else:
-                    dP["g"] = dA * hard_tanh_grad(tape.P_analog[n, t], cell.act)
+                ds[spiking_ig] = dc_total * analog_act(tape.P_analog[n, t], cell.act)
+                dA = dc_total * _emitted(tape, spiking_ig, n, t)
+                # --- spiking gates, then the analog one ---
+                dP = {gate: _lif_backward(cell, gate, tape, n, t, ds[gate], dUpost, grads,
+                                          gp, relaxed)
+                      for gate in ("f", "o", spiking_ig)}
+                dP[analog] = dA * analog_grad(tape.P_analog[n, t], cell.act)
                 # --- projections ---
                 x_in = x_feed[:, n, t]
                 h_in = tape.H[n - 1, t] if n > 0 else np.zeros_like(dh)

@@ -21,7 +21,7 @@ from .energy import EnergyModel, OpCountReport, LayerOps, audit_multiplier_free,
 from .lstm import AnnLSTM
 from .neuron import (NEVER, LIFGateParams, if_avg_sigmoid, if_avg_tanh,
                      lif_avg_sigmoid, lif_first_spike_time, optimal_shift,
-                     run_constant_drive, spike_ramp, surrogate_grad)
+                     run_constant_drive, spike, spike_partials)
 from .pipeline import build_schedule, simulate_pipelined
 from .snn import ConversionPlan, random_spiking_lstm, snn_forward
 from .train import (ann_backward, ann_loss, model_parameters, snn_backward,
@@ -172,21 +172,22 @@ def check_shift_optimality() -> VerifyResult:
 
 
 def check_surrogate_properties() -> VerifyResult:
-    """The triangle integrates to gamma and is the exact derivative of the
-    ramp relaxation."""
+    """The engine's spike rule against its own partials: the V-partial
+    integrates to gamma in magnitude, and central differences of the
+    relaxed spike in V and in theta equal its V- and theta-partials."""
     start = time.time()
     ok = True
+    h = 1e-6
     for v_th, gamma in ((1.0, 0.3), (3.0, 0.5), (-2.0, 0.3)):
         u = np.linspace(min(0.0, 2 * v_th) - 1, max(0.0, 2 * v_th) + 1, 200001)
-        integral = np.trapezoid(surrogate_grad(u, v_th, gamma), u)
-        ok &= bool(abs(integral - gamma) < 1e-6)
-        h = 1e-6
-        fd = (spike_ramp(u, v_th, gamma) - spike_ramp(u - h, v_th, gamma)) / h
-        # the mirrored (negative-threshold) ramp falls as u rises
-        mid = np.sign(v_th) * surrogate_grad(u - h / 2, v_th, gamma)
-        ok &= bool(np.max(np.abs(fd - mid)) < 1e-5)
+        dsdv, dsdth = spike_partials(u, v_th, gamma, True)
+        ok &= bool(abs(np.trapezoid(np.abs(dsdv), u) - gamma) < 1e-6)
+        fd_v = (spike(u + h / 2, v_th, gamma, True) - spike(u - h / 2, v_th, gamma, True)) / h
+        ok &= bool(np.max(np.abs(fd_v - dsdv)) < 1e-5)
+        fd_th = (spike(u, v_th + h / 2, gamma, True) - spike(u, v_th - h / 2, gamma, True)) / h
+        ok &= bool(np.max(np.abs(fd_th - dsdth)) < 1e-5)
     return _result("surrogate-triangle-properties", start, ok,
-                   "integral = gamma and ramp' = surrogate")
+                   "integral |ds/dV| = gamma; relaxed spike' = partials in V and theta")
 
 
 def _fd_check(loss_fn, model, grads, h, tol, floor=1e-9):
@@ -282,9 +283,11 @@ def check_pipeline_equivalence(n_cases: int = 100) -> VerifyResult:
         if max(row["active"] for row in trace) > min(n, T):
             failures.append(f"case {case}: concurrency bound exceeded")
         schedule = build_schedule(n, T)
-        seen = {(e.element, e.step) for e in schedule.entries}
-        if len(seen) != n * T:
-            failures.append(f"case {case}: schedule entries not unique")
+        seen = {(k, tick - k + 1) for tick in range(1, schedule.total_ticks + 1)
+                for k in schedule.active_elements(tick)}
+        if (len(seen) != n * T or sum(schedule.concurrency_profile()) != n * T
+                or not all(1 <= tau <= T for _, tau in seen)):
+            failures.append(f"case {case}: schedule does not run each (n, tau) once")
     return _result("pipeline-equivalence", start, not failures,
                    f"{n_cases} randomized cases bit-identical"
                    if not failures else "; ".join(failures[:3]))

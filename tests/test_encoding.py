@@ -1,44 +1,45 @@
 import numpy as np
 import pytest
 
-from spikelstm.encoding import encode_direct, encode_poisson, encode_sequence
+from spikelstm.encoding import encode_sequence
 from spikelstm.errors import ValidationError
 
 
 def test_direct_replicates_values():
-    np.testing.assert_array_equal(encode_direct(0.7, 3), [0.7, 0.7, 0.7])
-    np.testing.assert_array_equal(encode_direct(0.0, 2), [0.0, 0.0])
+    out = encode_sequence(np.array([[0.7, 0.0]]), 3, "direct")
+    np.testing.assert_array_equal(out, [[[0.7, 0.0]] * 3])
 
 
 def test_direct_shape_contract():
-    out = encode_direct(np.zeros(5), 4)
-    assert out.shape == (4, 5)
+    assert encode_sequence(np.zeros((2, 5)), 4, "direct").shape == (2, 4, 5)
+    assert encode_sequence(np.zeros((3, 2, 5)), 4, "direct").shape == (3, 2, 4, 5)
 
 
 def test_poisson_extremes():
-    assert encode_poisson(np.zeros(8), 20, 0).values.sum() == 0
-    assert encode_poisson(np.ones(8), 20, 0).values.sum() == 8 * 20
+    assert encode_sequence(np.zeros((2, 8)), 20, "poisson", 0).sum() == 0
+    assert encode_sequence(np.ones((2, 8)), 20, "poisson", 0).sum() == 2 * 8 * 20
 
 
 def test_poisson_rate_concentration():
-    train = encode_poisson(np.full(4, 0.5), 10000, rng_seed=3)
+    train = encode_sequence(np.full((1, 4), 0.5), 10000, "poisson", rng_seed=3)
     # binomial 4-sigma band at p=0.5, T=10000
-    assert abs(train.values.mean() - 0.5) < 0.02
+    assert abs(train.mean() - 0.5) < 0.02
 
 
 def test_poisson_seed_reproducible():
-    a = encode_poisson(np.full(6, 0.3), 50, rng_seed=9)
-    b = encode_poisson(np.full(6, 0.3), 50, rng_seed=9)
-    c = encode_poisson(np.full(6, 0.3), 50, rng_seed=10)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    seq = np.full((2, 6), 0.3)
+    a = encode_sequence(seq, 50, "poisson", rng_seed=9)
+    b = encode_sequence(seq, 50, "poisson", rng_seed=9)
+    c = encode_sequence(seq, 50, "poisson", rng_seed=10)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_poisson_rejects_out_of_range():
     with pytest.raises(ValidationError):
-        encode_poisson(np.array([1.2]), 4, 0)
+        encode_sequence(np.array([[1.2]]), 4, "poisson", 0)
     with pytest.raises(ValidationError):
-        encode_poisson(np.array([-0.1]), 4, 0)
+        encode_sequence(np.array([[-0.1]]), 4, "poisson", 0)
 
 
 def test_encode_sequence_shapes_and_determinism():

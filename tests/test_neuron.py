@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spikelstm import snn, train, verify
 from spikelstm.activations import HardActConfig
 from spikelstm.errors import NumericalFault, ValidationError
-from spikelstm.neuron import (NEVER, LIFGateParams, NeuronState, SpikeTrain,
-                              if_avg_sigmoid, if_avg_tanh, lif_avg_sigmoid,
-                              lif_first_spike_time, optimal_shift, run_constant_drive,
-                              step_sigmoid_neuron, step_tanh_neuron, surrogate_grad)
+from spikelstm.neuron import (NEVER, LIFGateParams, NeuronState, if_avg_sigmoid, if_avg_tanh,
+                              lif_avg_sigmoid, lif_first_spike_time, optimal_shift,
+                              run_constant_drive, spike, spike_partials, step_sigmoid_neuron,
+                              step_tanh_neuron)
 
 CFG = HardActConfig()
 
@@ -132,22 +133,46 @@ def test_lif_growing_leak_spikes_from_subthreshold_drive():
 
 
 def test_surrogate_grad_examples():
-    assert surrogate_grad(1.0, 1.0, 0.3) == 0.3
-    assert surrogate_grad(0.0, 1.0, 0.3) == 0.0
-    assert surrogate_grad(1.5, 1.0, 0.3) == pytest.approx(0.15)
-    with pytest.raises(ValidationError):
-        surrogate_grad(1.0, 0.0, 0.3)
+    def dsdv(u, v_th):
+        return spike_partials(np.array(u), v_th, 0.3, False)[0]
+
+    assert dsdv(1.0, 1.0) == 0.3
+    assert dsdv(0.0, 1.0) == 0.0
+    assert dsdv(1.5, 1.0) == pytest.approx(0.15)
+    # the negative threshold's component falls as V rises
+    assert dsdv(-2.0, -2.0) == pytest.approx(-0.15)
+    assert dsdv(0.5, -2.0) == 0.0
+
+
+def test_engines_and_oracle_share_one_spike_rule():
+    assert snn.spike is spike and verify.spike is spike
+    assert train.spike_partials is spike_partials and verify.spike_partials is spike_partials
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("theta", [1.0, 0.3, 2.5])
+def test_hard_spike_ties_match_step_neurons(dtype, theta):
+    """The engine's V/theta > 1 decides like the cells' u > theta_pos and
+    u < theta_neg at each threshold and one ulp either side."""
+    th_pos = dtype(theta)
+    th_neg = dtype(-theta / 2)
+    params = LIFGateParams(leak=1.0, threshold_pos=np.array([th_pos]),
+                           threshold_neg=np.array([th_neg]), mem_init=0.0)
+    for th in (th_pos, th_neg):
+        V = np.array([np.nextafter(th, -np.inf, dtype=dtype), th,
+                      np.nextafter(th, np.inf, dtype=dtype)], dtype=dtype)
+        pos = spike(V, np.full(3, th_pos), 0.3, False)
+        neg = spike(V, np.full(3, th_neg), 0.3, False)
+        assert pos.dtype == dtype
+        binary = step_sigmoid_neuron(NeuronState(np.zeros(3, dtype=dtype)), V, params)
+        ternary = step_tanh_neuron(NeuronState(np.zeros(3, dtype=dtype)), V, params)
+        np.testing.assert_array_equal(pos, binary)
+        np.testing.assert_array_equal(pos - neg, ternary)
+        crossed = pos if th > 0 else neg
+        np.testing.assert_array_equal(crossed, [0.0, 0.0, 1.0] if th > 0 else [1.0, 0.0, 0.0])
 
 
 def test_optimal_shift_examples():
     assert optimal_shift(4.0, 2) == 1.0
     assert optimal_shift(-2.0, 4) == -0.25
     assert optimal_shift(3.0, 3000) == pytest.approx(0.0005)
-
-
-def test_spike_train_alphabet_validation():
-    SpikeTrain(values=np.array([[0, 1], [1, 0]]), kind="binary")
-    with pytest.raises(ValidationError):
-        SpikeTrain(values=np.array([[0, 2]]), kind="binary")
-    with pytest.raises(ValidationError):
-        SpikeTrain(values=np.array([[-1, 1]]), kind="bogus")

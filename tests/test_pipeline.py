@@ -24,14 +24,20 @@ def test_schedule_tick_counts():
 def test_schedule_laws(n, T):
     schedule = build_schedule(n, T)
     assert schedule.total_ticks == n + T - 1
-    seen = set()
-    for entry in schedule.entries:
-        assert entry.tick == entry.element + entry.step - 1
-        assert (entry.element, entry.step) not in seen
-        seen.add((entry.element, entry.step))
-        for dep in schedule.dependencies(entry):
-            assert dep.tick == entry.tick - 1
-    assert len(seen) == n * T
+    tick_of = {}
+    for tick in range(1, schedule.total_ticks + 1):
+        for element in schedule.active_elements(tick):
+            step = tick - element + 1
+            assert 1 <= step <= T
+            assert (element, step) not in tick_of
+            tick_of[(element, step)] = tick
+    assert len(tick_of) == n * T
+    for (element, step), tick in tick_of.items():
+        # each block step waits only on values produced one tick earlier
+        if step > 1:
+            assert tick_of[(element, step - 1)] == tick - 1
+        if element > 1:
+            assert tick_of[(element - 1, step)] == tick - 1
     profile = schedule.concurrency_profile()
     assert max(profile) == min(n, T)
     assert sum(profile) == n * T
@@ -48,6 +54,7 @@ def test_pipelined_equivalence_and_conservation():
     assert max(r["active"] for r in trace) == min(6, 4)
     assert sum(r["accumulates"] for r in trace) == ops.accumulates - ops.head_accumulates
     assert sum(r["comparisons"] for r in trace) == ops.comparisons
+    assert sum(r["macs"] for r in trace) == ops.macs - ops.head_macs
     assert sum(r["macs"] for r in trace) == sum(l.macs for l in ops.layers)
 
 
