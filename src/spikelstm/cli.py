@@ -21,13 +21,15 @@ from . import __version__, checkpoint
 from .activations import HardActConfig
 from .convert import convert as convert_model
 from .data import load_feature_tensor, load_tmnist, split_dataset, synthetic_task
-from .energy import EnergyModel, audit_multiplier_free, count_ops_ann, estimate_energy
+from .energy import (EnergyModel, audit_multiplier_free, count_ops_ann, count_ops_snn,
+                     estimate_energy)
 from .errors import ConfigError, SpikeLstmError, ValidationError
 from .lstm import AnnLSTM
 from .pipeline import LatencyModel, build_schedule, latency_report, simulate_pipelined
-from .snn import ConversionPlan, SpikingLSTM, random_spiking_lstm, snn_forward
-from .train import TrainConfig, TrainMask, evaluate, fit
-from .verify import run_all
+from .snn import (ConversionPlan, SpikingLSTM, random_spiking_lstm, snn_batch_forward,
+                  snn_forward)
+from .train import EVAL_CHUNK, TrainConfig, TrainMask, evaluate, fit
+from .verify import per_step_reference, run_all
 
 DATA_ROOT_ENV = "SPIKELSTM_DATA_ROOT"
 CONFIG_VERSION = 1
@@ -294,17 +296,18 @@ def cmd_pipeline_sim(args) -> int:
             raise ValidationError("pipeline-sim needs a spiking checkpoint")
     else:
         model = _demo_model(T=args.t, seed=args.seed)
+    lm = LatencyModel(block_count=args.blocks)
     rng = np.random.default_rng(args.seed)
     sequence = rng.random((args.n, model.input_dim))
-    logits_seq, _, op_counts = snn_forward(model, sequence, T=args.t, rng_seed=args.seed)
+    _, _, op_counts = snn_forward(model, sequence, T=args.t, rng_seed=args.seed)
     logits_pipe, trace = simulate_pipelined(model, sequence, T=args.t, rng_seed=args.seed)
+    logits_ref, _, _ = per_step_reference(model, sequence, T=args.t, rng_seed=args.seed)
     schedule = build_schedule(args.n, args.t)
-    lm = LatencyModel(block_count=args.blocks)
     reports = {mode: latency_report(schedule, op_counts, lm, mode)
                for mode in ("proposed", "nonspiking", "priorwork")}
     out = {
         "command": "pipeline-sim", "n_elements": args.n, "time_steps": args.t,
-        "equivalent_to_sequential": bool(np.array_equal(logits_seq, logits_pipe)),
+        "equivalent_to_sequential": bool(np.array_equal(logits_ref, logits_pipe)),
         "max_concurrent_blocks": max(r["active"] for r in trace),
         "latency": reports,
     }
@@ -326,27 +329,28 @@ def cmd_energy_report(args) -> int:
     _expect_keys(cfg, ("config_version", "dataset"), ("config_version", "dataset"), "config")
     _, _, test = build_dataset(cfg["dataset"])
     limit = min(args.limit, len(test))
+    if limit < 1:
+        raise ValidationError(f"energy-report needs --limit >= 1 and a non-empty test split "
+                              f"(--limit {args.limit}, {len(test)} test samples)")
     em = EnergyModel()
     if isinstance(model, AnnLSTM):
         raise ValidationError("energy-report needs a spiking checkpoint (compare via "
                               "the report's nonspiking baseline)")
-    totals = None
-    sparsity_rows = []
-    for k in range(limit):
-        _, stats, ops = snn_forward(model, test.sequences[k], rng_seed=args.seed, first_index=k)
-        audit_multiplier_free(ops)
-        energy = estimate_energy(ops, em)
-        if totals is None:
-            totals = {"digital": dict.fromkeys(energy["digital"], 0.0),
-                      "neuromorphic": dict.fromkeys(energy["neuromorphic"], 0.0),
-                      "total_flops": 0}
-        for key, value in energy["digital"].items():
-            totals["digital"][key] += value / limit
-        for key, value in energy["neuromorphic"].items():
-            totals["neuromorphic"][key] += value / limit
-        totals["total_flops"] += ops.total_flops / limit
-        for li, rates in enumerate(stats.gate_rates()):
-            sparsity_rows.append({"sample": k, "layer": li, **rates})
+    energies, sparsity_rows = [], []
+    for lo in range(0, limit, EVAL_CHUNK):
+        xb = np.asarray(test.sequences[lo:min(lo + EVAL_CHUNK, limit)], dtype=np.float64)
+        _, _, aux = snn_batch_forward(model, xb, model.time_steps, model.encoding, args.seed,
+                                      first_index=lo)
+        for b in range(len(xb)):  # per sample, in sample order
+            stats = aux["stats"].sample(b)
+            ops = count_ops_snn(stats, model)
+            audit_multiplier_free(ops)
+            energies.append(estimate_energy(ops, em))
+            sparsity_rows += [{"sample": lo + b, "layer": li, **rates}
+                              for li, rates in enumerate(stats.gate_rates())]
+    totals = {part: {key: sum(e[part][key] / limit for e in energies) for key in energies[0][part]}
+              for part in ("digital", "neuromorphic")}
+    totals["total_flops"] = sum(e["total_flops"] / limit for e in energies)
     ann_equiv = AnnLSTM(layers=[c.weights for c in model.cells], head=model.head, act=model.act)
     ann_ops = count_ops_ann(ann_equiv, test.sequences.shape[1])
     ann_energy = estimate_energy(ann_ops, em)

@@ -77,9 +77,3 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
                          "mae": float(np.abs(ann_gates[a] - rate).mean())})
     return rows
 
-
-def format_error_table(rows: list) -> str:
-    lines = ["layer  gate  mae"]
-    for r in rows:
-        lines.append(f"{r['layer']:>5}  {r['gate']:>4}  {r['mae']:.6f}")
-    return "\n".join(lines)

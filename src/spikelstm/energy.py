@@ -24,40 +24,66 @@ import numpy as np
 from .errors import MultiplierAuditError, ValidationError
 
 
-@dataclass
+@dataclass(eq=False)
 class LayerSpikeStats:
-    """Raw spike tallies for one spiking layer over one evaluation."""
+    """Spike tallies of one spiking layer over one batched run: nonzero
+    inputs consumed (zero for an analog input) and hidden spikes emitted
+    per sample, element and step ([B, N, T], summed over units), and
+    gate -> [B] spikes of each spiking gate (its summed spike components,
+    the nonzero count for hard spikes)."""
 
     units: int
     fan_in: int
     input_analog: bool
-    input_nnz: int = 0          # nonzero spiking inputs consumed, all (n, tau)
-    hidden_nnz_total: int = 0   # nonzero hidden spikes emitted, all elements
-    hidden_nnz_last: int = 0    # emitted during the final element only
-    gate_spikes: dict = field(default_factory=dict)     # gate -> nonzero count
-    gate_possible: dict = field(default_factory=dict)   # gate -> units * N * T
+    input_nnz: np.ndarray
+    hidden_nnz: np.ndarray
+    gate_spikes: dict
+
+    @property
+    def hidden_nnz_total(self) -> int:
+        return int(self.hidden_nnz.sum())
+
+    @property
+    def hidden_nnz_last(self) -> int:
+        """Hidden spikes emitted during the final element."""
+        return int(self.hidden_nnz[:, -1].sum())
+
+    def __eq__(self, other) -> bool:
+        def key(s):
+            return (s.units, s.fan_in, s.input_analog, s.input_nnz.tolist(),
+                    s.hidden_nnz.tolist(), {g: v.tolist() for g, v in s.gate_spikes.items()})
+        return isinstance(other, LayerSpikeStats) and key(self) == key(other)
 
 
 @dataclass
 class SpikeStats:
-    """Per-layer spike statistics plus the run geometry they came from."""
+    """Per-layer spike tallies of a batched run and the encoding it used."""
 
     layers: list
-    n_elements: int
-    time_steps: int
     encoding: str
+
+    @property
+    def shape(self) -> tuple:
+        """(B, N, T): the samples, elements and steps the counts cover."""
+        return self.layers[0].hidden_nnz.shape
+
+    def sample(self, b: int) -> "SpikeStats":
+        """The tallies of sample b alone, as a one-sample SpikeStats."""
+        return SpikeStats(layers=[
+            LayerSpikeStats(s.units, s.fan_in, s.input_analog, s.input_nnz[b:b + 1],
+                            s.hidden_nnz[b:b + 1],
+                            {g: v[b:b + 1] for g, v in s.gate_spikes.items()})
+            for s in self.layers], encoding=self.encoding)
 
     def mean_hidden_rate(self) -> float:
         total = sum(s.hidden_nnz_total for s in self.layers)
-        possible = sum(s.units * self.n_elements * self.time_steps for s in self.layers)
+        possible = sum(s.units * s.hidden_nnz.size for s in self.layers)
         return total / possible if possible else 0.0
 
     def gate_rates(self) -> list:
-        """Per layer: gate -> fraction of steps with a nonzero spike."""
-        out = []
-        for s in self.layers:
-            out.append({a: s.gate_spikes[a] / max(s.gate_possible[a], 1) for a in s.gate_spikes})
-        return out
+        """Per layer: gate -> fraction of unit-steps with a nonzero spike."""
+        return [{g: int(v.sum()) / (s.units * s.hidden_nnz.size) for g, v in s.gate_spikes.items()}
+                for s in self.layers]
 
 
 @dataclass
@@ -114,23 +140,6 @@ class OpCountReport:
     def total_flops(self) -> int:
         return (self.macs + self.multiplies + self.accumulates + self.comparisons
                 + self.activations + self.leak_multiplies)
-
-    def as_dict(self) -> dict:
-        return {
-            "macs": self.macs,
-            "multiplies": self.multiplies,
-            "accumulates": self.accumulates,
-            "comparisons": self.comparisons,
-            "activations": self.activations,
-            "leak_multiplies": self.leak_multiplies,
-            "head_macs": self.head_macs,
-            "head_accumulates": self.head_accumulates,
-            "total_flops": self.total_flops,
-            "layers": [vars(l).copy() for l in self.layers],
-            "n_elements": self.n_elements,
-            "time_steps": self.time_steps,
-            "encoding": self.encoding,
-        }
 
 
 @dataclass
@@ -189,27 +198,24 @@ def direct_input_macs(cell) -> int:
     return 4 * cell.hidden_dim * cell.input_dim
 
 
-def count_ops_snn(stats: SpikeStats, model, n_elements: int, time_steps: int,
-                  encoding: str) -> OpCountReport:
-    """Event-driven op tallies of a spiking run from its recorded stats."""
-    if stats.n_elements != n_elements or stats.time_steps != time_steps:
-        raise ValidationError(
-            f"spike stats recorded for N={stats.n_elements}, T={stats.time_steps}; "
-            f"asked to count N={n_elements}, T={time_steps}")
-    if stats.encoding != encoding:
-        raise ValidationError(f"spike stats recorded under {stats.encoding!r}, not {encoding!r}")
+def count_ops_snn(stats: SpikeStats, model) -> OpCountReport:
+    """Event-driven op tallies of one spiking run of one sequence from its
+    recorded stats (N, T and encoding are the stats')."""
+    batch, n_elements, time_steps = stats.shape
+    if batch != 1:
+        raise ValidationError(f"spike stats hold {batch} samples; count one sequence "
+                              "at a time (SpikeStats.sample)")
     if len(stats.layers) != len(model.cells):
         raise ValidationError("spike stats layer count != model layer count")
-
-    layers = []
     steps = n_elements * time_steps
+    layers = []
     for s, cell in zip(stats.layers, model.cells):
         if s.units != cell.weights.hidden_dim:
             raise ValidationError("spike stats unit count != model hidden dim")
         h = s.units
         fanout = 4 * h
         recurrent_nnz = s.hidden_nnz_total - s.hidden_nnz_last
-        acc = fanout * (s.input_nnz + recurrent_nnz)
+        acc = fanout * (int(s.input_nnz.sum()) + recurrent_nnz)
         leak_units = 0
         for params in cell.gate_params.values():
             leak_units += int(np.count_nonzero(np.broadcast_to(
@@ -227,7 +233,8 @@ def count_ops_snn(stats: SpikeStats, model, n_elements: int, time_steps: int,
     head_macs = sum(W.size for W, _ in model.head.weights)
     head_acc = stats.layers[-1].hidden_nnz_last  # readout rate accumulation
     return OpCountReport(layers=layers, n_elements=n_elements, time_steps=time_steps,
-                         encoding=encoding, head_macs=head_macs, head_accumulates=head_acc)
+                         encoding=stats.encoding, head_macs=head_macs,
+                         head_accumulates=head_acc)
 
 
 def audit_multiplier_free(report: OpCountReport) -> None:

@@ -1,11 +1,11 @@
-"""Diagonal pipelined execution: schedule construction, a tick-ordered
-simulator proven bit-equivalent to sequential evaluation, and latency
-reports for the proposed / non-spiking / serial-spiking execution schemes.
+"""Diagonal pipelined execution: schedule construction, the per-tick
+trace of the schedule, and latency reports for the proposed / non-spiking
+/ serial-spiking execution schemes.
 
 Block n's step tau runs at wall tick n + tau - 1, consuming the
 (n-1, tau) and (n, tau-1) values produced one tick earlier. Layers of a
-stacked model are extra pipeline stages inside the block; the simulator
-runs them in ascending order within a tick.
+stacked model are extra pipeline stages inside the block, so all of a
+block-step's layers land on its tick.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import encode_sequence
-from .errors import SpikeLstmError, ValidationError
-from .snn import CellStepState, SpikingLSTM, snn_cell_step
-from .energy import LayerSpikeStats, OpCountReport, direct_input_macs, step_comparisons
+from .energy import OpCountReport, direct_input_macs, step_comparisons
+from .errors import ValidationError
+# snn_cell_step is unused here; perfbench wraps it under every module alias
+from .snn import SpikingLSTM, snn_cell_step, snn_forward  # noqa: F401
 
 
 @dataclass
@@ -53,74 +53,40 @@ def build_schedule(n_elements: int, time_steps: int) -> PipelineSchedule:
 
 def simulate_pipelined(model: SpikingLSTM, sequence, T: int | None = None,
                        encoding: str | None = None, rng_seed: int = 0):
-    """Execute the cell steps in tick-major schedule order.
+    """Run a sequence under the diagonal schedule.
 
-    Returns (logits, trace) where trace is a list of per-tick dicts
-    (tick, active elements, synaptic ACs, compares, emitted spikes). It
-    runs the per-step snn_cell_step oracle in schedule order; its logits
-    must equal snn_forward's (the batched engine) bit for bit.
+    Returns (logits, trace): the logits of the batched engine at B=1, and
+    per tick (tick, active elements, synaptic ACs, MACs, compares, emitted
+    spikes) the sum of the engine's per-(n, tau) counts over the steps on
+    that tick's anti-diagonal n + tau - 1. Step (n, tau) reads the
+    (n-1, tau) hidden spikes, so its recurrent ACs are (n-1, tau)'s count.
     """
-    T = model.time_steps if T is None else T
-    encoding = model.encoding if encoding is None else encoding
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim != 2 or sequence.shape[0] < 1:
-        raise ValidationError(f"sequence must be non-empty [N, F], got shape {sequence.shape}")
-    n_elements = sequence.shape[0]
+    logits, stats, _ = snn_forward(model, sequence, T, encoding, rng_seed)
+    _, n_elements, T = stats.shape
     schedule = build_schedule(n_elements, T)
-    encoded = encode_sequence(sequence, T, encoding, rng_seed)
-
-    n_layers = len(model.cells)
-    dims = [c.hidden_dim for c in model.cells]
-    # h_buf[li][n][tau] holds block n's outputs; index 0 is the zero element.
-    h_buf = [np.zeros((n_elements + 1, T, h)) for h in dims]
-    c_buf = [np.zeros((n_elements + 1, T, h)) for h in dims]
-    produced_tick = [np.full((n_elements + 1, T), 0) for _ in dims]  # tick 0: boundary zeros
-    states: dict = {}
+    acs, macs, spikes = (np.zeros((n_elements, T), dtype=np.int64) for _ in range(3))
+    for cell, s in zip(model.cells, stats.layers):  # per-(n, tau) counts over the layers
+        hidden = s.hidden_nnz[0]
+        acs += 4 * cell.hidden_dim * s.input_nnz[0]
+        acs[1:] += 4 * cell.hidden_dim * hidden[:-1]
+        spikes += hidden
+        if s.input_analog:  # the input projection runs once per element, at tau = 1
+            macs[:, 0] += direct_input_macs(cell)
+    compares = sum(step_comparisons(cell) for cell in model.cells)
     trace = []
-
     for tick in range(1, schedule.total_ticks + 1):
-        active = list(schedule.active_elements(tick))
-        row = {"tick": tick, "active": len(active), "accumulates": 0, "macs": 0,
-               "comparisons": 0, "spikes": 0}
-        for li, cell in enumerate(model.cells):
-            for n in active:
-                tau = tick - n + 1
-                if (li, n) not in states:
-                    states[(li, n)] = CellStepState.fresh(cell)
-                # same-layer inputs must come from strictly earlier ticks
-                if produced_tick[li][n - 1][tau - 1] >= tick:
-                    raise SpikeLstmError(
-                        f"dependency violation: block {n} step {tau} consumed a "
-                        f"value produced at tick {produced_tick[li][n-1][tau-1]}")
-                x_in = encoded[n - 1][tau - 1] if li == 0 else h_buf[li - 1][n][tau - 1]
-                h_in = h_buf[li][n - 1][tau - 1]
-                c_in = c_buf[li][n - 1][tau - 1]
-                x_is_spikes = not (li == 0 and encoding == "direct")
-                stats = LayerSpikeStats(units=cell.hidden_dim, fan_in=cell.input_dim,
-                                        input_analog=not x_is_spikes)
-                h_out, c_out = snn_cell_step(cell, states[(li, n)], x_in, h_in, c_in,
-                                             stats=stats, x_is_spikes=x_is_spikes)
-                h_buf[li][n][tau - 1] = h_out
-                c_buf[li][n][tau - 1] = c_out
-                produced_tick[li][n][tau - 1] = tick
-                fanout = 4 * cell.hidden_dim
-                nnz_h_in = int(np.count_nonzero(h_in))
-                row["accumulates"] += fanout * (stats.input_nnz + nnz_h_in)
-                if not x_is_spikes and tau == 1:
-                    row["macs"] += direct_input_macs(cell)
-                row["comparisons"] += step_comparisons(cell)
-                row["spikes"] += stats.hidden_nnz_total
-        trace.append(row)
-
-    readout = h_buf[-1][n_elements].sum(axis=0) / T
-    logits = model.head.forward(readout)
+        n = np.array(schedule.active_elements(tick))
+        diagonal = (n - 1, tick - n)  # 0-based (n, tau) of the steps on this tick
+        trace.append({"tick": tick, "active": len(n), "accumulates": int(acs[diagonal].sum()),
+                      "macs": int(macs[diagonal].sum()), "comparisons": compares * len(n),
+                      "spikes": int(spikes[diagonal].sum())})
     return logits, trace
 
 
 @dataclass
 class LatencyModel:
-    """Unit latencies per op class, per-block functional-unit width, and
-    whether stages inside a block overlap. block_count caps the physical
+    """Unit latencies per op class and per-block functional-unit width; a
+    block's op classes run one after another. block_count caps the physical
     blocks; fewer than min(N, T) stretches the schedule proportionally.
     fixed_block_cost, when set, overrides the derived per-tick critical
     path (the "one op per tick" abstraction)."""
@@ -130,7 +96,6 @@ class LatencyModel:
     compare: float = 1.0
     act: float = 1.0
     width: int = 1
-    stage_pipelined: bool = False
     block_count: int | None = None
     fixed_block_cost: float | None = None
 
@@ -140,6 +105,8 @@ class LatencyModel:
                 raise ValidationError("unit latencies must be positive")
         if self.width < 1:
             raise ValidationError("width must be >= 1")
+        if self.block_count is not None and self.block_count < 1:
+            raise ValidationError(f"block_count must be >= 1, got {self.block_count}")
 
     def block_cost(self, class_counts: dict) -> float:
         """Critical-path cost of one block-step given per-class op counts."""
@@ -149,7 +116,7 @@ class LatencyModel:
         costs = [np.ceil(c / self.width) * unit[k] for k, c in class_counts.items() if c > 0]
         if not costs:
             return 0.0
-        return float(max(costs) if self.stage_pipelined else sum(costs))
+        return float(sum(costs))
 
 
 def _per_step_classes_snn(op_counts: OpCountReport) -> dict:

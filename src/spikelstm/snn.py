@@ -11,9 +11,9 @@ The hidden state is ternary (o AND the c-neuron's sign), the cell value
 is multi-bit but only ever multiplied by spikes, and exactly one of the
 i/g gates stays analog so the datapath needs no multiplier.
 
-snn_batch_forward is the one spiking forward; snn_forward is it at B=1.
-snn_cell_step is the per-step reference cell the tests and the pipeline
-simulator hold it to.
+snn_batch_forward is the one spiking forward and the one source of spike
+counts; snn_forward is it at B=1. snn_cell_step is the per-step reference
+cell that the oracle in `verify` runs.
 """
 
 from __future__ import annotations
@@ -87,9 +87,8 @@ class CellStepState:
     membranes: dict  # gate -> NeuronState
 
     @classmethod
-    def fresh(cls, cell: SpikingLSTMCell, batch: int | None = None) -> "CellStepState":
-        shape = (cell.hidden_dim,) if batch is None else (batch, cell.hidden_dim)
-        return cls(membranes={gate: NeuronState.initialized(params, shape)
+    def fresh(cls, cell: SpikingLSTMCell) -> "CellStepState":
+        return cls(membranes={gate: NeuronState.initialized(params, (cell.hidden_dim,))
                               for gate, params in cell.gate_params.items()})
 
 
@@ -133,8 +132,7 @@ def _assert_spikes(name: str, values: np.ndarray, ternary: bool) -> None:
 
 
 def snn_cell_step(cell: SpikingLSTMCell, state: CellStepState, x_in, h_in, c_in,
-                  stats: LayerSpikeStats | None = None, x_is_spikes: bool = True,
-                  last_element: bool = False, record: dict | None = None):
+                  x_is_spikes: bool = True, record: dict | None = None):
     """Advance one spiking cell by one internal step; returns (h_out, c_out).
 
     x_in is a spike vector except at the first layer under direct encoding.
@@ -161,11 +159,9 @@ def snn_cell_step(cell: SpikingLSTMCell, state: CellStepState, x_in, h_in, c_in,
     if cell.plan.analog_gate == "g":
         i_val = step_sigmoid_neuron(state.membranes["i"], p["i"], cell.gate_params["i"])
         g_val = hard_tanh(p["g"], cell.act)
-        spiking_ig, spiking_name = i_val, "i"
     else:
         i_val = hard_sigmoid(p["i"], cell.act)
         g_val = step_tanh_neuron(state.membranes["g"], p["g"], cell.gate_params["g"])
-        spiking_ig, spiking_name = g_val, "g"
 
     c_out = f * c_in + i_val * g_val
     s_c = step_tanh_neuron(state.membranes["c"], c_out, cell.gate_params["c"])
@@ -173,26 +169,7 @@ def snn_cell_step(cell: SpikingLSTMCell, state: CellStepState, x_in, h_in, c_in,
 
     if record is not None:
         record.update(f=f, i=i_val, g=g_val, o=o, c=s_c)
-    if stats is not None:
-        if x_is_spikes:
-            stats.input_nnz += int(np.count_nonzero(x_in))
-        nnz_h = int(np.count_nonzero(h_out))
-        stats.hidden_nnz_total += nnz_h
-        if last_element:
-            stats.hidden_nnz_last += nnz_h
-        for gate, spikes in (("f", f), (spiking_name, spiking_ig), ("o", o), ("c", s_c)):
-            stats.gate_spikes[gate] = stats.gate_spikes.get(gate, 0) + int(np.count_nonzero(spikes))
-            stats.gate_possible[gate] = stats.gate_possible.get(gate, 0) + spikes.size
     return h_out, c_out
-
-
-def _new_stats(model: SpikingLSTM, n_elements: int, T: int, encoding: str) -> SpikeStats:
-    layers = []
-    for idx, cell in enumerate(model.cells):
-        layers.append(LayerSpikeStats(
-            units=cell.hidden_dim, fan_in=cell.input_dim,
-            input_analog=(idx == 0 and encoding == "direct")))
-    return SpikeStats(layers=layers, n_elements=n_elements, time_steps=T, encoding=encoding)
 
 
 def _lif_vec(cell, gate):
@@ -219,9 +196,9 @@ class _SnnLayerTape:
 
 
 def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
-                   tape: _SnnLayerTape | None, stats: LayerSpikeStats) -> np.ndarray:
-    """Run one spiking layer over x_feed [B, N, T, F]; returns its hidden
-    spikes [N, T, B, H] and fills the tape (when given) and the stats."""
+                   tape: _SnnLayerTape | None, input_analog: bool):
+    """Run one spiking layer over x_feed [B, N, T, F]; fills the tape (when
+    given) and returns its hidden spikes [N, T, B, H] and LayerSpikeStats."""
     batch, n_elements, T, _ = x_feed.shape
     dtype = x_feed.dtype
     w = cell.weights
@@ -235,7 +212,9 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     if tape is not None:
         for g, u0 in mem_init.items():
             tape.Upost[g][:, 0] = u0
-    spikes = dict.fromkeys(("f", spiking_ig, "o", "c"), 0)
+    # per-gate spike components summed over (n, t): the nonzero count of
+    # hard spikes, at the cost of one add per component and step
+    spikes = {g: np.zeros((batch, hidden), dtype=dtype) for g in ("f", spiking_ig, "o", "c")}
     h_prev = np.zeros((T, batch, hidden), dtype=dtype)
     c_prev = np.zeros_like(h_prev)
     for n in range(n_elements):
@@ -255,8 +234,10 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
                 leak, th_p, th_n, beta, gamma = _lif_vec(cell, gate)
                 V = leak * U[gate] + drive + beta
                 s_pos = spike(V, th_p, gamma, relaxed)
+                spikes[gate] += s_pos
                 if th_n is not None:
                     s_neg = spike(V, th_n, gamma, relaxed)
+                    spikes[gate] += s_neg
                     u_next = V - th_p * s_pos - th_n * s_neg
                     vals[gate] = s_pos - s_neg
                 else:
@@ -271,7 +252,6 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
                     if th_n is not None:
                         tape.S_neg[gate][n, t] = s_neg
                     tape.Upost[gate][n, t + 1] = U[gate]
-                spikes[gate] += int(np.count_nonzero(vals[gate]))
             H[n, t] = vals["o"] * vals["c"]
             if tape is not None:
                 tape.P_analog[n, t] = p[analog]
@@ -281,13 +261,13 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
         c_prev = c_cur
     if not relaxed:
         _assert_spikes("hidden output", H, ternary=True)
-    if not stats.input_analog:
-        stats.input_nnz = int(np.count_nonzero(x_feed))
-    stats.hidden_nnz_total = int(np.count_nonzero(H))
-    stats.hidden_nnz_last = int(np.count_nonzero(H[n_elements - 1]))
-    stats.gate_spikes = spikes
-    stats.gate_possible = dict.fromkeys(spikes, batch * n_elements * T * hidden)
-    return H
+    input_nnz = (np.zeros((batch, n_elements, T), dtype=np.int64) if input_analog
+                 else np.count_nonzero(x_feed, axis=-1))
+    stats = LayerSpikeStats(
+        units=hidden, fan_in=cell.input_dim, input_analog=input_analog, input_nnz=input_nnz,
+        hidden_nnz=np.moveaxis(np.count_nonzero(H, axis=-1), -1, 0),
+        gate_spikes={g: s.sum(axis=-1).astype(np.int64) for g, s in spikes.items()})
+    return H, stats
 
 
 def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
@@ -303,7 +283,7 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     With want_tapes every layer records what snn_backward reads; without,
     only each layer's hidden spikes are kept. Returns (logits,
     tapes_or_none, aux); aux holds the head cache, the encoded input and
-    the SpikeStats tallied over the batch.
+    the SpikeStats: per-sample, per-(n, t) counts of the batch.
 
     Raises NumericalFault on a non-finite membrane and, on hard spikes,
     MultiplierAuditError when a tensor that must carry spikes is not
@@ -316,19 +296,21 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
         raise DimensionMismatch(f"input has {X.shape[2]} features, model wants {model.input_dim}")
     batch, n_elements, _ = X.shape
     encoded = encode_sequence(X, T, encoding, seed, first_index).astype(X.dtype, copy=False)
-    stats = _new_stats(model, n_elements, T, encoding)
-    if not stats.layers[0].input_analog:
+    if encoding != "direct":
         _assert_spikes("encoded input", encoded, ternary=True)
-    tapes = []
+    tapes, layer_stats = [], []
     x_feed = encoded  # [B, N, T, F]
-    for cell, layer_stats in zip(model.cells, stats.layers):
+    for li, cell in enumerate(model.cells):
         tape = _SnnLayerTape(cell, batch, n_elements, T, X.dtype) if want_tapes else None
-        H = _layer_forward(cell, x_feed, relaxed, tape, layer_stats)
+        H, stats = _layer_forward(cell, x_feed, relaxed, tape,
+                                  input_analog=(li == 0 and encoding == "direct"))
         tapes.append(tape)
+        layer_stats.append(stats)
         x_feed = np.moveaxis(H, 2, 0)  # [B, N, T, H]
     hbar = H[n_elements - 1].mean(axis=0)  # [B, H]
     logits, head_cache = model.head.forward_cached(hbar)
-    aux = {"head_cache": head_cache, "encoded": encoded, "stats": stats}
+    aux = {"head_cache": head_cache, "encoded": encoded,
+           "stats": SpikeStats(layers=layer_stats, encoding=encoding)}
     return logits, (tapes if want_tapes else None), aux
 
 
@@ -349,7 +331,7 @@ def snn_forward(model: SpikingLSTM, sequence, T: int | None = None,
     logits, _, aux = snn_batch_forward(model, sequence[None], T, encoding, rng_seed,
                                        first_index=first_index)
     stats = aux["stats"]
-    return logits[0], stats, count_ops_snn(stats, model, sequence.shape[0], T, encoding)
+    return logits[0], stats, count_ops_snn(stats, model)
 
 
 def default_gate_params(plan: ConversionPlan, act: HardActConfig, hidden: int,

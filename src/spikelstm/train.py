@@ -42,6 +42,7 @@ from .snn import SpikingLSTM, _lif_vec, snn_batch_forward
 GradientBundle = dict
 
 LIF_FIELDS = ("leak", "threshold_pos", "threshold_neg", "step_bias", "mem_init")
+EVAL_CHUNK = 256  # samples per batched forward when evaluating a set
 
 
 @dataclass
@@ -446,7 +447,7 @@ class SGD:
             params[name] -= self.lr * grads[name]
 
 
-def evaluate(model, X, y, chunk=256, seed=0):
+def evaluate(model, X, y, chunk=EVAL_CHUNK, seed=0):
     """(loss, accuracy, mean hidden spike rate) on a labeled set.
 
     Sample k is poisson-encoded as sample k of the set, so the result
@@ -466,8 +467,7 @@ def evaluate(model, X, y, chunk=256, seed=0):
                 model, xb, model.time_steps, model.encoding, seed, first_index=lo)
             stats = aux["stats"]
             hidden_spikes += sum(layer.hidden_nnz_total for layer in stats.layers)
-            hidden_slots += (len(yb) * stats.n_elements * stats.time_steps
-                             * sum(model.hidden_dims))
+            hidden_slots += sum(layer.units * layer.hidden_nnz.size for layer in stats.layers)
         loss, _ = softmax_cross_entropy(logits, yb)
         losses.append(float(loss) * len(yb))
         correct += int((logits.argmax(axis=1) == yb).sum())

@@ -4,8 +4,9 @@ Every check returns a VerifyResult; the CLI `verify` command prints one
 line per check and exits nonzero on any failure, and the acceptance tests
 assert the same results. Each oracle is independent of the code path it
 checks: closed forms against step-by-step hand-trace recurrences,
-reverse-mode gradients against central finite differences, pipelined
-execution against sequential evaluation.
+reverse-mode gradients against central finite differences, the batched
+engine and the pipeline trace against the per-step oracle
+(`per_step_reference`, the one per-step SNN simulator).
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ import numpy as np
 
 from .activations import HardActConfig, hard_sigmoid, hard_tanh
 from .encoding import encode_sequence
-from .energy import EnergyModel, OpCountReport, LayerOps, audit_multiplier_free, estimate_energy
+from .energy import (EnergyModel, LayerOps, LayerSpikeStats, OpCountReport, SpikeStats,
+                     audit_multiplier_free, direct_input_macs, estimate_energy,
+                     step_comparisons)
 from .lstm import AnnLSTM
 from .neuron import (NEVER, LIFGateParams, if_avg_sigmoid, if_avg_tanh,
                      lif_avg_sigmoid, lif_first_spike_time, optimal_shift,
                      run_constant_drive, spike, spike_partials)
-from .pipeline import build_schedule, simulate_pipelined
-from .snn import ConversionPlan, random_spiking_lstm, snn_forward
+from .pipeline import simulate_pipelined
+from .snn import (CellStepState, ConversionPlan, random_spiking_lstm, snn_cell_step,
+                  snn_forward)
 from .train import (ann_backward, ann_loss, model_parameters, snn_backward,
                     snn_relaxed_loss)
 
@@ -254,9 +258,59 @@ def check_snn_gradients(n_models: int = 3, tol: float = 1e-4) -> VerifyResult:
                    f"{n_models} models, worst rel err {worst:.2e} (tol {tol:g})")
 
 
+def per_step_reference(model, sequence, T: int | None = None, encoding: str | None = None,
+                       rng_seed: int = 0):
+    """The per-step SNN oracle: snn_cell_step over (element, layer, step)
+    in element order, counting its own spikes from what each step consumes
+    and emits. Returns (logits, stats, trace): stats is a one-sample
+    SpikeStats of per-(n, tau) counts and trace the per-tick rows of
+    simulate_pipelined, with step (n, tau) on tick n + tau - 1.
+    """
+    T = model.time_steps if T is None else T
+    encoding = model.encoding if encoding is None else encoding
+    sequence = np.asarray(sequence, dtype=np.float64)
+    n_elements = sequence.shape[0]
+    stats = SpikeStats(layers=[
+        LayerSpikeStats(c.hidden_dim, c.input_dim, li == 0 and encoding == "direct",
+                        np.zeros((1, n_elements, T), dtype=np.int64),
+                        np.zeros((1, n_elements, T), dtype=np.int64),
+                        {g: np.zeros(1, dtype=np.int64) for g in c.plan.spiking_gates})
+        for li, c in enumerate(model.cells)], encoding=encoding)
+    trace = [dict(tick=k, active=0, accumulates=0, macs=0, comparisons=0, spikes=0)
+             for k in range(1, n_elements + T)]
+    # element n's hidden spikes and cell values in row n + 1; row 0 is the zero element
+    h = [np.zeros((n_elements + 1, T, c.hidden_dim)) for c in model.cells]
+    c_val = [np.zeros_like(h_li) for h_li in h]
+    for n, below in enumerate(encode_sequence(sequence, T, encoding, rng_seed)):
+        for li, (cell, s) in enumerate(zip(model.cells, stats.layers)):
+            state = CellStepState.fresh(cell)
+            for t in range(T):
+                record = {}
+                h[li][n + 1, t], c_val[li][n + 1, t] = snn_cell_step(
+                    cell, state, below[t], h[li][n, t], c_val[li][n, t],
+                    x_is_spikes=not s.input_analog, record=record)
+                if not s.input_analog:
+                    s.input_nnz[0, n, t] = np.count_nonzero(below[t])
+                s.hidden_nnz[0, n, t] = np.count_nonzero(h[li][n + 1, t])
+                for gate in s.gate_spikes:
+                    s.gate_spikes[gate][0] += np.count_nonzero(record[gate])
+                row = trace[n + t]
+                row["active"] += li == 0
+                row["accumulates"] += 4 * cell.hidden_dim * int(
+                    s.input_nnz[0, n, t] + np.count_nonzero(h[li][n, t]))
+                row["macs"] += direct_input_macs(cell) if s.input_analog and t == 0 else 0
+                row["comparisons"] += step_comparisons(cell)
+                row["spikes"] += int(s.hidden_nnz[0, n, t])
+            below = h[li][n + 1]
+    return model.head.forward(h[-1][-1].sum(axis=0) / T), stats, trace
+
+
 def check_pipeline_equivalence(n_cases: int = 100) -> VerifyResult:
-    """simulate_pipelined bit-identical to snn_forward on randomized
-    models/inputs; tick law and concurrency bound hold."""
+    """The batched engine (snn_forward) and simulate_pipelined against the
+    per-step oracle on randomized models/inputs: bit-identical logits,
+    equal per-(n, tau) spike counts and an equal tick trace (which fixes
+    the N + T - 1 ticks and the blocks active on each), and the trace
+    reconciles with the OpCountReport."""
     start = time.time()
     failures = []
     for case in range(n_cases):
@@ -274,22 +328,21 @@ def check_pipeline_equivalence(n_cases: int = 100) -> VerifyResult:
             for gate in ("f", "i", "o"):
                 cell.weights.b[gate] += 3.0
         seq = rng.random((n, feats))
-        logits_seq, _, _ = snn_forward(model, seq, rng_seed=case)
+        logits, stats, ops = snn_forward(model, seq, rng_seed=case)
         logits_pipe, trace = simulate_pipelined(model, seq, rng_seed=case)
-        if not np.array_equal(logits_seq, logits_pipe):
+        ref_logits, ref_stats, ref_trace = per_step_reference(model, seq, rng_seed=case)
+        if not (np.array_equal(logits, ref_logits) and np.array_equal(logits_pipe, ref_logits)):
             failures.append(f"case {case}: logits differ")
-        if len(trace) != n + T - 1:
-            failures.append(f"case {case}: {len(trace)} ticks != {n + T - 1}")
-        if max(row["active"] for row in trace) > min(n, T):
-            failures.append(f"case {case}: concurrency bound exceeded")
-        schedule = build_schedule(n, T)
-        seen = {(k, tick - k + 1) for tick in range(1, schedule.total_ticks + 1)
-                for k in schedule.active_elements(tick)}
-        if (len(seen) != n * T or sum(schedule.concurrency_profile()) != n * T
-                or not all(1 <= tau <= T for _, tau in seen)):
-            failures.append(f"case {case}: schedule does not run each (n, tau) once")
+        if stats != ref_stats:
+            failures.append(f"case {case}: per-(n, tau) spike counts differ")
+        if trace != ref_trace:
+            failures.append(f"case {case}: tick trace differs")
+        if (sum(r["accumulates"] for r in trace) != ops.accumulates - ops.head_accumulates
+                or sum(r["macs"] for r in trace) != ops.macs - ops.head_macs
+                or sum(r["comparisons"] for r in trace) != ops.comparisons):
+            failures.append(f"case {case}: trace does not reconcile with OpCountReport")
     return _result("pipeline-equivalence", start, not failures,
-                   f"{n_cases} randomized cases bit-identical"
+                   f"{n_cases} randomized cases: engine, trace and oracle agree"
                    if not failures else "; ".join(failures[:3]))
 
 

@@ -161,6 +161,93 @@ def test_pipeline_sim_reports_paper_tick_counts(tmp_path, capsys):
     assert len(rows) == 1 + 7
 
 
+def test_pipeline_sim_rejects_block_count_below_one(capsys):
+    for blocks in ("0", "-1"):
+        assert main(["pipeline-sim", "--n", "5", "--t", "3", "--blocks", blocks]) == 2
+        err = capsys.readouterr().err
+        assert "block_count" in err and "Traceback" not in err
+
+
+def test_energy_report_rejects_limit_below_one(ann_run, tmp_path, capsys):
+    from spikelstm.convert import convert
+
+    ckpt = str(tmp_path / "snn.ckpt")
+    checkpoint.save_model(convert(checkpoint.load_model(
+        str(ann_run / "ann_run" / "model.ckpt")), T=2), ckpt)
+    ds_cfg = write_json(tmp_path / "ds.json", {"config_version": 1, "dataset": DATASET})
+    for limit in ("0", "-3"):
+        assert main(["energy-report", "--ckpt", ckpt, "--dataset-config", ds_cfg,
+                     "--limit", limit]) == 2
+        err = capsys.readouterr().err
+        assert "--limit" in err and "Traceback" not in err
+
+
+def _energy_report_reference(model, test, limit, seed):
+    """energy-report's spiking totals and sparsity rows from a B=1
+    snn_forward loop, sample k streamed as sample k of the set."""
+    from spikelstm.energy import audit_multiplier_free, estimate_energy
+    from spikelstm.snn import snn_forward
+
+    totals = None
+    rows = []
+    for k in range(limit):
+        _, stats, ops = snn_forward(model, test.sequences[k], rng_seed=seed, first_index=k)
+        audit_multiplier_free(ops)
+        energy = estimate_energy(ops)
+        if totals is None:
+            totals = {"digital": dict.fromkeys(energy["digital"], 0.0),
+                      "neuromorphic": dict.fromkeys(energy["neuromorphic"], 0.0),
+                      "total_flops": 0}
+        for part in ("digital", "neuromorphic"):
+            for key, value in energy[part].items():
+                totals[part][key] += value / limit
+        totals["total_flops"] += ops.total_flops / limit
+        rows += [{"sample": k, "layer": li, **rates} for li, rates in enumerate(stats.gate_rates())]
+    return totals, rows
+
+
+@pytest.mark.parametrize("encoding", ["direct", "poisson"])
+def test_batched_energy_report_matches_streamed_reference(tmp_path, capsys, encoding):
+    """energy-report runs the engine over chunks; its JSON and sparsity CSV
+    equal a per-sample B=1 reference on a test split larger than a chunk."""
+    from spikelstm.cli import build_dataset
+    from spikelstm.data import SequenceDataset, save_feature_tensor
+    from spikelstm.snn import ConversionPlan, random_spiking_lstm
+    from spikelstm.train import EVAL_CHUNK
+
+    rng = np.random.default_rng(2)  # values in [0, 1], as poisson encoding needs
+    save_feature_tensor(str(tmp_path / "set.seqf"), SequenceDataset(
+        rng.random((640, 6, 3)).astype(np.float32), rng.integers(0, 3, 640), 3))
+    dataset = {"kind": "seqf", "path": str(tmp_path / "set.seqf"),
+               "test_fraction": 0.5, "val_fraction": 0.1}
+    _, _, test = build_dataset(dataset)
+    assert len(test) > EVAL_CHUNK
+    model = random_spiking_lstm(3, [5, 4], [3], np.random.default_rng(7),
+                                plan=ConversionPlan("g"), time_steps=3, encoding=encoding,
+                                scale=1.5)
+    for cell in model.cells:
+        cell.weights.b["o"] += 3.0  # open o so the hidden layers spike
+    ckpt = str(tmp_path / "snn.ckpt")
+    checkpoint.save_model(model, ckpt)
+    model = checkpoint.load_model(ckpt)
+    ds_cfg = write_json(tmp_path / "ds.json", {"config_version": 1, "dataset": dataset})
+    sparsity = str(tmp_path / "sparsity.csv")
+    assert main(["energy-report", "--ckpt", ckpt, "--dataset-config", ds_cfg, "--seed", "5",
+                 "--limit", str(len(test)), "--sparsity-out", sparsity]) == 0
+    payload = json.loads(capsys.readouterr().out)
+
+    totals, rows = _energy_report_reference(model, test, len(test), seed=5)
+    assert payload["samples"] == len(test)
+    assert payload["spiking"] == json.loads(json.dumps(totals))
+    assert totals["digital"]["accumulate"] > 0
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["sample", "layer", "f", "i", "g", "o", "c"])
+        writer.writeheader()
+        writer.writerows(rows)
+    assert open(sparsity).read() == expected.read_text()
+
+
 def test_energy_report_zero_spike_run(tmp_path, capsys):
     """A zero-weight converted model emits no hidden spikes: zero recurrent ACs."""
     from spikelstm.convert import convert

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikelstm.convert import convert, conversion_error_report, format_error_table
+from spikelstm.convert import convert, conversion_error_report
 from spikelstm.errors import ValidationError
 from spikelstm.lstm import AnnLSTM, ClassifierHead
 from spikelstm.snn import ConversionPlan
@@ -102,8 +102,6 @@ def test_error_report_near_zero_at_large_t():
     ann = AnnLSTM(layers=[zero_weights(1, 1)], head=head)
     snn = convert(ann, T=256)
     rows = conversion_error_report(ann, snn, [np.full((3, 1), 0.5)], T=256)
-    table = format_error_table(rows)
-    assert "layer" in table
     for row in rows:
         assert row["mae"] <= 0.02
 

@@ -6,7 +6,7 @@ from spikelstm.energy import (EnergyModel, LayerOps, LayerSpikeStats, OpCountRep
                               count_ops_snn, estimate_energy)
 from spikelstm.errors import MultiplierAuditError, ValidationError
 from spikelstm.lstm import AnnLSTM
-from spikelstm.snn import ConversionPlan, random_spiking_lstm, snn_forward
+from spikelstm.snn import ConversionPlan, random_spiking_lstm, snn_batch_forward, snn_forward
 
 
 def test_ann_counts_hand_example():
@@ -38,20 +38,24 @@ def test_recurrent_macs_quadruple_when_hidden_doubles():
     assert count_ops_ann(m1, 1).layers[0].macs - 4 * 4 * 3 == rec1
 
 
-def _stats(units=32, fan_in=4, input_nnz=0, hidden_total=0, hidden_last=0,
-           n=1, T=1, encoding="poisson", analog=False):
+def _stats(units=32, fan_in=4, input_nnz=0, hidden_total=0, n=1, T=1,
+           encoding="poisson", analog=False, layers=1):
+    """One-sample stats whose counts all fall on (n, tau) = (1, 1)."""
+    def counts(total):
+        arr = np.zeros((1, n, T), dtype=np.int64)
+        arr[0, 0, 0] = total
+        return arr
     layer = LayerSpikeStats(units=units, fan_in=fan_in, input_analog=analog,
-                            input_nnz=input_nnz, hidden_nnz_total=hidden_total,
-                            hidden_nnz_last=hidden_last,
-                            gate_spikes={"f": 0}, gate_possible={"f": units * n * T})
-    return SpikeStats(layers=[layer], n_elements=n, time_steps=T, encoding=encoding)
+                            input_nnz=counts(input_nnz), hidden_nnz=counts(hidden_total),
+                            gate_spikes={"f": np.zeros(1, dtype=np.int64)})
+    return SpikeStats(layers=[layer] * layers, encoding=encoding)
 
 
 def test_snn_single_spike_fanout():
     """One spiking input into a 32-unit cell: fan-out 4*32 = 128 ACs."""
     rng = np.random.default_rng(0)
     model = random_spiking_lstm(4, [32], [2], rng, encoding="poisson", time_steps=1)
-    report = count_ops_snn(_stats(input_nnz=1), model, 1, 1, "poisson")
+    report = count_ops_snn(_stats(input_nnz=1), model)
     assert report.layers[0].accumulates == 128
     assert report.layers[0].macs == 0
 
@@ -59,7 +63,7 @@ def test_snn_single_spike_fanout():
 def test_snn_zero_spikes_keeps_comparisons():
     rng = np.random.default_rng(0)
     model = random_spiking_lstm(4, [32], [2], rng, encoding="poisson", time_steps=1)
-    report = count_ops_snn(_stats(), model, 1, 1, "poisson")
+    report = count_ops_snn(_stats(), model)
     assert report.layers[0].accumulates == 0
     # f+o+i sigmoid (1 each) + g,c ternary (2 each)... plan 'i' spiking set is f,g,o,c:
     # 1+1+2+2 = 6 threshold compares plus 3 selects, per unit per step
@@ -71,9 +75,14 @@ def test_snn_stats_model_mismatch_rejected():
     rng = np.random.default_rng(0)
     model = random_spiking_lstm(4, [32], [2], rng, encoding="poisson", time_steps=2)
     with pytest.raises(ValidationError):
-        count_ops_snn(_stats(T=1), model, 1, 2, "poisson")
+        count_ops_snn(_stats(layers=2), model)
     with pytest.raises(ValidationError):
-        count_ops_snn(_stats(), model, 1, 1, "direct")
+        count_ops_snn(_stats(units=16), model)
+    two_samples = snn_batch_forward(model, np.zeros((2, 3, 4)), 2, "poisson", 0)[2]["stats"]
+    with pytest.raises(ValidationError):
+        count_ops_snn(two_samples, model)
+    report = count_ops_snn(_stats(n=3, T=2, encoding="direct", analog=True), model)
+    assert (report.n_elements, report.time_steps, report.encoding) == (3, 2, "direct")
 
 
 def test_poisson_input_acs_match_rate():
@@ -88,8 +97,8 @@ def test_poisson_input_acs_match_rate():
     draws = n * T * feats
     expected = rate * draws
     sigma = np.sqrt(draws * rate * (1 - rate))
-    assert abs(stats.layers[0].input_nnz - expected) < 4 * sigma
-    assert report.layers[0].accumulates >= stats.layers[0].input_nnz * 4 * hidden
+    assert abs(stats.layers[0].input_nnz.sum() - expected) < 4 * sigma
+    assert report.layers[0].accumulates >= stats.layers[0].input_nnz.sum() * 4 * hidden
 
 
 def test_energy_fixture_values():
@@ -110,10 +119,8 @@ def test_zero_counts_zero_digital_energy():
 def test_energy_monotone_in_spike_rate():
     rng = np.random.default_rng(0)
     model = random_spiking_lstm(4, [8], [2], rng, encoding="poisson", time_steps=2)
-    quiet = count_ops_snn(_stats(units=8, input_nnz=3, hidden_total=2, T=2),
-                          model, 1, 2, "poisson")
-    busy = count_ops_snn(_stats(units=8, input_nnz=30, hidden_total=9, T=2),
-                         model, 1, 2, "poisson")
+    quiet = count_ops_snn(_stats(units=8, input_nnz=3, hidden_total=2, n=2, T=2), model)
+    busy = count_ops_snn(_stats(units=8, input_nnz=30, hidden_total=9, n=2, T=2), model)
     assert (estimate_energy(busy)["digital"]["total"]
             >= estimate_energy(quiet)["digital"]["total"])
 
@@ -141,7 +148,7 @@ def test_leak_multiplies_flagged_separately():
     rng = np.random.default_rng(0)
     model = random_spiking_lstm(4, [8], [2], rng, encoding="poisson", time_steps=2)
     model.cells[0].gate_params["f"].leak = np.full(8, 0.9)
-    report = count_ops_snn(_stats(units=8, T=2, n=3), model, 3, 2, "poisson")
+    report = count_ops_snn(_stats(units=8, T=2, n=3), model)
     assert report.layers[0].leak_multiplies == 8 * 3 * 2
     assert report.layers[0].multiplies == 0
     audit_multiplier_free(report)

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spikelstm.encoding import encode_sequence
-from spikelstm.energy import LayerOps, LayerSpikeStats, OpCountReport, SpikeStats
+from spikelstm.energy import LayerOps, OpCountReport
 from spikelstm.errors import ValidationError
 from spikelstm.pipeline import (LatencyModel, build_schedule, latency_report,
                                 simulate_pipelined)
-from spikelstm.snn import (CellStepState, ConversionPlan, random_spiking_lstm,
-                           snn_cell_step, snn_forward)
+from spikelstm.snn import ConversionPlan, random_spiking_lstm, snn_forward
+from spikelstm.verify import per_step_reference
 
 
 def test_schedule_tick_counts():
@@ -58,39 +57,12 @@ def test_pipelined_equivalence_and_conservation():
     assert sum(r["macs"] for r in trace) == sum(l.macs for l in ops.layers)
 
 
-def _per_step_reference(model, seq, T, encoding, seed):
-    """Streaming oracle: snn_cell_step over (element, layer, step), tallying
-    its own SpikeStats. Returns (logits, stats)."""
-    encoded = encode_sequence(seq, T, encoding, seed)
-    n_elements = seq.shape[0]
-    stats = SpikeStats(
-        layers=[LayerSpikeStats(units=c.hidden_dim, fan_in=c.input_dim,
-                                input_analog=(li == 0 and encoding == "direct"))
-                for li, c in enumerate(model.cells)],
-        n_elements=n_elements, time_steps=T, encoding=encoding)
-    h_stream = [np.zeros((T, c.hidden_dim)) for c in model.cells]
-    c_stream = [np.zeros((T, c.hidden_dim)) for c in model.cells]
-    for n in range(n_elements):
-        below = encoded[n]
-        for li, cell in enumerate(model.cells):
-            state = CellStepState.fresh(cell)
-            new_h, new_c = np.empty_like(h_stream[li]), np.empty_like(c_stream[li])
-            for t in range(T):
-                new_h[t], new_c[t] = snn_cell_step(
-                    cell, state, below[t], h_stream[li][t], c_stream[li][t],
-                    stats=stats.layers[li], x_is_spikes=not stats.layers[li].input_analog,
-                    last_element=(n == n_elements - 1))
-            h_stream[li], c_stream[li] = new_h, new_c
-            below = new_h
-    return model.head.forward(h_stream[-1].sum(axis=0) / T), stats
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from("ig"), st.integers(1, 3), st.integers(1, 8),
        st.sampled_from(["direct", "poisson"]), st.integers(1, 6), st.integers(0, 2**16))
 def test_engine_matches_per_step_oracles(plan, n_layers, T, encoding, n, seed):
-    """snn_forward (the batched engine at B=1) against the tick-ordered
-    pipeline simulator and the per-step cell: equal logits and SpikeStats."""
+    """snn_forward (the batched engine at B=1) and simulate_pipelined against
+    the per-step oracle: equal logits, per-(n, tau) counts and tick trace."""
     rng = np.random.default_rng(seed)
     feats = int(rng.integers(1, 4))
     hidden = [int(h) for h in rng.integers(2, 5, n_layers)]
@@ -104,11 +76,12 @@ def test_engine_matches_per_step_oracles(plan, n_layers, T, encoding, n, seed):
             params.mem_init = params.mem_init + rng.normal(0.0, 0.4, params.mem_init.shape)
     seq = rng.random((n, feats))
     logits, stats, _ = snn_forward(model, seq, rng_seed=seed)
-    piped, _ = simulate_pipelined(model, seq, rng_seed=seed)
-    ref_logits, ref_stats = _per_step_reference(model, seq, T, encoding, seed)
-    np.testing.assert_array_equal(logits, piped)
+    piped, trace = simulate_pipelined(model, seq, rng_seed=seed)
+    ref_logits, ref_stats, ref_trace = per_step_reference(model, seq, rng_seed=seed)
     np.testing.assert_array_equal(logits, ref_logits)
+    np.testing.assert_array_equal(piped, ref_logits)
     assert stats == ref_stats
+    assert trace == ref_trace
 
 
 def _unit_report(n, T):

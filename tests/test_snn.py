@@ -98,7 +98,7 @@ def test_forward_poisson_determinism():
     c = snn_forward(model, seq, rng_seed=43)
     np.testing.assert_array_equal(a[0], b[0])
     assert a[2].accumulates == b[2].accumulates
-    assert a[1].layers[0].input_nnz != c[1].layers[0].input_nnz  # different encodings
+    assert a[1].layers[0].input_nnz.sum() != c[1].layers[0].input_nnz.sum()  # different encodings
 
 
 def test_hidden_alphabet_is_ternary():
@@ -132,10 +132,29 @@ def test_forward_stats_geometry():
     model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, scale=1.5)
     seq = rng.random((4, 2))
     _, stats, ops = snn_forward(model, seq)
-    assert stats.n_elements == 4 and stats.time_steps == 2
+    assert stats.shape == (1, 4, 2)
     layer = stats.layers[0]
-    assert layer.gate_possible["f"] == 3 * 4 * 2
+    assert layer.input_nnz.shape == layer.hidden_nnz.shape == (1, 4, 2)
+    assert set(layer.gate_spikes) == {"f", "g", "o", "c"}
+    assert all(v.shape == (1,) for v in layer.gate_spikes.values())
     assert ops.layers[0].macs == 4 * 3 * 2 * 4  # direct input projection, once per element
+
+
+@pytest.mark.parametrize("encoding", ["direct", "poisson"])
+def test_batch_stats_split_into_per_sample_stats(encoding):
+    """Sample b's share of a batched run's counts equals sample b run alone."""
+    rng = np.random.default_rng(12)
+    model = random_spiking_lstm(3, [5, 4], [2], rng, plan=ConversionPlan("g"), time_steps=3,
+                                encoding=encoding, scale=2.0)
+    for cell in model.cells:
+        cell.weights.b["o"] += 3.0
+    X = rng.random((9, 6, 3))
+    _, _, aux = snn_batch_forward(model, X, 3, encoding, seed=4, first_index=2)
+    assert aux["stats"].shape == (9, 6, 3)
+    for b in range(9):
+        _, alone, _ = snn_forward(model, X[b], rng_seed=4, first_index=2 + b)
+        assert aux["stats"].sample(b) == alone
+    assert aux["stats"].layers[-1].hidden_nnz_total > 0
 
 
 def test_forward_rejects_non_finite_membrane():
