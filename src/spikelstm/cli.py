@@ -25,7 +25,7 @@ from .energy import (EnergyModel, audit_multiplier_free, count_ops_ann, count_op
                      estimate_energy)
 from .errors import ConfigError, SpikeLstmError, ValidationError
 from .lstm import AnnLSTM
-from .pipeline import LatencyModel, build_schedule, latency_report, simulate_pipelined
+from .pipeline import LatencyModel, build_schedule, latency_report, tick_trace
 from .snn import (ConversionPlan, SpikingLSTM, random_spiking_lstm, snn_batch_forward,
                   snn_forward)
 from .train import EVAL_CHUNK, TrainConfig, TrainMask, evaluate, fit
@@ -299,15 +299,15 @@ def cmd_pipeline_sim(args) -> int:
     lm = LatencyModel(block_count=args.blocks)
     rng = np.random.default_rng(args.seed)
     sequence = rng.random((args.n, model.input_dim))
-    _, _, op_counts = snn_forward(model, sequence, T=args.t, rng_seed=args.seed)
-    logits_pipe, trace = simulate_pipelined(model, sequence, T=args.t, rng_seed=args.seed)
+    logits, stats, op_counts = snn_forward(model, sequence, T=args.t, rng_seed=args.seed)
+    trace = tick_trace(model, stats)
     logits_ref, _, _ = per_step_reference(model, sequence, T=args.t, rng_seed=args.seed)
     schedule = build_schedule(args.n, args.t)
     reports = {mode: latency_report(schedule, op_counts, lm, mode)
                for mode in ("proposed", "nonspiking", "priorwork")}
     out = {
         "command": "pipeline-sim", "n_elements": args.n, "time_steps": args.t,
-        "equivalent_to_sequential": bool(np.array_equal(logits_ref, logits_pipe)),
+        "equivalent_to_sequential": bool(np.array_equal(logits_ref, logits)),
         "max_concurrent_blocks": max(r["active"] for r in trace),
         "latency": reports,
     }

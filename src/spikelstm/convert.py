@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .activations import hard_sigmoid, hard_tanh
 from .errors import DimensionMismatch, ValidationError
 from .lstm import AnnLSTM, ann_batch_forward
 from .snn import (ConversionPlan, SpikingLSTM, SpikingLSTMCell, default_gate_params,
@@ -68,9 +67,7 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
         ann_gates = dict(zip(REPORT_GATES, (np.stack(v) for v in zip(*cache["gates"]))))
         snn_values = {g: tape.S_pos[g] - tape.S_neg[g] if g in tape.S_neg else tape.S_pos[g]
                       for g in cell.plan.spiking_gates}
-        analog = cell.plan.analog_gate
-        act = hard_sigmoid if analog == "i" else hard_tanh
-        snn_values[analog] = act(tape.P_analog, cell.act)
+        snn_values[cell.plan.analog_gate] = tape.A_analog
         for a in REPORT_GATES:
             rate = snn_values[a].mean(axis=1)  # [N, P, H]
             rows.append({"layer": li, "gate": a,

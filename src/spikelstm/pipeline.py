@@ -51,17 +51,12 @@ def build_schedule(n_elements: int, time_steps: int) -> PipelineSchedule:
     return PipelineSchedule(n_elements=n_elements, time_steps=time_steps)
 
 
-def simulate_pipelined(model: SpikingLSTM, sequence, T: int | None = None,
-                       encoding: str | None = None, rng_seed: int = 0):
-    """Run a sequence under the diagonal schedule.
-
-    Returns (logits, trace): the logits of the batched engine at B=1, and
-    per tick (tick, active elements, synaptic ACs, MACs, compares, emitted
-    spikes) the sum of the engine's per-(n, tau) counts over the steps on
-    that tick's anti-diagonal n + tau - 1. Step (n, tau) reads the
-    (n-1, tau) hidden spikes, so its recurrent ACs are (n-1, tau)'s count.
-    """
-    logits, stats, _ = snn_forward(model, sequence, T, encoding, rng_seed)
+def tick_trace(model: SpikingLSTM, stats) -> list:
+    """Per tick of the diagonal schedule (tick, active elements, synaptic
+    ACs, MACs, compares, emitted spikes): the sum of a one-sample
+    SpikeStats' per-(n, tau) counts over the steps on that tick's
+    anti-diagonal n + tau - 1. Step (n, tau) reads the (n-1, tau) hidden
+    spikes, so its recurrent ACs are (n-1, tau)'s count."""
     _, n_elements, T = stats.shape
     schedule = build_schedule(n_elements, T)
     acs, macs, spikes = (np.zeros((n_elements, T), dtype=np.int64) for _ in range(3))
@@ -80,22 +75,32 @@ def simulate_pipelined(model: SpikingLSTM, sequence, T: int | None = None,
         trace.append({"tick": tick, "active": len(n), "accumulates": int(acs[diagonal].sum()),
                       "macs": int(macs[diagonal].sum()), "comparisons": compares * len(n),
                       "spikes": int(spikes[diagonal].sum())})
-    return logits, trace
+    return trace
+
+
+def simulate_pipelined(model: SpikingLSTM, sequence, T: int | None = None,
+                       encoding: str | None = None, rng_seed: int = 0):
+    """Run a sequence under the diagonal schedule.
+
+    Returns (logits, trace): the logits of the batched engine at B=1, which
+    walks the same anti-diagonals, and its tick_trace.
+    """
+    logits, stats, _ = snn_forward(model, sequence, T, encoding, rng_seed)
+    return logits, tick_trace(model, stats)
 
 
 @dataclass
 class LatencyModel:
-    """Unit latencies per op class and per-block functional-unit width; a
-    block's op classes run one after another. block_count caps the physical
-    blocks; fewer than min(N, T) stretches the schedule proportionally.
-    fixed_block_cost, when set, overrides the derived per-tick critical
-    path (the "one op per tick" abstraction)."""
+    """Unit latencies per op class; a block's op classes run one after
+    another. block_count caps the physical blocks; fewer than min(N, T)
+    stretches the schedule proportionally. fixed_block_cost, when set,
+    overrides the derived per-tick critical path (the "one op per tick"
+    abstraction)."""
 
     mac: float = 1.0
     ac: float = 1.0
     compare: float = 1.0
     act: float = 1.0
-    width: int = 1
     block_count: int | None = None
     fixed_block_cost: float | None = None
 
@@ -103,8 +108,6 @@ class LatencyModel:
         for v in (self.mac, self.ac, self.compare, self.act):
             if v <= 0:
                 raise ValidationError("unit latencies must be positive")
-        if self.width < 1:
-            raise ValidationError("width must be >= 1")
         if self.block_count is not None and self.block_count < 1:
             raise ValidationError(f"block_count must be >= 1, got {self.block_count}")
 
@@ -113,7 +116,7 @@ class LatencyModel:
         if self.fixed_block_cost is not None:
             return self.fixed_block_cost
         unit = {"mac": self.mac, "ac": self.ac, "compare": self.compare, "act": self.act}
-        costs = [np.ceil(c / self.width) * unit[k] for k, c in class_counts.items() if c > 0]
+        costs = [np.ceil(c) * unit[k] for k, c in class_counts.items() if c > 0]
         if not costs:
             return 0.0
         return float(sum(costs))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .activations import hard_sigmoid, hard_sigmoid_grad, hard_tanh, hard_tanh_grad
+from .activations import hard_sigmoid_grad, hard_tanh_grad
 from .errors import NumericalFault, TrainingDiverged, ValidationError
 from .lstm import GATES, AnnLSTM, ann_batch_forward
 from .neuron import spike_partials
@@ -287,7 +287,7 @@ def _lif_backward(cell, gate, tape, n, t, ds, dUpost, grads, prefix, relaxed):
         dnv, dnt = spike_partials(V, th_n, gamma, relaxed)
         dV = dV + ds_neg * dnv
         grads[f"{key}.threshold_neg"] += (ds_neg * dnt - D * tape.S_neg[gate][n, t]).sum(axis=0)
-    grads[f"{key}.leak"] += (dV * tape.Upost[gate][n, t]).sum(axis=0)
+    grads[f"{key}.leak"] += (dV * tape.Upre[gate][n, t]).sum(axis=0)
     grads[f"{key}.step_bias"] += dV.sum(axis=0)
     dUpost[gate] = leak * dV
     if t == 0:
@@ -339,8 +339,7 @@ def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
         tape = tapes[li]
         analog = cell.plan.analog_gate
         spiking_ig = "g" if analog == "i" else "i"
-        analog_act, analog_grad = ((hard_sigmoid, hard_sigmoid_grad) if analog == "i"
-                                   else (hard_tanh, hard_tanh_grad))
+        analog_grad = hard_sigmoid_grad if analog == "i" else hard_tanh_grad
         w = cell.weights
         gp = f"cells.{li}"
         want_dx = li > 0
@@ -361,10 +360,9 @@ def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
                                      dUpost, grads, gp, relaxed)
                 # --- cell combine ---
                 dc_total = dC_next[t] + dV_c
-                c_in = tape.C[n - 1, t] if n > 0 else np.zeros_like(dc_total)
-                ds["f"] = dc_total * c_in
+                ds["f"] = dc_total * tape.Cp[n, t]  # c of element n - 1
                 dC_prev[t] += dc_total * tape.S_pos["f"][n, t]
-                ds[spiking_ig] = dc_total * analog_act(tape.P_analog[n, t], cell.act)
+                ds[spiking_ig] = dc_total * tape.A_analog[n, t]
                 dA = dc_total * _emitted(tape, spiking_ig, n, t)
                 # --- spiking gates, then the analog one ---
                 dP = {gate: _lif_backward(cell, gate, tape, n, t, ds[gate], dUpost, grads,
@@ -373,7 +371,7 @@ def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
                 dP[analog] = dA * analog_grad(tape.P_analog[n, t], cell.act)
                 # --- projections ---
                 x_in = x_feed[:, n, t]
-                h_in = tape.H[n - 1, t] if n > 0 else np.zeros_like(dh)
+                h_in = tape.Hp[n, t]
                 for a in GATES:
                     grads[f"{gp}.w_x.{a}"] += dP[a].T @ x_in
                     grads[f"{gp}.w_h.{a}"] += dP[a].T @ h_in

@@ -5,9 +5,11 @@ from spikelstm.activations import HardActConfig
 from spikelstm.convert import convert
 from spikelstm.errors import MultiplierAuditError, NumericalFault, ValidationError
 from spikelstm.lstm import AnnLSTM, ann_batch_forward
+import spikelstm.snn as snn_module
 from spikelstm.snn import (CellStepState, ConversionPlan, SpikingLSTMCell,
                            default_gate_params, random_spiking_lstm, snn_batch_forward,
                            snn_cell_step, snn_forward)
+from spikelstm.verify import per_step_reference
 
 from conftest import one_unit_cell, zero_weights
 
@@ -157,20 +159,85 @@ def test_batch_stats_split_into_per_sample_stats(encoding):
     assert aux["stats"].layers[-1].hidden_nnz_total > 0
 
 
-def test_forward_rejects_non_finite_membrane():
+def _orders_model(encoding):
+    """Two layers wide enough that a batch of under a hundred exceeds the
+    wavefront budget, with open f/i/o gates so both layers spike."""
+    rng = np.random.default_rng(13)
+    model = random_spiking_lstm(3, [64, 48], [3], rng, plan=ConversionPlan("g"), time_steps=4,
+                                encoding=encoding, scale=0.5)
+    for cell in model.cells:
+        for gate in ("f", "i", "o"):
+            cell.weights.b[gate] += 3.0
+        for params in cell.gate_params.values():
+            params.leak = params.leak * rng.uniform(0.8, 1.2, params.leak.shape)
+    return model
+
+
+def _batch_sizes(model):
+    """One batch size whose every layer runs by anti-diagonals, one whose
+    every layer runs in element order."""
+    T = model.time_steps
+    above = snn_module.WAVEFRONT_BUDGET // (T * min(model.hidden_dims)) + 1
+    assert 2 * T * max(model.hidden_dims) <= snn_module.WAVEFRONT_BUDGET
+    return 2, above
+
+
+def test_both_loop_orders_match_the_per_step_oracle():
+    """Every sample of a batch below the wavefront budget and of one above
+    it: logits and per-(n, tau) counts equal the per-step oracle's. The
+    head runs on each sample's readout alone, as in the oracle: one head
+    GEMM over a batch may round differently from a row at a time."""
+    model = _orders_model("direct")
+    X = np.random.default_rng(14).random((max(_batch_sizes(model)), 5, 3))
+    for batch in _batch_sizes(model):
+        logits, _, aux = snn_batch_forward(model, X[:batch], 4, "direct", seed=3)
+        assert aux["stats"].layers[-1].hidden_nnz_total > 0
+        readout = aux["head_cache"][0]
+        for b in range(batch):
+            ref_logits, ref_stats, _ = per_step_reference(model, X[b])
+            np.testing.assert_array_equal(model.head.forward(readout[b]), ref_logits)
+            np.testing.assert_allclose(logits[b], ref_logits, rtol=0, atol=1e-12)
+            assert aux["stats"].sample(b) == ref_stats
+
+
+@pytest.mark.parametrize("encoding", ["direct", "poisson"])
+def test_both_loop_orders_agree_taped_and_untaped(encoding):
+    """Taped and untaped runs give the same logits and SpikeStats in either
+    loop order, and the orders agree on the samples they share."""
+    model = _orders_model(encoding)
+    small, large = _batch_sizes(model)
+    X = np.random.default_rng(15).random((large, 5, 3))
+    runs = {}
+    for batch in (small, large):
+        for want_tapes in (False, True):
+            logits, _, aux = snn_batch_forward(model, X[:batch], 4, encoding, seed=8,
+                                               want_tapes=want_tapes)
+            runs[batch, want_tapes] = logits, aux["stats"], aux["head_cache"][0]
+        np.testing.assert_array_equal(runs[batch, False][0], runs[batch, True][0])
+        assert runs[batch, False][1] == runs[batch, True][1]
+    np.testing.assert_array_equal(runs[small, False][2], runs[large, False][2][:small])
+    for b in range(small):
+        assert runs[small, False][1].sample(b) == runs[large, False][1].sample(b)
+
+
+def test_forward_rejects_non_finite_membrane(monkeypatch):
     rng = np.random.default_rng(10)
     model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, scale=1.0)
     model.cells[0].gate_params["o"].step_bias = np.array([0.0, np.inf, 0.0])
-    with pytest.raises(NumericalFault):
-        snn_forward(model, rng.random((3, 2)))
+    seq = rng.random((3, 2))
+    for budget in (snn_module.WAVEFRONT_BUDGET, 0):  # by anti-diagonals, then in element order
+        monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", budget)
+        with pytest.raises(NumericalFault):
+            snn_forward(model, seq)
 
 
 def test_forward_rejects_multi_bit_spike_input(monkeypatch):
-    import spikelstm.snn as snn_module
-
     rng = np.random.default_rng(11)
     model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, encoding="poisson")
     monkeypatch.setattr(snn_module, "encode_sequence",
                         lambda X, T, *args: np.full(X.shape[:2] + (T,) + X.shape[2:], 0.5))
-    with pytest.raises(MultiplierAuditError):
-        snn_forward(model, rng.random((3, 2)))
+    seq = rng.random((3, 2))
+    for budget in (snn_module.WAVEFRONT_BUDGET, 0):  # by anti-diagonals, then in element order
+        monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", budget)
+        with pytest.raises(MultiplierAuditError):
+            snn_forward(model, seq)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,14 +18,20 @@ from spikelstm.verify import check_ann_gradients, check_snn_gradients
 from conftest import zero_weights
 
 
+def _worst_rel_err(result) -> float:
+    return float(re.search(r"worst rel err (\S+)", result.detail).group(1))
+
+
 def test_ann_gradient_oracle():
     result = check_ann_gradients(n_models=3, tol=1e-5)
     assert result.passed, result.detail
+    assert 0.0 < _worst_rel_err(result) <= 1e-5  # the true worst error is reported
 
 
 def test_snn_gradient_oracle():
     result = check_snn_gradients(n_models=3, tol=1e-4)
     assert result.passed, result.detail
+    assert 0.0 < _worst_rel_err(result) <= 1e-4
 
 
 def test_zero_weight_softmax_symmetry():
