@@ -69,6 +69,20 @@ def _typed(obj: dict, key: str, kinds, path: str, default=None):
     return value
 
 
+def _count(obj: dict, key: str, path: str, default: int) -> int:
+    value = _typed(obj, key, int, path, default)
+    if value < 1:
+        raise ConfigError(f"{path}.{key}: expected a positive integer, got {value}")
+    return value
+
+
+def _int_list(obj: dict, key: str, path: str, default: list, least: int = 1) -> list:
+    values = _typed(obj, key, list, path, default)
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= least for v in values):
+        raise ConfigError(f"{path}.{key}: expected a list of integers >= {least}, got {values!r}")
+    return values
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -101,14 +115,17 @@ def build_dataset(cfg: dict, path: str = "dataset"):
     test_fraction = _typed(cfg, "test_fraction", float, path, 0.15)
     split_seed = _typed(cfg, "split_seed", int, path, 0)
     if kind in ("synthetic-planted", "synthetic-recall"):
+        noise = _typed(cfg, "noise", float, path, 0.5)
+        if noise < 0:
+            raise ConfigError(f"{path}.noise: expected a number >= 0, got {noise}")
         ds = synthetic_task(
             "planted-pattern" if kind == "synthetic-planted" else "delayed-recall",
-            size=_typed(cfg, "size", int, path, 600),
+            size=_count(cfg, "size", path, 600),
             seed=_typed(cfg, "seed", int, path, 1),
-            n_classes=_typed(cfg, "n_classes", int, path, 3),
-            n_elements=_typed(cfg, "n_elements", int, path, 12),
-            n_features=_typed(cfg, "n_features", int, path, 6),
-            noise=_typed(cfg, "noise", float, path, 0.5),
+            n_classes=_count(cfg, "n_classes", path, 3),
+            n_elements=_count(cfg, "n_elements", path, 12),
+            n_features=_count(cfg, "n_features", path, 6),
+            noise=noise,
         )
         return split_dataset(ds, val_fraction, test_fraction, split_seed)
     if kind == "mnist-idx":
@@ -145,10 +162,17 @@ def _act_from(cfg: dict, path: str) -> HardActConfig:
     )
 
 
+def _layer_dims(cfg: dict, path: str):
+    """The model's hidden widths (at least one layer) and head widths."""
+    hidden = _int_list(cfg, "hidden", path, [8])
+    if not hidden:
+        raise ConfigError(f"{path}.hidden: expected at least one layer")
+    return hidden, _int_list(cfg, "head", path, [])
+
+
 def build_ann(cfg: dict, input_dim: int, n_classes: int, path: str = "model") -> AnnLSTM:
     _expect_keys(cfg, _MODEL_KEYS, (), path)
-    hidden = _typed(cfg, "hidden", list, path, [8])
-    head = _typed(cfg, "head", list, path, [])
+    hidden, head = _layer_dims(cfg, path)
     rng = np.random.default_rng(_typed(cfg, "init_seed", int, path, 0))
     return AnnLSTM.random(input_dim, hidden, list(head) + [n_classes], rng,
                           act=_act_from(cfg, path),
@@ -169,7 +193,7 @@ def build_train_config(cfg: dict, seed: int, mask: TrainMask, path: str = "train
         optimizer=_typed(cfg, "optimizer", str, path, "adam"),
         grad_clip=_typed(cfg, "grad_clip", float, path, 5.0),
         precision=_typed(cfg, "precision", str, path, "f64"),
-        lr_decay_epochs=tuple(_typed(cfg, "lr_decay_epochs", list, path, [])),
+        lr_decay_epochs=tuple(_int_list(cfg, "lr_decay_epochs", path, [], least=0)),
         lr_decay_factor=_typed(cfg, "lr_decay_factor", float, path, 0.1),
         seed=seed,
         mask=mask,
@@ -249,10 +273,10 @@ def cmd_train_snn(args) -> int:
         # no pre-trained model: converted-default LIF parameters on random weights
         mc = cfg.get("model", {})
         _expect_keys(mc, _MODEL_KEYS, (), "model")
+        hidden, head = _layer_dims(mc, "model")
         rng = np.random.default_rng(_typed(mc, "init_seed", int, "model", 0))
         model = random_spiking_lstm(
-            train.sequences.shape[2], _typed(mc, "hidden", list, "model", [8]),
-            list(_typed(mc, "head", list, "model", [])) + [train.n_classes], rng,
+            train.sequences.shape[2], hidden, list(head) + [train.n_classes], rng,
             plan=ConversionPlan(_typed(snn_cfg, "analog_gate", str, "snn", "i")),
             act=_act_from(mc, "model"), time_steps=T, encoding=encoding,
             shift=_typed(snn_cfg, "shift", bool, "snn", True),
@@ -290,6 +314,9 @@ def _demo_model(n_features=3, hidden=4, classes=3, T=3, seed=0) -> SpikingLSTM:
 
 
 def cmd_pipeline_sim(args) -> int:
+    if args.n < 1 or args.t < 1:
+        raise ValidationError(f"pipeline-sim needs --n >= 1 and --t >= 1 "
+                              f"(--n {args.n}, --t {args.t})")
     if args.ckpt:
         model = checkpoint.load_model(args.ckpt)
         if isinstance(model, AnnLSTM):

@@ -74,10 +74,16 @@ class NeuronState:
         return cls(membrane=mem.copy())
 
 
-def _check_finite(membrane: np.ndarray) -> None:
-    if not np.all(np.isfinite(membrane)):
-        bad = int(np.flatnonzero(~np.isfinite(np.atleast_1d(membrane)))[0])
-        raise NumericalFault(f"non-finite membrane potential at unit {bad}")
+def _check_finite(membrane: np.ndarray, gates: tuple = ()) -> None:
+    """Raise NumericalFault at the first non-finite entry of a membrane
+    bank [units], [batch, units] or, with `gates` naming its leading axis,
+    [gate, batch, units]; the message names the gate, sample and unit."""
+    if not np.isfinite(membrane).all():
+        finite = np.isfinite(np.atleast_1d(membrane))
+        *lead, unit = np.unravel_index(int(np.flatnonzero(~finite)[0]), finite.shape)
+        place = [f"gate {gates[lead.pop(0)]}"] if gates else []
+        place += [f"sample {b}" for b in lead] + [f"unit {unit}"]
+        raise NumericalFault(f"non-finite membrane potential at {', '.join(place)}")
 
 
 def step_sigmoid_neuron(state: NeuronState, pre_act, params: LIFGateParams) -> np.ndarray:

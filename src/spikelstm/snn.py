@@ -14,8 +14,10 @@ i/g gates stays analog so the datapath needs no multiplier.
 snn_batch_forward is the one spiking forward and the one source of spike
 counts; snn_forward is it at B=1. It walks the (n, tau) lattice by whole
 anti-diagonals, the pipeline schedule, while the state in flight is small,
-else cell by cell in element order. snn_cell_step is the per-step reference
-cell that the oracle in `verify` runs.
+else cell by cell in element order, with one block body on gates packed
+gate-major: one projection call per operand and one LIF bank for f, o and
+the spiking one of i/g. snn_cell_step is the per-step reference cell that
+the oracle in `verify` runs.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ class ConversionPlan:
     def spiking_gates(self) -> tuple:
         other = "g" if self.analog_gate == "i" else "i"
         return ("f", other, "o", "c")
+
+    @property
+    def bank_gates(self) -> tuple:
+        """The spiking gates the engine updates as one LIF bank, in bank
+        order; the c neuron, which the cell combine drives, runs apart."""
+        return ("f", "o", self.spiking_gates[1])
 
 
 @dataclass
@@ -174,11 +182,6 @@ def snn_cell_step(cell: SpikingLSTMCell, state: CellStepState, x_in, h_in, c_in,
     return h_out, c_out
 
 
-def _lif_vec(cell, gate):
-    p = cell.gate_params[gate]
-    return p.leak, p.threshold_pos, p.threshold_neg, p.step_bias, p.surrogate_gamma
-
-
 # The forward runs a whole anti-diagonal n + t = k of the (n, t) lattice as
 # one block while the state in flight, T*B*H elements per gate, is at most
 # this many (128 KiB per gate at f64). Small batches then pay for one block's
@@ -189,79 +192,139 @@ def _lif_vec(cell, gate):
 WAVEFRONT_BUDGET = 16_384
 
 
+class _GatePack:
+    """One layer's parameters packed gate-major for the block body, in the
+    order of plan.bank_gates and then the analog gate: the projections as
+    [4, 1, F, H] and [4, 1, H, H] (each gate's slice a view with the strides
+    of its w.T, so np.matmul over the gate axis runs the per-gate GEMMs and
+    gives their bits) and the bias as [4, 1, 1, H]; the LIF bank's vectors
+    as [3, 1, 1, H]. Built from the cell's current arrays at every forward
+    call, so an in-place or rebinding update can never leave it stale."""
+
+    def __init__(self, cell: SpikingLSTMCell, dtype):
+        plan, w, hidden = cell.plan, cell.weights, cell.hidden_dim
+        order = plan.bank_gates + (plan.analog_gate,)
+        self.w_x = np.array([w.w_x[a] for a in order]).transpose(0, 2, 1)[:, None]
+        self.w_h = np.array([w.w_h[a] for a in order]).transpose(0, 2, 1)[:, None]
+        self.b = np.array([w.b[a] for a in order])[:, None, None]
+        bank = [cell.gate_params[g] for g in plan.bank_gates]
+        fields = ("leak", "threshold_pos", "step_bias")
+        # the dtype of the per-gate expressions leak * U + drive + beta: the
+        # layer's dtype, unless a parameter is wider
+        self.lif_dtype = lif_dtype = np.result_type(
+            dtype, self.w_x, self.w_h, self.b, *(getattr(p, name) for p in bank for name in fields))
+
+        def stack(values, dtype=lif_dtype):
+            out = np.empty((len(values), 1, 1, hidden), dtype)
+            for slot, value in zip(out, values):
+                slot[...] = value
+            return out
+
+        self.leak, self.th_pos, self.beta = (stack([getattr(p, name) for p in bank])
+                                             for name in fields)
+        self.gamma = np.array([p.surrogate_gamma for p in bank], lif_dtype)[:, None, None, None]
+        # the ternary slot 2 (spiking g) crosses threshold_neg too
+        self.th_neg = stack([bank[2].threshold_neg])[0] if bank[2].is_ternary else None
+        self.analog_i = plan.analog_gate == "i"
+        self.act = cell.act
+        c = cell.gate_params["c"]
+        # the c neuron's thresholds as one [2, 1, 1, H] pair (pos, neg) at
+        # their own dtype: its drive is the cell combine's
+        self.c = (c.leak, stack([c.threshold_pos, c.threshold_neg],
+                                np.result_type(c.threshold_pos, c.threshold_neg)),
+                  c.step_bias, c.surrogate_gamma)
+        # membranes at each element's start, at the layer's dtype: [3, 1, 1, H]
+        # for the bank and [1, 1, H] for the c neuron
+        self.mem_init = [stack([p.mem_init for p in bank], dtype), stack([c.mem_init], dtype)[0]]
+
+
 class _SnnLayerTape:
-    """Forward recordings of one spiking layer over the (n, t) lattice."""
+    """Forward recordings of one spiking layer over the (n, t) lattice.
+
+    V, S_pos and Upre keep the LIF bank gate-major, [3, N, T, B, H] in the
+    order of plan.bank_gates, and the c neuron apart; their per-gate dicts
+    hold contiguous [N, T, B, H] views."""
 
     def __init__(self, cell, batch, n_elements, T, dtype):
-        h = cell.hidden_dim
-        shape = (n_elements, T, batch, h)
-        self.V = {g: np.zeros(shape, dtype=dtype) for g in cell.gate_params}
-        # component spike values: sigmoid gates use only 'pos'
-        self.S_pos = {g: np.zeros(shape, dtype=dtype) for g in cell.gate_params}
-        self.S_neg = {g: np.zeros(shape, dtype=dtype)
-                      for g in ("g", "c") if g in cell.gate_params}
-        # the membrane each neuron enters step t with (mem_init at t = 0)
-        self.Upre = {g: np.zeros(shape, dtype=dtype) for g in cell.gate_params}
+        shape = (n_elements, T, batch, cell.hidden_dim)
+        self.lattices = {}  # what a block records: [3, N, T, B, H] or [N, T, B, H]
+        for name in ("V", "S_pos", "Upre"):  # Upre: the membrane entering step t
+            bank, c = np.zeros((3,) + shape, dtype=dtype), np.zeros(shape, dtype=dtype)
+            self.lattices.update({(name, "bank"): bank, (name, "c"): c})
+            setattr(self, name, {**dict(zip(cell.plan.bank_gates, bank)), "c": c})
+        # the negative spike components of the ternary neurons
+        self.S_neg = {g: np.zeros(shape, dtype=dtype) for g in ("g", "c") if g in cell.gate_params}
+        self.lattices.update({("S_neg", g): a for g, a in self.S_neg.items()})
         self.P_analog = np.zeros(shape, dtype=dtype)
         # the analog gate's activation, kept at the activation's dtype: the
         # hard activations compute in f64 even in an f32 run
         self.A_analog = np.zeros(shape)
+        self.lattices.update({("P_analog", None): self.P_analog,
+                              ("A_analog", None): self.A_analog})
         # H and C behind one zero element: row n of Hp/Cp is element n - 1
         self.Hp = np.zeros((n_elements + 1,) + shape[1:], dtype=dtype)
         self.Cp = np.zeros_like(self.Hp)
         self.H, self.C = self.Hp[1:], self.Cp[1:]
 
     def rows(self) -> dict:
-        """What a block records, each taped lattice as an [N*T, B, H] view
-        whose row n*T + t is cell (n, t)."""
-        flat = {("P_analog", None): self.P_analog, ("A_analog", None): self.A_analog}
-        for name in ("V", "S_pos", "S_neg", "Upre"):
-            flat.update({(name, g): a for g, a in getattr(self, name).items()})
-        return {key: a.reshape((-1,) + a.shape[2:]) for key, a in flat.items()}
+        """The recorded lattices as views whose row n*T + t (axis -3) is
+        cell (n, t)."""
+        return {key: a.reshape(a.shape[:-4] + (-1,) + a.shape[-2:])
+                for key, a in self.lattices.items()}
 
 
-def _cell_block(cell, x, h_in, c_in, c_out, U, spikes, relaxed, tape_rows, cells):
-    """The one body of a block of cells (n, t): gate projections, neurons
-    and the cell combine, on [L, B, .] stacks of the block's L cells.
-    Writes the cell values into c_out, adds each gate's spike components
-    into `spikes` and, when taping, writes rows `cells` of tape.rows().
-    Rebinds each gate's membrane in U to its post-reset value, kept at U's
-    dtype (the analog activations compute in f64 even in an f32 run), and
-    returns the hidden spikes."""
-    w = cell.weights
-    analog = cell.plan.analog_gate
-    record = {} if tape_rows is not None else None
-    p = {a: x @ w.w_x[a].T + h_in @ w.w_h[a].T + w.b[a] for a in GATES}
-    vals = {}
-    for gate in ("f", "o", "g" if analog == "i" else "i", "c"):
-        if gate == "c":  # the cell combine drives the c neuron
-            vals[analog] = (hard_sigmoid if analog == "i" else hard_tanh)(p[analog], cell.act)
-            drive = vals["f"] * c_in + vals["i"] * vals["g"]
-            c_out[...] = drive
-        else:
-            drive = p[gate]
-        leak, th_p, th_n, beta, gamma = _lif_vec(cell, gate)
-        V = leak * U[gate] + drive + beta
-        s_pos = spike(V, th_p, gamma, relaxed)
-        spikes[gate] += s_pos
-        if th_n is None:
-            u_next = V - th_p * s_pos
-            vals[gate] = s_pos
-        else:
-            s_neg = spike(V, th_n, gamma, relaxed)
-            spikes[gate] += s_neg
-            u_next = V - th_p * s_pos - th_n * s_neg
-            vals[gate] = s_pos - s_neg
-            if record is not None:
-                record["S_neg", gate] = s_neg
-        if record is not None:
-            record.update({("Upre", gate): U[gate], ("V", gate): V, ("S_pos", gate): s_pos})
-        U[gate] = np.asarray(u_next, dtype=U[gate].dtype)
-    if record is not None:
-        record.update({("P_analog", None): p[analog], ("A_analog", None): vals[analog]})
+def _cell_block(pack, x, h_in, c_in, c_out, U, tally, relaxed, tape_rows, cells):
+    """The one body of a block of L cells (n, t), on [L, B, .] stacks: the
+    gate projections as [4, L, B, H], the f/o/spiking-i|g LIF bank as
+    [3, L, B, H], the cell combine and the c neuron. U and tally are
+    [bank, c] pairs of membranes and spike counts, [3, L, B, H] and
+    [L, B, H]. Writes the cell values into c_out, adds each neuron's spike
+    components into tally and, when taping, writes rows `cells` of
+    tape.rows(). Rebinds U to the post-reset membranes, kept at U's dtype
+    (the analog activation computes in f64 even in an f32 run), and returns
+    the hidden spikes."""
+    dtype = U[1].dtype
+    P = x @ pack.w_x
+    P += h_in @ pack.w_h
+    P += pack.b
+    # the bank's V = leak * U + P + beta, summed in place into P: addition
+    # commutes exactly, and the cast is the promotion that sum made anyway.
+    # At large B each temporary saved is one pass over 3*B*H elements.
+    P = P.astype(pack.lif_dtype, copy=False)
+    V = P[:3]
+    V += pack.leak * U[0]
+    V += pack.beta
+    s_pos = spike(V, pack.th_pos, pack.gamma, relaxed)
+    tally[0] += s_pos
+    u_bank = pack.th_pos * s_pos
+    np.subtract(V, u_bank, out=u_bank)
+    s_ig = s_pos[2]
+    if pack.th_neg is not None:
+        s_neg = spike(V[2], pack.th_neg, pack.gamma[2], relaxed)
+        tally[0][2] += s_neg
+        u_bank[2] -= pack.th_neg * s_neg
+        s_ig = s_ig - s_neg
+    analog = (hard_sigmoid if pack.analog_i else hard_tanh)(P[3], pack.act)
+    i_val, g_val = (analog, s_ig) if pack.analog_i else (s_ig, analog)
+    drive = s_pos[0] * c_in + i_val * g_val  # the cell combine drives the c neuron
+    c_out[...] = drive
+    leak, th_c, beta, gamma = pack.c
+    V_c = leak * U[1] + drive + beta
+    c_pos, c_neg = s_c = spike(V_c, th_c, gamma, relaxed)
+    tally[1] += c_pos
+    tally[1] += c_neg
+    if tape_rows is not None:
+        record = {("Upre", "bank"): U[0], ("V", "bank"): V, ("S_pos", "bank"): s_pos,
+                  ("Upre", "c"): U[1], ("V", "c"): V_c, ("S_pos", "c"): c_pos,
+                  ("S_neg", "c"): c_neg, ("P_analog", None): P[3], ("A_analog", None): analog}
+        if pack.th_neg is not None:
+            record["S_neg", "g"] = s_neg
         for key, value in record.items():
-            tape_rows[key][cells] = value
-    return vals["o"] * vals["c"]
+            tape_rows[key][..., cells, :, :] = value
+    U[0] = np.asarray(u_bank, dtype=dtype)
+    c_reset = th_c * s_c
+    U[1] = np.asarray(V_c - c_reset[0] - c_reset[1], dtype=dtype)
+    return s_pos[1] * (c_pos - c_neg)
 
 
 def _diagonal_rows(start, count, step):
@@ -282,17 +345,19 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     WAVEFRONT_BUDGET, else single cells in element order. Cell (n, t) reads
     (n - 1, t) through h and c and (n, t - 1) through the membranes, so
     either way a block reads only what earlier blocks wrote, and both walks
-    give the same bits.
+    give the same bits. The membranes, spike counts and taped lattices of
+    the LIF bank and of the c neuron are [bank, c] pairs whose axis -3 is
+    the step (or the lattice row).
     """
     batch, n_elements, T, n_in = x_feed.shape
     dtype = x_feed.dtype
     hidden = cell.hidden_dim
     wavefront = T * batch * hidden <= WAVEFRONT_BUDGET
-    mem_init = {g: np.broadcast_to(np.asarray(p.mem_init, dtype=dtype), (batch, hidden))
-                for g, p in cell.gate_params.items()}
-    # per-gate spike components summed over (n, t): the nonzero count of
-    # hard spikes, at the cost of one add per component and block
-    spikes = {g: np.zeros((batch, hidden), dtype=dtype) for g in cell.plan.spiking_gates}
+    pack = _GatePack(cell, dtype)
+    bank_gates = cell.plan.bank_gates
+    # spike components summed over (n, t): the nonzero count of hard
+    # spikes, at the cost of one add per component and block
+    spikes = [np.zeros((3, batch, hidden), dtype=dtype), np.zeros((batch, hidden), dtype=dtype)]
     # x, the taped lattices, and H and C behind their zero element, as views
     # whose row n*T + t is cell (n, t): a block is one basic slice of each
     x_rows = x_feed.reshape(batch, n_elements * T, n_in)
@@ -304,15 +369,15 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
         Hp = np.zeros(((n_elements + 1) * T, batch, hidden), dtype=dtype)
         c_step = np.zeros((T, batch, hidden), dtype=dtype)  # c of the last element at each t
     if wavefront:
-        # membrane of each gate entering step t, at row t; row 0 is mem_init
-        M = {g: np.empty((T + 1, batch, hidden), dtype=dtype) for g in mem_init}
-        for g, u0 in mem_init.items():
-            M[g][0] = u0
-        tally = {g: np.zeros((T, batch, hidden), dtype=dtype) for g in spikes}
+        # membranes entering step t, at row t; row 0 is mem_init
+        M = [np.empty(s.shape[:-2] + (T + 1, batch, hidden), dtype=dtype) for s in spikes]
+        for m, u0 in zip(M, pack.mem_init):
+            m[..., 0, :, :] = u0[..., 0, :, :]
+        tally = [np.zeros(s.shape[:-2] + (T, batch, hidden), dtype=dtype) for s in spikes]
         blocks = ((k, max(0, k - n_elements + 1), min(T - 1, k))
                   for k in range(n_elements + T - 1))
-    else:  # one membrane per gate, rebound at each step: a store would spill the L2
-        tally = {g: s[None] for g, s in spikes.items()}
+    else:  # one membrane pair, rebound at each step: a store would spill the L2
+        tally = [s[..., None, :, :] for s in spikes]
         blocks = ((n + t, t, t) for n in range(n_elements) for t in range(T))
     for k, t0, t1 in blocks:
         count, steps = t1 - t0 + 1, slice(t0, t1 + 1)
@@ -320,30 +385,32 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
         ahead = _diagonal_rows((k + 1) * T - t0 * (T - 1), count, T - 1)  # the same cells in Hp
         c_in, c_out = (Cp[cells], Cp[ahead]) if tape is not None else (c_step[steps],) * 2
         if wavefront:
-            U = {g: m[steps] for g, m in M.items()}
+            U = [m[..., steps, :, :] for m in M]
         elif t0 == 0:
-            U = {g: u0[None] for g, u0 in mem_init.items()}
-        Hp[ahead] = _cell_block(cell, x_rows[:, cells].swapaxes(0, 1), Hp[cells], c_in, c_out, U,
-                                {g: s[steps] for g, s in tally.items()} if wavefront else tally,
+            U = list(pack.mem_init)
+        Hp[ahead] = _cell_block(pack, x_rows[:, cells].swapaxes(0, 1), Hp[cells], c_in, c_out,
+                                U, [s[..., steps, :, :] for s in tally] if wavefront else tally,
                                 relaxed, tape_rows, cells)
         if wavefront:
-            for g, u in U.items():
-                M[g][t0 + 1:t1 + 2] = u
+            for m, u in zip(M, U):
+                m[..., t0 + 1:t1 + 2, :, :] = u
         if t1 == T - 1:  # element k - T + 1 ends: a non-finite membrane stays so until then
-            for u in U.values():
-                _check_finite(u[-1])
+            _check_finite(U[0][:, -1], bank_gates)
+            _check_finite(U[1][-1:], ("c",))
     if wavefront:
-        for g, s in tally.items():
-            spikes[g] += s.sum(axis=0)
+        for s, counts in zip(spikes, tally):
+            s += counts.sum(axis=-3)
     H = Hp[T:].reshape(n_elements, T, batch, hidden)
     if not relaxed:
         _assert_spikes("hidden output", H, ternary=True)
     input_nnz = (np.zeros((batch, n_elements, T), dtype=np.int64) if input_analog
                  else np.count_nonzero(x_feed, axis=-1))
+    per_gate = {**dict(zip(bank_gates, spikes[0])), "c": spikes[1]}
     stats = LayerSpikeStats(
         units=hidden, fan_in=cell.input_dim, input_analog=input_analog, input_nnz=input_nnz,
         hidden_nnz=np.moveaxis(np.count_nonzero(H, axis=-1), -1, 0),
-        gate_spikes={g: s.sum(axis=-1).astype(np.int64) for g, s in spikes.items()})
+        gate_spikes={g: per_gate[g].sum(axis=-1).astype(np.int64)
+                     for g in cell.plan.spiking_gates})
     return H, stats
 
 

@@ -35,7 +35,7 @@ from .activations import hard_sigmoid_grad, hard_tanh_grad
 from .errors import NumericalFault, TrainingDiverged, ValidationError
 from .lstm import GATES, AnnLSTM, ann_batch_forward
 from .neuron import spike_partials
-from .snn import SpikingLSTM, _lif_vec, snn_batch_forward
+from .snn import SpikingLSTM, snn_batch_forward
 
 # A GradientBundle is a dict param-name -> gradient array, shapes matching
 # model_parameters(model).
@@ -274,7 +274,8 @@ def _lif_backward(cell, gate, tape, n, t, ds, dUpost, grads, prefix, relaxed):
     step). Accumulates the neuron's LIF gradients and returns dL/dV, which
     is also the gradient into the neuron's drive.
     """
-    leak, th_p, th_n, _, gamma = _lif_vec(cell, gate)
+    p = cell.gate_params[gate]
+    leak, th_p, th_n, gamma = p.leak, p.threshold_pos, p.threshold_neg, p.surrogate_gamma
     D = dUpost[gate]
     V = tape.V[gate][n, t]
     key = f"{prefix}.lif.{gate}"

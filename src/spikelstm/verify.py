@@ -264,12 +264,13 @@ def check_snn_gradients(n_models: int = 3, tol: float = 1e-4) -> VerifyResult:
 
 
 def per_step_reference(model, sequence, T: int | None = None, encoding: str | None = None,
-                       rng_seed: int = 0):
+                       rng_seed: int = 0, first_index: int = 0):
     """The per-step SNN oracle: snn_cell_step over (element, layer, step)
     in element order, counting its own spikes from what each step consumes
-    and emits. Returns (logits, stats, trace): stats is a one-sample
-    SpikeStats of per-(n, tau) counts and trace the per-tick rows of
-    simulate_pipelined, with step (n, tau) on tick n + tau - 1.
+    and emits. The sequence is sample first_index of its set under
+    rng_seed, as in snn_forward. Returns (logits, stats, trace): stats is a
+    one-sample SpikeStats of per-(n, tau) counts and trace the per-tick
+    rows of simulate_pipelined, with step (n, tau) on tick n + tau - 1.
     """
     T = model.time_steps if T is None else T
     encoding = model.encoding if encoding is None else encoding
@@ -286,7 +287,7 @@ def per_step_reference(model, sequence, T: int | None = None, encoding: str | No
     # element n's hidden spikes and cell values in row n + 1; row 0 is the zero element
     h = [np.zeros((n_elements + 1, T, c.hidden_dim)) for c in model.cells]
     c_val = [np.zeros_like(h_li) for h_li in h]
-    for n, below in enumerate(encode_sequence(sequence, T, encoding, rng_seed)):
+    for n, below in enumerate(encode_sequence(sequence, T, encoding, rng_seed, first_index)):
         for li, (cell, s) in enumerate(zip(model.cells, stats.layers)):
             state = CellStepState.fresh(cell)
             for t in range(T):

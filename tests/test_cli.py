@@ -287,3 +287,39 @@ def test_removed_train_keys_exit_2(tmp_path, capsys):
             "out_dir": str(tmp_path / key)})
         assert main(["train-ann", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
+
+
+MALFORMED = [  # (command, config section or argv, its malformed value, field named)
+    ("pipeline-sim", "argv", ["--n", "-1"], "--n"),
+    ("train-ann", "model", {"hidden": []}, "model.hidden"),
+    ("train-ann", "model", {"hidden": [-3]}, "model.hidden"),
+    ("train-ann", "model", {"hidden": ["a"]}, "model.hidden"),
+    ("train-ann", "model", {"hidden": [2.5]}, "model.hidden"),
+    ("train-ann", "model", {"hidden": [0]}, "model.hidden"),
+    ("train-snn", "model", {"hidden": [0]}, "model.hidden"),
+    ("train-ann", "model", {"head": [-2]}, "model.head"),
+    ("train-ann", "dataset", {"n_classes": 0}, "dataset.n_classes"),
+    ("train-ann", "dataset", {"n_elements": 0}, "dataset.n_elements"),
+    ("train-ann", "dataset", {"n_features": 0}, "dataset.n_features"),
+    ("train-ann", "dataset", {"noise": -1}, "dataset.noise"),
+    ("train-ann", "train", {"lr_decay_epochs": [[1]]}, "train.lr_decay_epochs"),
+]
+
+
+@pytest.mark.parametrize("command, section, value, field", MALFORMED,
+                         ids=[f"{c} {json.dumps(v)}" for c, _, v, _ in MALFORMED])
+def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, command, section, value,
+                                                  field):
+    if section == "argv":
+        argv = [command, "--t", "2", *value]
+    else:
+        cfg = {"config_version": 1, "dataset": dict(DATASET), "model": {"hidden": [4]},
+               "train": {"epochs": 1}, "snn": {"time_steps": 2},
+               "out_dir": str(tmp_path / "run")}
+        cfg[section] = {**cfg[section], **value}
+        if command == "train-ann":
+            del cfg["snn"]
+        argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err

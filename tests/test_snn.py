@@ -9,6 +9,7 @@ import spikelstm.snn as snn_module
 from spikelstm.snn import (CellStepState, ConversionPlan, SpikingLSTMCell,
                            default_gate_params, random_spiking_lstm, snn_batch_forward,
                            snn_cell_step, snn_forward)
+from spikelstm.train import cast_parameters, model_parameters, set_parameters
 from spikelstm.verify import per_step_reference
 
 from conftest import one_unit_cell, zero_weights
@@ -220,6 +221,84 @@ def test_both_loop_orders_agree_taped_and_untaped(encoding):
         assert runs[small, False][1].sample(b) == runs[large, False][1].sample(b)
 
 
+@pytest.mark.parametrize("plan", ["g", "i"])
+@pytest.mark.parametrize("encoding", ["direct", "poisson"])
+def test_packed_block_matches_the_per_step_oracle_in_every_mode(monkeypatch, plan, encoding):
+    """Plan g (no ternary slot in the LIF bank) and plan i, an odd width,
+    both encodings; taped and untaped, by anti-diagonals and in element
+    order. Hard spikes: every sample's per-(n, tau) counts and its
+    head-on-own-readout logits equal the per-step oracle's. Relaxed spikes,
+    which the oracle does not model: the four runs give the same logits and
+    per-(n, tau) counts, and taped and untaped runs the same SpikeStats."""
+    rng = np.random.default_rng(16)
+    model = random_spiking_lstm(3, [37, 21], [3], rng, plan=ConversionPlan(plan), time_steps=3,
+                                encoding=encoding, scale=1.5)
+    for cell in model.cells:
+        for gate in ("f", "i", "o"):
+            cell.weights.b[gate] += 1.0
+        for params in cell.gate_params.values():
+            params.leak = params.leak * rng.uniform(0.8, 1.2, params.leak.shape)
+        cell.gate_params["c"].threshold_neg = cell.gate_params["c"].threshold_neg * 0.2
+    X = rng.random((3, 5, 3))
+    for relaxed in (False, True):
+        runs = {}
+        for walk, budget in (("wavefront", snn_module.WAVEFRONT_BUDGET), ("elements", 0)):
+            monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", budget)
+            for want_tapes in (False, True):
+                logits, _, aux = snn_batch_forward(model, X, 3, encoding, seed=5,
+                                                   relaxed=relaxed, want_tapes=want_tapes)
+                runs[walk, want_tapes] = logits, aux["stats"], aux["head_cache"][0]
+        first_logits, first_stats, _ = runs["wavefront", False]
+        assert first_stats.layers[-1].hidden_nnz_total > 0
+        for (walk, want_tapes), (logits, stats, readout) in runs.items():
+            np.testing.assert_array_equal(logits, first_logits)
+            for ours, theirs in zip(stats.layers, first_stats.layers):
+                np.testing.assert_array_equal(ours.hidden_nnz, theirs.hidden_nnz)
+                np.testing.assert_array_equal(ours.input_nnz, theirs.input_nnz)
+            assert stats == runs[walk, not want_tapes][1]
+            for b in range(len(X) * (not relaxed)):
+                ref_logits, ref_stats, _ = per_step_reference(model, X[b], rng_seed=5,
+                                                              first_index=b)
+                np.testing.assert_array_equal(model.head.forward(readout[b]), ref_logits)
+                assert stats.sample(b) == ref_stats
+
+
+def test_packed_parameters_are_never_stale():
+    """A forward after an in-place update (as Adam.step makes), after a
+    rebind through set_parameters and after an f32 cast gives the logits
+    and SpikeStats of a freshly built model holding the same parameters."""
+    rng = np.random.default_rng(18)
+
+    def build():
+        return random_spiking_lstm(3, [9, 5], [3], np.random.default_rng(19),
+                                   plan=ConversionPlan("i"), time_steps=3, scale=1.0)
+
+    def forward(model, dtype=np.float64):
+        logits, _, aux = snn_batch_forward(model, X.astype(dtype), 3, "direct", seed=2)
+        return logits, aux["stats"]
+
+    def assert_fresh(model, dtype=np.float64):
+        fresh = build()
+        set_parameters(fresh, {k: v.copy() for k, v in model_parameters(model).items()})
+        ours, theirs = forward(model, dtype), forward(fresh, dtype)
+        np.testing.assert_array_equal(ours[0], theirs[0])
+        assert ours[1] == theirs[1]
+        return ours[0]
+
+    model = build()
+    X = rng.random((4, 6, 3))
+    before = forward(model)[0]
+    for p in model_parameters(model).values():
+        p -= 0.05 * rng.random(p.shape)
+    after_in_place = assert_fresh(model)
+    assert not np.array_equal(after_in_place, before)
+    set_parameters(model, {k: v + 0.05 * rng.random(v.shape)
+                           for k, v in model_parameters(model).items()})
+    assert not np.array_equal(assert_fresh(model), after_in_place)
+    cast_parameters(model, np.float32)
+    assert assert_fresh(model, np.float32).dtype == np.float32
+
+
 def test_forward_rejects_non_finite_membrane(monkeypatch):
     rng = np.random.default_rng(10)
     model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, scale=1.0)
@@ -227,7 +306,7 @@ def test_forward_rejects_non_finite_membrane(monkeypatch):
     seq = rng.random((3, 2))
     for budget in (snn_module.WAVEFRONT_BUDGET, 0):  # by anti-diagonals, then in element order
         monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", budget)
-        with pytest.raises(NumericalFault):
+        with pytest.raises(NumericalFault, match="gate o, sample 0, unit 1$"):
             snn_forward(model, seq)
 
 
