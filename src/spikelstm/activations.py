@@ -3,7 +3,7 @@
 The hard sigmoid is a single ramp of width ``v_sig`` centred on zero; the
 hard tanh is decoupled into two ramps with independent positive and
 negative scales so each half can later be realized by a thresholded
-spiking neuron.
+spiking neuron. Each function keeps its input's float dtype.
 """
 
 from __future__ import annotations
@@ -39,22 +39,19 @@ class HardActConfig:
 
 def hard_sigmoid(z, cfg: HardActConfig):
     """clip(z / v_sig + 1/2, 0, 1). Total function, symmetric about (0, 1/2)."""
-    z = np.asarray(z, dtype=np.float64)
     return np.clip(z / cfg.v_sig + 0.5, 0.0, 1.0)
 
 
 def hard_sigmoid_grad(z, cfg: HardActConfig):
     """Subgradient of hard_sigmoid; 1/v_sig on the closed linear region."""
-    z = np.asarray(z, dtype=np.float64)
     half = cfg.v_sig / 2.0
     inside = (z >= -half) & (z <= half)
-    return np.where(inside, 1.0 / cfg.v_sig, 0.0)
+    return np.where(inside, _slope(z, cfg.v_sig), 0.0)
 
 
 def hard_tanh(z, cfg: HardActConfig):
     """Two-ramp hard tanh: z/v_tanh_pos clipped to [0,1] for z >= 0,
     z/|v_tanh_neg| clipped to [-1,0] for z < 0. Continuous with value 0 at 0."""
-    z = np.asarray(z, dtype=np.float64)
     pos = np.clip(z / cfg.v_tanh_pos, 0.0, 1.0)
     neg = np.clip(z / abs(cfg.v_tanh_neg), -1.0, 0.0)
     return np.where(z >= 0.0, pos, neg)
@@ -62,7 +59,11 @@ def hard_tanh(z, cfg: HardActConfig):
 
 def hard_tanh_grad(z, cfg: HardActConfig):
     """Subgradient of hard_tanh; the z >= 0 branch owns the origin."""
-    z = np.asarray(z, dtype=np.float64)
-    g_pos = np.where((z >= 0.0) & (z <= cfg.v_tanh_pos), 1.0 / cfg.v_tanh_pos, 0.0)
-    g_neg = np.where((z < 0.0) & (z >= cfg.v_tanh_neg), 1.0 / abs(cfg.v_tanh_neg), 0.0)
+    g_pos = np.where((z >= 0.0) & (z <= cfg.v_tanh_pos), _slope(z, cfg.v_tanh_pos), 0.0)
+    g_neg = np.where((z < 0.0) & (z >= cfg.v_tanh_neg), _slope(z, abs(cfg.v_tanh_neg)), 0.0)
     return g_pos + g_neg
+
+
+def _slope(z, scale):
+    """1 / scale at the float dtype of z."""
+    return np.asarray(1.0 / scale, np.result_type(z, 1.0))

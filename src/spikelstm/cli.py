@@ -69,10 +69,17 @@ def _typed(obj: dict, key: str, kinds, path: str, default=None):
     return value
 
 
-def _count(obj: dict, key: str, path: str, default: int) -> int:
+def _count(obj: dict, key: str, path: str, default: int, least: int = 1) -> int:
     value = _typed(obj, key, int, path, default)
-    if value < 1:
-        raise ConfigError(f"{path}.{key}: expected a positive integer, got {value}")
+    if value < least:
+        raise ConfigError(f"{path}.{key}: expected an integer >= {least}, got {value}")
+    return value
+
+
+def _nonnegative(obj: dict, key: str, path: str, default: float) -> float:
+    value = _typed(obj, key, float, path, default)
+    if value < 0:
+        raise ConfigError(f"{path}.{key}: expected a number >= 0, got {value}")
     return value
 
 
@@ -113,19 +120,16 @@ def build_dataset(cfg: dict, path: str = "dataset"):
     kind = _typed(cfg, "kind", str, path)
     val_fraction = _typed(cfg, "val_fraction", float, path, 0.15)
     test_fraction = _typed(cfg, "test_fraction", float, path, 0.15)
-    split_seed = _typed(cfg, "split_seed", int, path, 0)
+    split_seed = _count(cfg, "split_seed", path, 0, least=0)
     if kind in ("synthetic-planted", "synthetic-recall"):
-        noise = _typed(cfg, "noise", float, path, 0.5)
-        if noise < 0:
-            raise ConfigError(f"{path}.noise: expected a number >= 0, got {noise}")
         ds = synthetic_task(
             "planted-pattern" if kind == "synthetic-planted" else "delayed-recall",
             size=_count(cfg, "size", path, 600),
-            seed=_typed(cfg, "seed", int, path, 1),
+            seed=_count(cfg, "seed", path, 1, least=0),
             n_classes=_count(cfg, "n_classes", path, 3),
             n_elements=_count(cfg, "n_elements", path, 12),
             n_features=_count(cfg, "n_features", path, 6),
-            noise=noise,
+            noise=_nonnegative(cfg, "noise", path, 0.5),
         )
         return split_dataset(ds, val_fraction, test_fraction, split_seed)
     if kind == "mnist-idx":
@@ -173,10 +177,10 @@ def _layer_dims(cfg: dict, path: str):
 def build_ann(cfg: dict, input_dim: int, n_classes: int, path: str = "model") -> AnnLSTM:
     _expect_keys(cfg, _MODEL_KEYS, (), path)
     hidden, head = _layer_dims(cfg, path)
-    rng = np.random.default_rng(_typed(cfg, "init_seed", int, path, 0))
+    rng = np.random.default_rng(_count(cfg, "init_seed", path, 0, least=0))
     return AnnLSTM.random(input_dim, hidden, list(head) + [n_classes], rng,
                           act=_act_from(cfg, path),
-                          scale=_typed(cfg, "init_scale", float, path, 0.3),
+                          scale=_nonnegative(cfg, "init_scale", path, 0.3),
                           forget_bias=_typed(cfg, "forget_bias", float, path, 0.0))
 
 
@@ -207,14 +211,20 @@ def cmd_train_ann(args) -> int:
     cfg = load_config(args.config)
     _expect_keys(cfg, ("config_version", "seed", "dataset", "model", "train", "out_dir"),
                  ("config_version", "dataset", "out_dir"), "config")
-    seed = _typed(cfg, "seed", int, "config", 0)
+    seed = _count(cfg, "seed", "config", 0, least=0)
     train, val, _ = build_dataset(cfg["dataset"])
     model = build_ann(cfg.get("model", {}), train.sequences.shape[2], train.n_classes)
     tc = build_train_config(cfg.get("train", {}), seed, TrainMask())
+    return _fit(args.command, model, train, val, tc, cfg["out_dir"])
+
+
+def _fit(command: str, model, train, val, tc: TrainConfig, out_dir: str) -> int:
+    if len(val) == 0:
+        raise ConfigError("dataset.val_fraction: the validation split is empty")
     model, history = fit(model, (train.sequences, train.labels),
-                         (val.sequences, val.labels), tc, out_dir=cfg["out_dir"])
+                         (val.sequences, val.labels), tc, out_dir=out_dir)
     best = max(h["accuracy"] for h in history if h["split"] == "val")
-    print(f"train-ann done: best val accuracy {best:.4f}; artifacts in {cfg['out_dir']}")
+    print(f"{command} done: best val accuracy {best:.4f}; artifacts in {out_dir}")
     return 0
 
 
@@ -242,7 +252,7 @@ def cmd_train_snn(args) -> int:
     cfg = load_config(args.config)
     _expect_keys(cfg, ("config_version", "seed", "dataset", "model", "train", "snn", "out_dir"),
                  ("config_version", "dataset", "snn", "out_dir"), "config")
-    seed = _typed(cfg, "seed", int, "config", 0)
+    seed = _count(cfg, "seed", "config", 0, least=0)
     snn_cfg = cfg["snn"]
     _expect_keys(snn_cfg, ("init_checkpoint", "time_steps", "encoding", "analog_gate",
                            "shift", "surrogate_gamma", "train_threshold", "train_leak",
@@ -274,20 +284,16 @@ def cmd_train_snn(args) -> int:
         mc = cfg.get("model", {})
         _expect_keys(mc, _MODEL_KEYS, (), "model")
         hidden, head = _layer_dims(mc, "model")
-        rng = np.random.default_rng(_typed(mc, "init_seed", int, "model", 0))
+        rng = np.random.default_rng(_count(mc, "init_seed", "model", 0, least=0))
         model = random_spiking_lstm(
             train.sequences.shape[2], hidden, list(head) + [train.n_classes], rng,
             plan=ConversionPlan(_typed(snn_cfg, "analog_gate", str, "snn", "i")),
             act=_act_from(mc, "model"), time_steps=T, encoding=encoding,
             shift=_typed(snn_cfg, "shift", bool, "snn", True),
-            scale=_typed(mc, "init_scale", float, "model", 0.3), surrogate_gamma=gamma,
+            scale=_nonnegative(mc, "init_scale", "model", 0.3), surrogate_gamma=gamma,
             forget_bias=_typed(mc, "forget_bias", float, "model", 0.0))
     tc = build_train_config(cfg.get("train", {}), seed, mask)
-    model, history = fit(model, (train.sequences, train.labels),
-                         (val.sequences, val.labels), tc, out_dir=cfg["out_dir"])
-    best = max(h["accuracy"] for h in history if h["split"] == "val")
-    print(f"train-snn done: best val accuracy {best:.4f}; artifacts in {cfg['out_dir']}")
-    return 0
+    return _fit(args.command, model, train, val, tc, cfg["out_dir"])
 
 
 def _override(flag, config_value):
@@ -300,6 +306,8 @@ def cmd_eval(args) -> int:
     _expect_keys(cfg, ("config_version", "dataset"), ("config_version", "dataset"), "config")
     train, val, test = build_dataset(cfg["dataset"])
     split = {"train": train, "val": val, "test": test}[args.split]
+    if len(split) == 0:
+        raise ConfigError(f"--split {args.split}: the split is empty")
     loss, accuracy, rate = evaluate(model, split.sequences, split.labels, seed=args.seed)
     out = {"command": "eval", "ckpt": args.ckpt, "split": args.split,
            "samples": len(split), "loss": loss, "accuracy": accuracy,
@@ -365,7 +373,7 @@ def cmd_energy_report(args) -> int:
                               "the report's nonspiking baseline)")
     energies, sparsity_rows = [], []
     for lo in range(0, limit, EVAL_CHUNK):
-        xb = np.asarray(test.sequences[lo:min(lo + EVAL_CHUNK, limit)], dtype=np.float64)
+        xb = test.sequences[lo:min(lo + EVAL_CHUNK, limit)]
         _, _, aux = snn_batch_forward(model, xb, model.time_steps, model.encoding, args.seed,
                                       first_index=lo)
         for b in range(len(xb)):  # per sample, in sample order
@@ -487,6 +495,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed: expected an integer >= 0, got {args.seed}")
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -55,7 +55,7 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
     if ann_model.hidden_dims != snn_model.hidden_dims:
         raise DimensionMismatch("models must share layer dimensions")
     try:
-        X = np.asarray(probe_inputs, dtype=np.float64)  # [P, N, F]
+        X = np.asarray(probe_inputs)  # [P, N, F]
     except ValueError as err:
         raise ValidationError(f"probe sequences must share one [N, F] shape ({err})") from None
     _, ann_caches = ann_batch_forward(ann_model, X, want_caches=True)

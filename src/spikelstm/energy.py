@@ -218,8 +218,7 @@ def count_ops_snn(stats: SpikeStats, model) -> OpCountReport:
         acc = fanout * (int(s.input_nnz.sum()) + recurrent_nnz)
         leak_units = 0
         for params in cell.gate_params.values():
-            leak_units += int(np.count_nonzero(np.broadcast_to(
-                np.asarray(params.leak, dtype=np.float64), (h,)) != 1.0))
+            leak_units += int(np.count_nonzero(np.broadcast_to(params.leak, (h,)) != 1.0))
         layers.append(LayerOps(
             hidden=h, fan_in=s.fan_in,
             macs=direct_input_macs(cell) * n_elements if s.input_analog else 0,

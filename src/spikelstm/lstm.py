@@ -46,6 +46,11 @@ class LSTMWeights:
     def input_dim(self) -> int:
         return self.w_x["f"].shape[1]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the layer, and a model of such layers, computes at."""
+        return self.w_x["f"].dtype
+
     def copy(self) -> "LSTMWeights":
         return LSTMWeights(
             w_x={a: self.w_x[a].copy() for a in GATES},
@@ -139,6 +144,10 @@ class AnnLSTM:
     def hidden_dims(self) -> list:
         return [w.hidden_dim for w in self.layers]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.layers[0].dtype
+
     @classmethod
     def random(cls, input_dim, hidden_dims, head_dims, rng, act=None, scale=0.1,
                forget_bias=0.0) -> "AnnLSTM":
@@ -155,11 +164,10 @@ def ann_cell_step(weights: LSTMWeights, h_prev, c_prev, x, cfg: HardActConfig):
     """One hard-activation LSTM step; returns (h, c).
 
     f,i,o use the hard sigmoid; g and the cell output use the hard tanh.
-    Accepts [units] vectors or [batch, units] arrays.
+    Accepts [units] vectors or [batch, units] arrays, and computes at the
+    weights' dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
+    x, h_prev, c_prev = (np.asarray(a, dtype=weights.dtype) for a in (x, h_prev, c_prev))
     if x.shape[-1] != weights.input_dim or h_prev.shape[-1] != weights.hidden_dim:
         raise DimensionMismatch(
             f"cell step got x dim {x.shape[-1]} (want {weights.input_dim}), "
@@ -178,11 +186,12 @@ def ann_cell_step(weights: LSTMWeights, h_prev, c_prev, x, cfg: HardActConfig):
 def ann_batch_forward(model: AnnLSTM, X: np.ndarray, want_caches: bool = False):
     """Batched forward over [B, N, F]; returns logits (+caches).
 
-    h and c start at zero; logits come from the head on the final hidden
-    state of the top layer. The caches hold every gate value the backward
-    pass and the conversion-error report read.
+    X is cast to the model's dtype, at which every array of the run is
+    made. h and c start at zero; logits come from the head on the final
+    hidden state of the top layer. The caches hold every gate value the
+    backward pass and the conversion-error report read.
     """
-    X = np.asarray(X)
+    X = np.asarray(X, dtype=model.dtype)
     if X.ndim != 3 or 0 in X.shape[:2]:
         raise ValidationError(f"input must be non-empty [B, N, F], got shape {X.shape}")
     if X.shape[2] != model.input_dim:

@@ -98,8 +98,8 @@ class CellStepState:
 
     @classmethod
     def fresh(cls, cell: SpikingLSTMCell) -> "CellStepState":
-        return cls(membranes={gate: NeuronState.initialized(params, (cell.hidden_dim,))
-                              for gate, params in cell.gate_params.items()})
+        return cls({gate: NeuronState.initialized(params, (cell.hidden_dim,), cell.weights.dtype)
+                    for gate, params in cell.gate_params.items()})
 
 
 @dataclass
@@ -132,6 +132,10 @@ class SpikingLSTM:
     def hidden_dims(self) -> list:
         return [c.hidden_dim for c in self.cells]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.cells[0].weights.dtype
+
 
 def _assert_spikes(name: str, values: np.ndarray, ternary: bool) -> None:
     ok = np.isin(values, SPIKE_ALPHABET if ternary else (0.0, 1.0))
@@ -147,13 +151,12 @@ def snn_cell_step(cell: SpikingLSTMCell, state: CellStepState, x_in, h_in, c_in,
 
     x_in is a spike vector except at the first layer under direct encoding.
     h_in is the previous element's ternary hidden spikes at this step, c_in
-    its cell value. Membranes advance in place. When a dict is passed as
-    `record`, the per-step gate values land in it under keys f/i/g/o/c.
+    its cell value. Computes at the weights' dtype; membranes advance in
+    place. When a dict is passed as `record`, the per-step gate values land
+    in it under keys f/i/g/o/c.
     """
-    x_in = np.asarray(x_in, dtype=np.float64)
-    h_in = np.asarray(h_in, dtype=np.float64)
-    c_in = np.asarray(c_in, dtype=np.float64)
     w = cell.weights
+    x_in, h_in, c_in = (np.asarray(a, dtype=w.dtype) for a in (x_in, h_in, c_in))
     if x_in.shape[-1] != w.input_dim or h_in.shape[-1] != w.hidden_dim:
         raise DimensionMismatch(
             f"snn cell step got x dim {x_in.shape[-1]} (want {w.input_dim}), "
@@ -193,49 +196,42 @@ WAVEFRONT_BUDGET = 16_384
 
 
 class _GatePack:
-    """One layer's parameters packed gate-major for the block body, in the
-    order of plan.bank_gates and then the analog gate: the projections as
+    """One layer's parameters packed gate-major at its dtype, in the order
+    of plan.bank_gates and then the analog gate: the projections as
     [4, 1, F, H] and [4, 1, H, H] (each gate's slice a view with the strides
     of its w.T, so np.matmul over the gate axis runs the per-gate GEMMs and
     gives their bits) and the bias as [4, 1, 1, H]; the LIF bank's vectors
-    as [3, 1, 1, H]. Built from the cell's current arrays at every forward
-    call, so an in-place or rebinding update can never leave it stale."""
+    as [3, 1, 1, H], the c neuron's as [1, 1, H]. Built from the cell's
+    current arrays at every forward call, so an in-place or rebinding update
+    can never leave it stale."""
 
-    def __init__(self, cell: SpikingLSTMCell, dtype):
-        plan, w, hidden = cell.plan, cell.weights, cell.hidden_dim
+    def __init__(self, cell: SpikingLSTMCell):
+        plan, w, hidden, dtype = cell.plan, cell.weights, cell.hidden_dim, cell.weights.dtype
         order = plan.bank_gates + (plan.analog_gate,)
-        self.w_x = np.array([w.w_x[a] for a in order]).transpose(0, 2, 1)[:, None]
-        self.w_h = np.array([w.w_h[a] for a in order]).transpose(0, 2, 1)[:, None]
-        self.b = np.array([w.b[a] for a in order])[:, None, None]
-        bank = [cell.gate_params[g] for g in plan.bank_gates]
-        fields = ("leak", "threshold_pos", "step_bias")
-        # the dtype of the per-gate expressions leak * U + drive + beta: the
-        # layer's dtype, unless a parameter is wider
-        self.lif_dtype = lif_dtype = np.result_type(
-            dtype, self.w_x, self.w_h, self.b, *(getattr(p, name) for p in bank for name in fields))
+        self.w_x = np.array([w.w_x[a] for a in order], dtype).transpose(0, 2, 1)[:, None]
+        self.w_h = np.array([w.w_h[a] for a in order], dtype).transpose(0, 2, 1)[:, None]
+        self.b = np.array([w.b[a] for a in order], dtype)[:, None, None]
 
-        def stack(values, dtype=lif_dtype):
+        def stack(values):
             out = np.empty((len(values), 1, 1, hidden), dtype)
             for slot, value in zip(out, values):
                 slot[...] = value
             return out
 
-        self.leak, self.th_pos, self.beta = (stack([getattr(p, name) for p in bank])
-                                             for name in fields)
-        self.gamma = np.array([p.surrogate_gamma for p in bank], lif_dtype)[:, None, None, None]
+        bank = [cell.gate_params[g] for g in plan.bank_gates]
+        self.leak, self.th_pos, self.beta, bank_init = (
+            stack([getattr(p, name) for p in bank])
+            for name in ("leak", "threshold_pos", "step_bias", "mem_init"))
+        self.gamma = np.array([p.surrogate_gamma for p in bank], dtype)[:, None, None, None]
         # the ternary slot 2 (spiking g) crosses threshold_neg too
         self.th_neg = stack([bank[2].threshold_neg])[0] if bank[2].is_ternary else None
         self.analog_i = plan.analog_gate == "i"
         self.act = cell.act
         c = cell.gate_params["c"]
-        # the c neuron's thresholds as one [2, 1, 1, H] pair (pos, neg) at
-        # their own dtype: its drive is the cell combine's
-        self.c = (c.leak, stack([c.threshold_pos, c.threshold_neg],
-                                np.result_type(c.threshold_pos, c.threshold_neg)),
-                  c.step_bias, c.surrogate_gamma)
-        # membranes at each element's start, at the layer's dtype: [3, 1, 1, H]
-        # for the bank and [1, 1, H] for the c neuron
-        self.mem_init = [stack([p.mem_init for p in bank], dtype), stack([c.mem_init], dtype)[0]]
+        leak, beta, c_init = stack([c.leak, c.step_bias, c.mem_init])
+        # the c neuron's two thresholds as one [2, 1, 1, H] pair (pos, neg)
+        self.c = (leak, stack([c.threshold_pos, c.threshold_neg]), beta, c.surrogate_gamma)
+        self.mem_init = [bank_init, c_init]  # the membranes at each element's start
 
 
 class _SnnLayerTape:
@@ -256,15 +252,13 @@ class _SnnLayerTape:
         self.S_neg = {g: np.zeros(shape, dtype=dtype) for g in ("g", "c") if g in cell.gate_params}
         self.lattices.update({("S_neg", g): a for g, a in self.S_neg.items()})
         self.P_analog = np.zeros(shape, dtype=dtype)
-        # the analog gate's activation, kept at the activation's dtype: the
-        # hard activations compute in f64 even in an f32 run
-        self.A_analog = np.zeros(shape)
+        self.A_analog = np.zeros(shape, dtype=dtype)  # the analog gate's activation
         self.lattices.update({("P_analog", None): self.P_analog,
                               ("A_analog", None): self.A_analog})
         # H and C behind one zero element: row n of Hp/Cp is element n - 1
         self.Hp = np.zeros((n_elements + 1,) + shape[1:], dtype=dtype)
         self.Cp = np.zeros_like(self.Hp)
-        self.H, self.C = self.Hp[1:], self.Cp[1:]
+        self.H = self.Hp[1:]
 
     def rows(self) -> dict:
         """The recorded lattices as views whose row n*T + t (axis -3) is
@@ -280,17 +274,14 @@ def _cell_block(pack, x, h_in, c_in, c_out, U, tally, relaxed, tape_rows, cells)
     [bank, c] pairs of membranes and spike counts, [3, L, B, H] and
     [L, B, H]. Writes the cell values into c_out, adds each neuron's spike
     components into tally and, when taping, writes rows `cells` of
-    tape.rows(). Rebinds U to the post-reset membranes, kept at U's dtype
-    (the analog activation computes in f64 even in an f32 run), and returns
-    the hidden spikes."""
-    dtype = U[1].dtype
+    tape.rows(). Rebinds U to the post-reset membranes and returns the
+    hidden spikes."""
     P = x @ pack.w_x
     P += h_in @ pack.w_h
     P += pack.b
     # the bank's V = leak * U + P + beta, summed in place into P: addition
-    # commutes exactly, and the cast is the promotion that sum made anyway.
-    # At large B each temporary saved is one pass over 3*B*H elements.
-    P = P.astype(pack.lif_dtype, copy=False)
+    # commutes exactly. At large B each temporary saved is one pass over
+    # 3*B*H elements.
     V = P[:3]
     V += pack.leak * U[0]
     V += pack.beta
@@ -321,9 +312,9 @@ def _cell_block(pack, x, h_in, c_in, c_out, U, tally, relaxed, tape_rows, cells)
             record["S_neg", "g"] = s_neg
         for key, value in record.items():
             tape_rows[key][..., cells, :, :] = value
-    U[0] = np.asarray(u_bank, dtype=dtype)
+    U[0] = u_bank
     c_reset = th_c * s_c
-    U[1] = np.asarray(V_c - c_reset[0] - c_reset[1], dtype=dtype)
+    U[1] = V_c - c_reset[0] - c_reset[1]
     return s_pos[1] * (c_pos - c_neg)
 
 
@@ -350,10 +341,10 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     the step (or the lattice row).
     """
     batch, n_elements, T, n_in = x_feed.shape
-    dtype = x_feed.dtype
+    dtype = cell.weights.dtype
     hidden = cell.hidden_dim
     wavefront = T * batch * hidden <= WAVEFRONT_BUDGET
-    pack = _GatePack(cell, dtype)
+    pack = _GatePack(cell)
     bank_gates = cell.plan.bank_gates
     # spike components summed over (n, t): the nonzero count of hard
     # spikes, at the cost of one add per component and block
@@ -421,7 +412,8 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     streaming inference, training, evaluation and the conversion report
     share.
 
-    Inputs are encoded by encode_sequence, sample b as sample
+    X is cast to the model's dtype, at which every array of the run is
+    made, and encoded by encode_sequence, sample b as sample
     first_index + b of the evaluated set. relaxed=True replaces every hard
     spike by its triangle-ramp relaxation (same code path otherwise).
     With want_tapes every layer records what snn_backward reads; without,
@@ -433,7 +425,7 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     MultiplierAuditError when a tensor that must carry spikes is not
     ternary.
     """
-    X = np.asarray(X)
+    X = np.asarray(X, dtype=model.dtype)
     if X.ndim != 3 or 0 in X.shape[:2]:
         raise ValidationError(f"input must be non-empty [B, N, F], got shape {X.shape}")
     if X.shape[2] != model.input_dim:
@@ -469,7 +461,7 @@ def snn_forward(model: SpikingLSTM, sequence, T: int | None = None,
     """
     T = model.time_steps if T is None else T
     encoding = model.encoding if encoding is None else encoding
-    sequence = np.asarray(sequence, dtype=np.float64)
+    sequence = np.asarray(sequence)
     if sequence.ndim != 2 or sequence.shape[0] < 1:
         raise ValidationError(f"sequence must be non-empty [N, F], got shape {sequence.shape}")
     logits, _, aux = snn_batch_forward(model, sequence[None], T, encoding, rng_seed,

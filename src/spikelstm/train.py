@@ -74,9 +74,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 1e-3
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: float = 5.0
     seed: int = 0
     precision: str = "f64"
@@ -87,12 +84,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ValidationError("lr must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
         if self.precision not in ("f64", "f32"):
             raise ValidationError(f"precision must be f64 or f32, got {self.precision!r}")
+        for name in ("lr", "grad_clip", "lr_decay_factor"):  # a sign flip or a silent no-op
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +150,6 @@ def snapshot_parameters(model) -> dict:
     return {k: v.copy() for k, v in model_parameters(model).items()}
 
 
-def model_dtype(model):
-    return model_parameters(model)[next(iter(model_parameters(model)))].dtype
-
-
 def cast_parameters(model, dtype) -> None:
     set_parameters(model, {k: np.asarray(v, dtype=dtype)
                            for k, v in model_parameters(model).items()})
@@ -166,9 +160,13 @@ def cast_parameters(model, dtype) -> None:
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and d loss / d logits; numerically stable."""
+    batch, n_classes = logits.shape
+    labels = np.asarray(labels)
+    if labels.size and not (labels.min() >= 0 and labels.max() < n_classes):
+        raise ValidationError(f"labels must lie in [0, {n_classes}) for a head of {n_classes} "
+                              f"classes, got {labels.min()}..{labels.max()}")
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    batch = logits.shape[0]
     loss = -logp[np.arange(batch), labels].mean()
     dlogits = np.exp(logp)
     dlogits[np.arange(batch), labels] -= 1.0
@@ -195,18 +193,12 @@ def _head_backward(head, caches, dlogits, grads, prefix="head"):
 
 def ann_loss(model: AnnLSTM, batch) -> float:
     X, y = batch
-    logits = ann_batch_forward(model, np.asarray(X, dtype=np.float64))
-    loss, _ = softmax_cross_entropy(logits, np.asarray(y))
-    return float(loss)
+    return float(softmax_cross_entropy(ann_batch_forward(model, X), y)[0])
 
 
 def ann_backward(model: AnnLSTM, batch):
     """Cross-entropy loss and exact BPTT gradients for a (X [B,N,F], y) batch."""
     X, y = batch
-    X = np.asarray(X, dtype=model_dtype(model))
-    y = np.asarray(y)
-    if X.ndim != 3 or X.shape[0] == 0:
-        raise ValidationError("batch must be non-empty [B, N, F]")
     logits, caches = ann_batch_forward(model, X, want_caches=True)
     loss, dlogits = softmax_cross_entropy(logits, y)
     if not np.isfinite(loss):
@@ -214,14 +206,14 @@ def ann_backward(model: AnnLSTM, batch):
         raise NumericalFault(f"non-finite loss (first bad batch index {bad})")
     grads = {k: np.zeros_like(v) for k, v in model_parameters(model).items()}
 
-    n_elements = X.shape[1]
     dh_seed_top = _head_backward(model.head, caches["head"], dlogits, grads)
     # process layers top-down; dX of a layer seeds dh of the one below
     dX_above = None
     for li in range(len(model.layers) - 1, -1, -1):
         w = model.layers[li]
         cache = caches["layers"][li]
-        dh = np.zeros((X.shape[0], w.hidden_dim), dtype=X.dtype)
+        n_elements = len(cache["gates"])
+        dh = np.zeros_like(cache["h"][0])
         dc = np.zeros_like(dh)
         dX_out = np.zeros_like(cache["x"]) if li > 0 else None
         for n in range(n_elements - 1, -1, -1):
@@ -299,10 +291,8 @@ def _lif_backward(cell, gate, tape, n, t, ds, dUpost, grads, prefix, relaxed):
 def snn_relaxed_loss(model: SpikingLSTM, batch, T: int, encoding: str, seed: int) -> float:
     """Scalar loss of the relaxed forward; the FD oracle differentiates this."""
     X, y = batch
-    logits, _, _ = snn_batch_forward(model, np.asarray(X, dtype=np.float64),
-                                     T, encoding, seed, relaxed=True)
-    loss, _ = softmax_cross_entropy(logits, np.asarray(y))
-    return float(loss)
+    logits, _, _ = snn_batch_forward(model, X, T, encoding, seed, relaxed=True)
+    return float(softmax_cross_entropy(logits, y)[0])
 
 
 def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
@@ -316,11 +306,6 @@ def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
     T = model.time_steps if T is None else T
     encoding = model.encoding if encoding is None else encoding
     X, y = batch
-    X = np.asarray(X, dtype=model_dtype(model))
-    y = np.asarray(y)
-    if X.ndim != 3 or X.shape[0] == 0:
-        raise ValidationError("batch must be non-empty [B, N, F]")
-    batch_size, n_elements, _ = X.shape
     logits, tapes, aux = snn_batch_forward(model, X, T, encoding, seed,
                                            relaxed=relaxed, want_tapes=True)
     loss, dlogits = softmax_cross_entropy(logits, y)
@@ -332,6 +317,7 @@ def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
     dhbar = _head_backward(model.head, aux["head_cache"], dlogits, grads)
     # seeds: gradient into H[n, t] of the top layer
     top = len(model.cells) - 1
+    n_elements = tapes[top].H.shape[0]
     dH_seed = np.zeros_like(tapes[top].H)
     dH_seed[n_elements - 1, :] = dhbar / T
 
@@ -347,13 +333,12 @@ def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
         dX_out = np.zeros_like(tapes[li - 1].H) if want_dx else None
         x_feed = aux["encoded"] if li == 0 else np.moveaxis(tapes[li - 1].H, 2, 0)
 
-        dH_next = np.zeros((T, batch_size, cell.hidden_dim), dtype=X.dtype)
+        dH_next = np.zeros_like(tape.H[0])  # [T, B, H]
         dC_next = np.zeros_like(dH_next)
         for n in range(n_elements - 1, -1, -1):
             dH_prev = np.zeros_like(dH_next)
             dC_prev = np.zeros_like(dC_next)
-            dUpost = {g: np.zeros((batch_size, cell.hidden_dim), dtype=X.dtype)
-                      for g in cell.gate_params}
+            dUpost = {g: np.zeros_like(dH_next[0]) for g in cell.gate_params}
             for t in range(T - 1, -1, -1):
                 dh = dH_seed[n, t] + dH_next[t]
                 ds = {"o": dh * _emitted(tape, "c", n, t)}
@@ -452,12 +437,13 @@ def evaluate(model, X, y, chunk=EVAL_CHUNK, seed=0):
     Sample k is poisson-encoded as sample k of the set, so the result
     does not depend on `chunk` (beyond loss summation order).
     """
+    if X.shape[0] == 0:
+        raise ValidationError("evaluate needs a non-empty set")
     losses = []
     correct = 0
     hidden_spikes = hidden_slots = 0
-    dtype = model_dtype(model)
     for lo in range(0, X.shape[0], chunk):
-        xb = np.asarray(X[lo:lo + chunk], dtype=dtype)
+        xb = X[lo:lo + chunk]
         yb = np.asarray(y[lo:lo + chunk])
         if isinstance(model, AnnLSTM):
             logits = ann_batch_forward(model, xb)
@@ -492,8 +478,8 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
     """
     X_train, y_train = train_set
     X_val, y_val = val_set
-    if X_train.shape[0] == 0:
-        raise ValidationError("training set is empty")
+    if 0 in (X_train.shape[0], X_val.shape[0]):
+        raise ValidationError("training and validation sets must be non-empty")
     dtype = np.float32 if config.precision == "f32" else np.float64
     cast_parameters(model, dtype)
     X_train = np.asarray(X_train, dtype=dtype)
@@ -502,7 +488,7 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
     params = model_parameters(model)
     trainable = [k for k in params if config.mask.allows(k)]
     if config.optimizer == "adam":
-        opt = Adam(config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps)
+        opt = Adam(config.lr)
     else:
         opt = SGD(config.lr)
     rng = np.random.default_rng(config.seed)

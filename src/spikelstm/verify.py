@@ -265,16 +265,17 @@ def check_snn_gradients(n_models: int = 3, tol: float = 1e-4) -> VerifyResult:
 
 def per_step_reference(model, sequence, T: int | None = None, encoding: str | None = None,
                        rng_seed: int = 0, first_index: int = 0):
-    """The per-step SNN oracle: snn_cell_step over (element, layer, step)
-    in element order, counting its own spikes from what each step consumes
-    and emits. The sequence is sample first_index of its set under
-    rng_seed, as in snn_forward. Returns (logits, stats, trace): stats is a
-    one-sample SpikeStats of per-(n, tau) counts and trace the per-tick
-    rows of simulate_pipelined, with step (n, tau) on tick n + tau - 1.
+    """The per-step SNN oracle, at the model's dtype: snn_cell_step over
+    (element, layer, step) in element order, counting its own spikes from
+    what each step consumes and emits. The sequence is sample first_index
+    of its set under rng_seed, as in snn_forward. Returns (logits, stats,
+    trace): stats is a one-sample SpikeStats of per-(n, tau) counts and
+    trace the per-tick rows of simulate_pipelined, with step (n, tau) on
+    tick n + tau - 1.
     """
     T = model.time_steps if T is None else T
     encoding = model.encoding if encoding is None else encoding
-    sequence = np.asarray(sequence, dtype=np.float64)
+    sequence = np.asarray(sequence, dtype=model.dtype)
     n_elements = sequence.shape[0]
     stats = SpikeStats(layers=[
         LayerSpikeStats(c.hidden_dim, c.input_dim, li == 0 and encoding == "direct",
@@ -285,7 +286,7 @@ def per_step_reference(model, sequence, T: int | None = None, encoding: str | No
     trace = [dict(tick=k, active=0, accumulates=0, macs=0, comparisons=0, spikes=0)
              for k in range(1, n_elements + T)]
     # element n's hidden spikes and cell values in row n + 1; row 0 is the zero element
-    h = [np.zeros((n_elements + 1, T, c.hidden_dim)) for c in model.cells]
+    h = [np.zeros((n_elements + 1, T, c.hidden_dim), dtype=model.dtype) for c in model.cells]
     c_val = [np.zeros_like(h_li) for h_li in h]
     for n, below in enumerate(encode_sequence(sequence, T, encoding, rng_seed, first_index)):
         for li, (cell, s) in enumerate(zip(model.cells, stats.layers)):

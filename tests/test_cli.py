@@ -323,3 +323,60 @@ def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, command, sec
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+BAD_INPUT = [  # (command, config overrides by section, extra argv, field named)
+    ("train-ann", {"seed": -1}, [], "config.seed"),
+    ("train-ann", {"dataset": {"seed": -1}}, [], "dataset.seed"),
+    ("train-ann", {"dataset": {"split_seed": -1}}, [], "dataset.split_seed"),
+    ("train-ann", {"model": {"init_seed": -1}}, [], "model.init_seed"),
+    ("train-snn", {"model": {"init_seed": -1}}, [], "model.init_seed"),
+    ("train-ann", {"model": {"init_scale": -1}}, [], "model.init_scale"),
+    ("train-ann", {"dataset": {"val_fraction": 0}}, [], "dataset.val_fraction"),
+    ("train-ann", {"train": {"lr_decay_factor": -1}}, [], "lr_decay_factor"),
+    ("train-ann", {"train": {"grad_clip": -5}}, [], "grad_clip"),
+    ("pipeline-sim", {}, ["--seed", "-1"], "--seed"),
+    ("eval", {}, ["--seed", "-1"], "--seed"),
+    ("energy-report", {}, ["--seed", "-1"], "--seed"),
+    ("eval", {"dataset": {"test_fraction": 0}}, [], "--split"),
+    ("eval", {"seqf": {"n_classes": 4}}, [], "labels"),  # the checkpoint's head has 3
+]
+
+
+@pytest.mark.parametrize("command, overrides, extra, field", BAD_INPUT,
+                         ids=[f"{c} {json.dumps(o)} {' '.join(e)}" for c, o, e, _ in BAD_INPUT])
+def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, command, overrides, extra, field):
+    """Negative seeds and scales, empty splits, out-of-range labels and
+    sign-flipping training knobs exit 2 with the field named, not with a
+    traceback or a silent success. eval and energy-report read [0, 1]
+    sequences of `seqf.n_classes` labels into a poisson-encoded checkpoint,
+    so a negative --seed would reach the encoder."""
+    from spikelstm.data import SequenceDataset, save_feature_tensor
+    from spikelstm.snn import random_spiking_lstm
+
+    cfg = {"config_version": 1, "dataset": dict(DATASET, size=60), "model": {"hidden": [3]},
+           "train": {"epochs": 1}, "snn": {"time_steps": 2}, "seqf": {"n_classes": 3},
+           "out_dir": str(tmp_path / "run")}
+    for section, value in overrides.items():
+        cfg[section] = {**cfg[section], **value} if isinstance(value, dict) else value
+    if command == "train-ann":
+        del cfg["snn"]
+    seqf = cfg.pop("seqf")
+    if command in ("train-ann", "train-snn"):
+        argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg)]
+    elif command == "pipeline-sim":
+        argv = [command, "--n", "3", "--t", "2"]
+    else:
+        ckpt = str(tmp_path / "snn.ckpt")
+        checkpoint.save_model(random_spiking_lstm(6, [4], [3], np.random.default_rng(0),
+                                                  time_steps=2, encoding="poisson"), ckpt)
+        rng = np.random.default_rng(1)
+        save_feature_tensor(str(tmp_path / "x.seqf"), SequenceDataset(
+            rng.random((40, 5, 6)), np.arange(40) % seqf["n_classes"], seqf["n_classes"]))
+        dataset = {"kind": "seqf", "path": str(tmp_path / "x.seqf"),
+                   **{k: v for k, v in cfg["dataset"].items() if k.endswith("_fraction")}}
+        ds_cfg = write_json(tmp_path / "ds.json", {"config_version": 1, "dataset": dataset})
+        argv = [command, "--ckpt", ckpt, "--dataset-config", ds_cfg]
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err

@@ -4,6 +4,7 @@ import pytest
 from spikelstm.activations import HardActConfig, hard_tanh
 from spikelstm.errors import DimensionMismatch, ValidationError
 from spikelstm.lstm import AnnLSTM, ClassifierHead, ann_batch_forward, ann_cell_step
+from spikelstm.train import cast_parameters
 
 from conftest import zero_weights
 
@@ -80,6 +81,29 @@ def test_forward_matches_independent_reference():
         h = o * tc
     W, b = model.head.weights[0]
     np.testing.assert_allclose(ann_forward(model, seq), W @ h + b, atol=1e-12, rtol=0)
+
+
+def test_f32_forward_matches_an_f32_cell_step_loop():
+    """An f32 model: the batched engine agrees with ann_cell_step run one
+    sample and one element at a time to f32 tolerance, both at f32 (one
+    GEMM over a batch may round differently from a row at a time)."""
+    rng = np.random.default_rng(12)
+    model = AnnLSTM.random(3, [7, 5], [4], rng, scale=0.8)
+    cast_parameters(model, np.float32)
+    X = rng.normal(0.0, 1.0, (6, 5, 3))
+    logits = ann_batch_forward(model, X)
+    for b in range(len(X)):
+        below = X[b]
+        for w in model.layers:
+            h = c = np.zeros(w.hidden_dim, np.float32)
+            outs = []
+            for x in below:
+                h, c = ann_cell_step(w, h, c, x, model.act)
+                outs.append(h)
+            below = np.array(outs)
+        ref = model.head.forward(below[-1])
+        assert logits.dtype == ref.dtype == np.float32
+        np.testing.assert_allclose(logits[b], ref, rtol=1e-5, atol=1e-6)
 
 
 def test_forward_rejects_empty_sequence():

@@ -7,6 +7,7 @@ from spikelstm.errors import ValidationError
 from spikelstm.pipeline import (LatencyModel, build_schedule, latency_report,
                                 simulate_pipelined)
 from spikelstm.snn import ConversionPlan, random_spiking_lstm, snn_forward
+from spikelstm.train import cast_parameters
 from spikelstm.verify import per_step_reference
 
 
@@ -57,12 +58,14 @@ def test_pipelined_equivalence_and_conservation():
     assert sum(r["macs"] for r in trace) == sum(l.macs for l in ops.layers)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from("ig"), st.integers(1, 3), st.integers(1, 8),
-       st.sampled_from(["direct", "poisson"]), st.integers(1, 6), st.integers(0, 2**16))
-def test_engine_matches_per_step_oracles(plan, n_layers, T, encoding, n, seed):
+       st.sampled_from(["direct", "poisson"]), st.integers(1, 6), st.integers(0, 2**16),
+       st.sampled_from([np.float64, np.float32]))
+def test_engine_matches_per_step_oracles(plan, n_layers, T, encoding, n, seed, dtype):
     """snn_forward (the batched engine at B=1) and simulate_pipelined against
-    the per-step oracle: equal logits, per-(n, tau) counts and tick trace."""
+    the per-step oracle, at f64 and at f32: equal logits, per-(n, tau)
+    counts and tick trace, the logits at the model's dtype."""
     rng = np.random.default_rng(seed)
     feats = int(rng.integers(1, 4))
     hidden = [int(h) for h in rng.integers(2, 5, n_layers)]
@@ -74,10 +77,12 @@ def test_engine_matches_per_step_oracles(plan, n_layers, T, encoding, n, seed):
         for params in cell.gate_params.values():
             params.leak = params.leak * rng.uniform(0.8, 1.2, params.leak.shape)
             params.mem_init = params.mem_init + rng.normal(0.0, 0.4, params.mem_init.shape)
+    cast_parameters(model, dtype)
     seq = rng.random((n, feats))
     logits, stats, _ = snn_forward(model, seq, rng_seed=seed)
     piped, trace = simulate_pipelined(model, seq, rng_seed=seed)
     ref_logits, ref_stats, ref_trace = per_step_reference(model, seq, rng_seed=seed)
+    assert logits.dtype == ref_logits.dtype == dtype
     np.testing.assert_array_equal(logits, ref_logits)
     np.testing.assert_array_equal(piped, ref_logits)
     assert stats == ref_stats

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -225,8 +227,8 @@ def test_both_loop_orders_agree_taped_and_untaped(encoding):
 @pytest.mark.parametrize("encoding", ["direct", "poisson"])
 def test_packed_block_matches_the_per_step_oracle_in_every_mode(monkeypatch, plan, encoding):
     """Plan g (no ternary slot in the LIF bank) and plan i, an odd width,
-    both encodings; taped and untaped, by anti-diagonals and in element
-    order. Hard spikes: every sample's per-(n, tau) counts and its
+    both encodings, f64 and f32; taped and untaped, by anti-diagonals and in
+    element order. Hard spikes: every sample's per-(n, tau) counts and its
     head-on-own-readout logits equal the per-step oracle's. Relaxed spikes,
     which the oracle does not model: the four runs give the same logits and
     per-(n, tau) counts, and taped and untaped runs the same SpikeStats."""
@@ -240,15 +242,18 @@ def test_packed_block_matches_the_per_step_oracle_in_every_mode(monkeypatch, pla
             params.leak = params.leak * rng.uniform(0.8, 1.2, params.leak.shape)
         cell.gate_params["c"].threshold_neg = cell.gate_params["c"].threshold_neg * 0.2
     X = rng.random((3, 5, 3))
-    for relaxed in (False, True):
+    walks = (("wavefront", snn_module.WAVEFRONT_BUDGET), ("elements", 0))
+    for dtype, relaxed in itertools.product((np.float64, np.float32), (False, True)):
+        cast_parameters(model, dtype)
         runs = {}
-        for walk, budget in (("wavefront", snn_module.WAVEFRONT_BUDGET), ("elements", 0)):
+        for walk, budget in walks:
             monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", budget)
             for want_tapes in (False, True):
                 logits, _, aux = snn_batch_forward(model, X, 3, encoding, seed=5,
                                                    relaxed=relaxed, want_tapes=want_tapes)
                 runs[walk, want_tapes] = logits, aux["stats"], aux["head_cache"][0]
         first_logits, first_stats, _ = runs["wavefront", False]
+        assert first_logits.dtype == dtype
         assert first_stats.layers[-1].hidden_nnz_total > 0
         for (walk, want_tapes), (logits, stats, readout) in runs.items():
             np.testing.assert_array_equal(logits, first_logits)

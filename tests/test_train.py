@@ -8,11 +8,11 @@ import pytest
 from spikelstm.convert import convert
 from spikelstm.data import synthetic_task
 from spikelstm.errors import TrainingDiverged, ValidationError
-from spikelstm.lstm import AnnLSTM, ClassifierHead
+from spikelstm.lstm import AnnLSTM, ClassifierHead, ann_batch_forward
 from spikelstm.snn import ConversionPlan, SpikingLSTMCell, default_gate_params, random_spiking_lstm
-from spikelstm.train import (Adam, TrainConfig, TrainMask, clip_global_norm, evaluate,
-                             fit, model_parameters, snn_backward, snn_batch_forward,
-                             softmax_cross_entropy)
+from spikelstm.train import (Adam, TrainConfig, TrainMask, ann_backward, cast_parameters,
+                             clip_global_norm, evaluate, fit, model_parameters, snn_backward,
+                             snn_batch_forward, softmax_cross_entropy)
 from spikelstm.verify import check_ann_gradients, check_snn_gradients
 
 from conftest import zero_weights
@@ -231,6 +231,37 @@ def test_fit_f32_precision_flag():
                    (ds.sequences[32:], ds.labels[32:]), cfg)
     # checkpointable f64 afterwards
     assert model_parameters(model)["layers.0.b.f"].dtype == np.float64
+
+
+def _arrays(obj):
+    """Every array in a nest of dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    values = obj.values() if isinstance(obj, dict) else obj
+    return [a for value in values for a in _arrays(value)]
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_f32_run_makes_no_f64_array(relaxed):
+    """An f32 model on f64 input computes at f32 throughout: the logits,
+    the encoded input and every tape array of the SNN (A_analog included),
+    the ANN's caches, and both backwards' gradients."""
+    rng = np.random.default_rng(22)
+    snn = random_spiking_lstm(3, [5, 4], [3], rng, plan=ConversionPlan("i"), time_steps=2,
+                              scale=1.0)
+    ann = AnnLSTM.random(3, [5, 4], [3], rng, scale=0.5)
+    for model in (snn, ann):
+        cast_parameters(model, np.float32)
+    X, y = rng.random((4, 3, 3)), np.array([0, 1, 2, 0])
+    logits, tapes, aux = snn_batch_forward(snn, X, 2, "direct", 0, relaxed, want_tapes=True)
+    assert all(("A_analog", None) in tape.lattices for tape in tapes)
+    arrays = [logits, aux["encoded"], *aux["head_cache"]]
+    arrays += [a for tape in tapes for a in [*tape.lattices.values(), tape.Hp, tape.Cp]]
+    arrays += _arrays(ann_batch_forward(ann, X, want_caches=True))
+    for loss, grads in (snn_backward(snn, (X, y), relaxed=relaxed), ann_backward(ann, (X, y))):
+        assert np.isfinite(loss)
+        arrays += grads.values()
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
 def test_finetune_beats_conversion_only(planted_splits):
