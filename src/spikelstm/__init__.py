@@ -18,8 +18,8 @@ from .lstm import AnnLSTM, ClassifierHead, LSTMWeights, ann_batch_forward, ann_c
 from .neuron import (NEVER, LIFGateParams, NeuronState, if_avg_sigmoid, if_avg_tanh,
                      lif_avg_sigmoid, lif_first_spike_time, optimal_shift, spike,
                      spike_partials, step_sigmoid_neuron, step_tanh_neuron)
-from .pipeline import (LatencyModel, PipelineSchedule, build_schedule, latency_report,
-                       simulate_pipelined, tick_trace)
+from .pipeline import (PipelineSchedule, build_schedule, latency_report, simulate_pipelined,
+                       tick_trace)
 from .snn import (CellStepState, ConversionPlan, SpikingLSTM, SpikingLSTMCell,
                   snn_batch_forward, snn_cell_step, snn_forward)
 from .train import TrainConfig, TrainMask, ann_backward, fit, snn_backward

@@ -25,7 +25,7 @@ from .energy import (EnergyModel, audit_multiplier_free, count_ops_ann, count_op
                      estimate_energy)
 from .errors import ConfigError, SpikeLstmError, ValidationError
 from .lstm import AnnLSTM
-from .pipeline import LatencyModel, build_schedule, latency_report, tick_trace
+from .pipeline import build_schedule, latency_report, tick_trace
 from .snn import (ConversionPlan, SpikingLSTM, random_spiking_lstm, snn_batch_forward,
                   snn_forward)
 from .train import EVAL_CHUNK, TrainConfig, TrainMask, evaluate, fit
@@ -184,8 +184,8 @@ def build_ann(cfg: dict, input_dim: int, n_classes: int, path: str = "model") ->
                           forget_bias=_typed(cfg, "forget_bias", float, path, 0.0))
 
 
-_TRAIN_KEYS = ("epochs", "batch_size", "lr", "optimizer", "grad_clip", "precision",
-               "lr_decay_epochs", "lr_decay_factor")
+_TRAIN_KEYS = ("epochs", "batch_size", "lr", "grad_clip", "precision", "lr_decay_epochs",
+               "lr_decay_factor")
 
 
 def build_train_config(cfg: dict, seed: int, mask: TrainMask, path: str = "train") -> TrainConfig:
@@ -194,7 +194,6 @@ def build_train_config(cfg: dict, seed: int, mask: TrainMask, path: str = "train
         epochs=_typed(cfg, "epochs", int, path, 5),
         batch_size=_typed(cfg, "batch_size", int, path, 32),
         lr=_typed(cfg, "lr", float, path, 1e-3),
-        optimizer=_typed(cfg, "optimizer", str, path, "adam"),
         grad_clip=_typed(cfg, "grad_clip", float, path, 5.0),
         precision=_typed(cfg, "precision", str, path, "f64"),
         lr_decay_epochs=tuple(_int_list(cfg, "lr_decay_epochs", path, [], least=0)),
@@ -331,14 +330,13 @@ def cmd_pipeline_sim(args) -> int:
             raise ValidationError("pipeline-sim needs a spiking checkpoint")
     else:
         model = _demo_model(T=args.t, seed=args.seed)
-    lm = LatencyModel(block_count=args.blocks)
     rng = np.random.default_rng(args.seed)
     sequence = rng.random((args.n, model.input_dim))
     logits, stats, op_counts = snn_forward(model, sequence, T=args.t, rng_seed=args.seed)
     trace = tick_trace(model, stats)
     logits_ref, _, _ = per_step_reference(model, sequence, T=args.t, rng_seed=args.seed)
     schedule = build_schedule(args.n, args.t)
-    reports = {mode: latency_report(schedule, op_counts, lm, mode)
+    reports = {mode: latency_report(schedule, op_counts, args.blocks, mode)
                for mode in ("proposed", "nonspiking", "priorwork")}
     out = {
         "command": "pipeline-sim", "n_elements": args.n, "time_steps": args.t,

@@ -17,7 +17,6 @@ from .activations import HardActConfig, hard_sigmoid, hard_tanh
 from .errors import DimensionMismatch, ValidationError
 
 GATES = ("f", "i", "g", "o")
-SIGMOID_GATES = ("f", "i", "o")
 
 
 @dataclass

@@ -78,48 +78,20 @@ def tick_trace(model: SpikingLSTM, stats) -> list:
     return trace
 
 
-def simulate_pipelined(model: SpikingLSTM, sequence, T: int | None = None,
-                       encoding: str | None = None, rng_seed: int = 0):
+def simulate_pipelined(model: SpikingLSTM, sequence, T: int | None = None, rng_seed: int = 0):
     """Run a sequence under the diagonal schedule.
 
     Returns (logits, trace): the logits of the batched engine at B=1, which
     walks the same anti-diagonals, and its tick_trace.
     """
-    logits, stats, _ = snn_forward(model, sequence, T, encoding, rng_seed)
+    logits, stats, _ = snn_forward(model, sequence, T, rng_seed)
     return logits, tick_trace(model, stats)
 
 
-@dataclass
-class LatencyModel:
-    """Unit latencies per op class; a block's op classes run one after
-    another. block_count caps the physical blocks; fewer than min(N, T)
-    stretches the schedule proportionally. fixed_block_cost, when set,
-    overrides the derived per-tick critical path (the "one op per tick"
-    abstraction)."""
-
-    mac: float = 1.0
-    ac: float = 1.0
-    compare: float = 1.0
-    act: float = 1.0
-    block_count: int | None = None
-    fixed_block_cost: float | None = None
-
-    def __post_init__(self):
-        for v in (self.mac, self.ac, self.compare, self.act):
-            if v <= 0:
-                raise ValidationError("unit latencies must be positive")
-        if self.block_count is not None and self.block_count < 1:
-            raise ValidationError(f"block_count must be >= 1, got {self.block_count}")
-
-    def block_cost(self, class_counts: dict) -> float:
-        """Critical-path cost of one block-step given per-class op counts."""
-        if self.fixed_block_cost is not None:
-            return self.fixed_block_cost
-        unit = {"mac": self.mac, "ac": self.ac, "compare": self.compare, "act": self.act}
-        costs = [np.ceil(c) * unit[k] for k, c in class_counts.items() if c > 0]
-        if not costs:
-            return 0.0
-        return float(sum(costs))
+def _block_cost(class_counts: dict) -> float:
+    """Critical-path cost of one block-step given per-class op counts: its
+    op classes run one after another, every op costing one unit."""
+    return float(sum(np.ceil(c) for c in class_counts.values() if c > 0))
 
 
 def _per_step_classes_snn(op_counts: OpCountReport) -> dict:
@@ -133,23 +105,26 @@ def _per_step_classes_snn(op_counts: OpCountReport) -> dict:
 
 
 def latency_report(schedule: PipelineSchedule, op_counts: OpCountReport,
-                   lm: LatencyModel | None = None, mode: str = "proposed") -> dict:
+                   block_count: int | None = None, mode: str = "proposed") -> dict:
     """Tick counts and modeled latency for one execution scheme.
 
     proposed: N+T-1 ticks of spiking block-steps. nonspiking: N element
     steps of dense MAC blocks. priorwork: T*N ticks of spiking block-steps
-    whose multi-bit hidden state forces dense recurrent MACs.
+    whose multi-bit hidden state forces dense recurrent MACs. block_count
+    caps the physical blocks; fewer than min(N, T) stretches the proposed
+    schedule proportionally.
     """
-    lm = lm or LatencyModel()
+    if block_count is not None and block_count < 1:
+        raise ValidationError(f"block_count must be >= 1, got {block_count}")
     n, T = schedule.n_elements, schedule.time_steps
     if op_counts.n_elements != n:
         raise ValidationError("op counts and schedule disagree on N")
     if mode == "proposed":
         ticks = n + T - 1
-        if lm.block_count is not None and lm.block_count < min(n, T):
-            ticks = int(sum(np.ceil(a / lm.block_count)
+        if block_count is not None and block_count < min(n, T):
+            ticks = int(sum(np.ceil(a / block_count)
                             for a in schedule.concurrency_profile()))
-        cost = lm.block_cost(_per_step_classes_snn(op_counts))
+        cost = _block_cost(_per_step_classes_snn(op_counts))
     elif mode == "nonspiking":
         ticks = n
         per_elem = {
@@ -158,7 +133,7 @@ def latency_report(schedule: PipelineSchedule, op_counts: OpCountReport,
             "compare": 0,
             "act": sum(5 * l.hidden for l in op_counts.layers),
         }
-        cost = lm.block_cost(per_elem)
+        cost = _block_cost(per_elem)
     elif mode == "priorwork":
         ticks = T * n
         classes = _per_step_classes_snn(op_counts)
@@ -167,7 +142,7 @@ def latency_report(schedule: PipelineSchedule, op_counts: OpCountReport,
         rec_acc = sum(l.recurrent_accumulates for l in op_counts.layers) / steps
         classes["ac"] = max(0.0, classes["ac"] - rec_acc)
         classes["mac"] += sum(4 * l.hidden * l.hidden for l in op_counts.layers)
-        cost = lm.block_cost(classes)
+        cost = _block_cost(classes)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
     return {"mode": mode, "ticks": ticks, "per_tick_cost": cost,

@@ -450,8 +450,8 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     return logits, (tapes if want_tapes else None), aux
 
 
-def snn_forward(model: SpikingLSTM, sequence, T: int | None = None,
-                encoding: str | None = None, rng_seed: int = 0, first_index: int = 0):
+def snn_forward(model: SpikingLSTM, sequence, T: int | None = None, rng_seed: int = 0,
+                first_index: int = 0):
     """Streaming evaluation of an [N, F] sequence: the batched engine at
     B=1, the sequence being sample first_index of its set under rng_seed.
 
@@ -460,11 +460,10 @@ def snn_forward(model: SpikingLSTM, sequence, T: int | None = None,
     element.
     """
     T = model.time_steps if T is None else T
-    encoding = model.encoding if encoding is None else encoding
     sequence = np.asarray(sequence)
     if sequence.ndim != 2 or sequence.shape[0] < 1:
         raise ValidationError(f"sequence must be non-empty [N, F], got shape {sequence.shape}")
-    logits, _, aux = snn_batch_forward(model, sequence[None], T, encoding, rng_seed,
+    logits, _, aux = snn_batch_forward(model, sequence[None], T, model.encoding, rng_seed,
                                        first_index=first_index)
     stats = aux["stats"]
     return logits[0], stats, count_ops_snn(stats, model)

@@ -73,7 +73,6 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 32
     lr: float = 1e-3
-    optimizer: str = "adam"
     grad_clip: float = 5.0
     seed: int = 0
     precision: str = "f64"
@@ -84,8 +83,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValidationError(f"unknown optimizer {self.optimizer!r}")
         if self.precision not in ("f64", "f32"):
             raise ValidationError(f"precision must be f64 or f32, got {self.precision!r}")
         for name in ("lr", "grad_clip", "lr_decay_factor"):  # a sign flip or a silent no-op
@@ -288,25 +285,24 @@ def _lif_backward(cell, gate, tape, n, t, ds, dUpost, grads, prefix, relaxed):
     return dV
 
 
-def snn_relaxed_loss(model: SpikingLSTM, batch, T: int, encoding: str, seed: int) -> float:
+def snn_relaxed_loss(model: SpikingLSTM, batch, seed: int) -> float:
     """Scalar loss of the relaxed forward; the FD oracle differentiates this."""
     X, y = batch
-    logits, _, _ = snn_batch_forward(model, X, T, encoding, seed, relaxed=True)
+    logits, _, _ = snn_batch_forward(model, X, model.time_steps, model.encoding, seed,
+                                     relaxed=True)
     return float(softmax_cross_entropy(logits, y)[0])
 
 
-def snn_backward(model: SpikingLSTM, batch, T: int | None = None,
-                 encoding: str | None = None, seed: int = 0, relaxed: bool = False):
+def snn_backward(model: SpikingLSTM, batch, seed: int = 0, relaxed: bool = False):
     """Loss and surrogate-BPTT gradients over every trainable parameter.
 
     relaxed=True differentiates the triangle-ramp relaxed forward exactly
     (oracle mode); relaxed=False is the production SGL engine on hard
     spikes.
     """
-    T = model.time_steps if T is None else T
-    encoding = model.encoding if encoding is None else encoding
+    T = model.time_steps
     X, y = batch
-    logits, tapes, aux = snn_batch_forward(model, X, T, encoding, seed,
+    logits, tapes, aux = snn_batch_forward(model, X, T, model.encoding, seed,
                                            relaxed=relaxed, want_tapes=True)
     loss, dlogits = softmax_cross_entropy(logits, y)
     if not np.isfinite(loss):
@@ -422,29 +418,21 @@ class Adam:
             p -= self.lr * (self.m[name] / bias1) / (np.sqrt(self.v[name] / bias2) + self.eps)
 
 
-class SGD:
-    def __init__(self, lr=1e-2):
-        self.lr = lr
-
-    def step(self, params, grads, trainable) -> None:
-        for name in trainable:
-            params[name] -= self.lr * grads[name]
-
-
-def evaluate(model, X, y, chunk=EVAL_CHUNK, seed=0):
-    """(loss, accuracy, mean hidden spike rate) on a labeled set.
+def evaluate(model, X, y, seed=0):
+    """(loss, accuracy, mean hidden spike rate) on a labeled set, in chunks
+    of EVAL_CHUNK samples.
 
     Sample k is poisson-encoded as sample k of the set, so the result
-    does not depend on `chunk` (beyond loss summation order).
+    does not depend on the chunk size (beyond loss summation order).
     """
     if X.shape[0] == 0:
         raise ValidationError("evaluate needs a non-empty set")
     losses = []
     correct = 0
     hidden_spikes = hidden_slots = 0
-    for lo in range(0, X.shape[0], chunk):
-        xb = X[lo:lo + chunk]
-        yb = np.asarray(y[lo:lo + chunk])
+    for lo in range(0, X.shape[0], EVAL_CHUNK):
+        xb = X[lo:lo + EVAL_CHUNK]
+        yb = np.asarray(y[lo:lo + EVAL_CHUNK])
         if isinstance(model, AnnLSTM):
             logits = ann_batch_forward(model, xb)
         else:
@@ -487,10 +475,7 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
 
     params = model_parameters(model)
     trainable = [k for k in params if config.mask.allows(k)]
-    if config.optimizer == "adam":
-        opt = Adam(config.lr)
-    else:
-        opt = SGD(config.lr)
+    opt = Adam(config.lr)
     rng = np.random.default_rng(config.seed)
     is_snn = isinstance(model, SpikingLSTM)
 

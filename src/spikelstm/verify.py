@@ -256,15 +256,15 @@ def check_snn_gradients(n_models: int = 3, tol: float = 1e-4) -> VerifyResult:
         y = rng.integers(0, 2, 2)
         _, grads = snn_backward(model, (X, y), relaxed=True, seed=5)
         w, good = _fd_check(
-            lambda: snn_relaxed_loss(model, (X, y), 2, "direct", 5), model, grads, 1e-5, tol)
+            lambda: snn_relaxed_loss(model, (X, y), 5), model, grads, 1e-5, tol)
         worst = max(worst, w)
         ok &= good
     return _result("snn-gradient-oracle", start, ok,
                    f"{n_models} models, worst rel err {worst:.2e} (tol {tol:g})")
 
 
-def per_step_reference(model, sequence, T: int | None = None, encoding: str | None = None,
-                       rng_seed: int = 0, first_index: int = 0):
+def per_step_reference(model, sequence, T: int | None = None, rng_seed: int = 0,
+                       first_index: int = 0):
     """The per-step SNN oracle, at the model's dtype: snn_cell_step over
     (element, layer, step) in element order, counting its own spikes from
     what each step consumes and emits. The sequence is sample first_index
@@ -274,7 +274,7 @@ def per_step_reference(model, sequence, T: int | None = None, encoding: str | No
     tick n + tau - 1.
     """
     T = model.time_steps if T is None else T
-    encoding = model.encoding if encoding is None else encoding
+    encoding = model.encoding
     sequence = np.asarray(sequence, dtype=model.dtype)
     n_elements = sequence.shape[0]
     stats = SpikeStats(layers=[

@@ -281,7 +281,7 @@ def test_os_error_exits_1_without_traceback(tmp_path, capsys):
 
 
 def test_removed_train_keys_exit_2(tmp_path, capsys):
-    for key in ("workers", "micro_batch"):
+    for key in ("workers", "micro_batch", "optimizer"):
         cfg = write_json(tmp_path / f"{key}.json", {
             "config_version": 1, "dataset": DATASET, "train": {key: 2},
             "out_dir": str(tmp_path / key)})

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from spikelstm.energy import LayerOps, OpCountReport
 from spikelstm.errors import ValidationError
-from spikelstm.pipeline import (LatencyModel, build_schedule, latency_report,
-                                simulate_pipelined)
+from spikelstm.pipeline import build_schedule, latency_report, simulate_pipelined
 from spikelstm.snn import ConversionPlan, random_spiking_lstm, snn_forward
 from spikelstm.train import cast_parameters
 from spikelstm.verify import per_step_reference
@@ -95,16 +94,14 @@ def _unit_report(n, T):
 
 
 def test_latency_tick_fixture():
-    """Unit costs, one op per tick: proposed 7, priorwork 15, nonspiking 5."""
+    """Ticks: proposed 7, priorwork 15, nonspiking 5; latency is ticks times
+    the per-tick cost."""
     schedule = build_schedule(5, 3)
     report = _unit_report(5, 3)
-    lm = LatencyModel(fixed_block_cost=1.0)
-    proposed = latency_report(schedule, report, lm, "proposed")
-    nonspiking = latency_report(schedule, report, lm, "nonspiking")
-    priorwork = latency_report(schedule, report, lm, "priorwork")
-    assert proposed["ticks"] == 7 and proposed["total_latency"] == 7.0
-    assert nonspiking["ticks"] == 5 and nonspiking["total_latency"] == 5.0
-    assert priorwork["ticks"] == 15 and priorwork["total_latency"] == 15.0
+    for mode, ticks in (("proposed", 7), ("nonspiking", 5), ("priorwork", 15)):
+        result = latency_report(schedule, report, None, mode)
+        assert result["ticks"] == ticks
+        assert result["total_latency"] == ticks * result["per_tick_cost"]
 
 
 def test_latency_t1_matches_nonspiking_ticks():
@@ -113,20 +110,6 @@ def test_latency_t1_matches_nonspiking_ticks():
     proposed = latency_report(schedule, report, None, "proposed")
     nonspiking = latency_report(schedule, report, None, "nonspiking")
     assert proposed["ticks"] == nonspiking["ticks"] == 9
-
-
-def test_latency_linear_in_unit_costs():
-    schedule = build_schedule(6, 4)
-    report = OpCountReport(
-        layers=[LayerOps(hidden=3, fan_in=2, accumulates=240, comparisons=648,
-                         activations=72, macs=144, recurrent_accumulates=96)],
-        n_elements=6, time_steps=4, encoding="direct")
-    for mode in ("proposed", "nonspiking", "priorwork"):
-        base = latency_report(schedule, report, LatencyModel(), mode)
-        double = latency_report(
-            schedule, report, LatencyModel(mac=2, ac=2, compare=2, act=2), mode)
-        assert double["total_latency"] == 2 * base["total_latency"]
-        assert double["ticks"] == base["ticks"]
 
 
 def test_priorwork_reports_t_times_n_ticks():
@@ -138,8 +121,8 @@ def test_priorwork_reports_t_times_n_ticks():
 def test_block_count_stretches_schedule():
     schedule = build_schedule(6, 4)
     report = _unit_report(6, 4)
-    full = latency_report(schedule, report, LatencyModel(), "proposed")
-    halved = latency_report(schedule, report, LatencyModel(block_count=2), "proposed")
+    full = latency_report(schedule, report, None, "proposed")
+    halved = latency_report(schedule, report, 2, "proposed")
     assert halved["ticks"] > full["ticks"]
     # 2 blocks must still cover every (n, tau) once
     assert halved["ticks"] == sum(int(np.ceil(a / 2)) for a in schedule.concurrency_profile())
