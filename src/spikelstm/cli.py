@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, checkpoint
 from .activations import HardActConfig
 from .convert import convert as convert_model
-from .data import load_feature_tensor, load_tmnist, split_dataset, synthetic_task
+from .data import ROW_PADS, load_feature_tensor, load_tmnist, split_dataset, synthetic_task
 from .energy import (EnergyModel, audit_multiplier_free, count_ops_ann, count_ops_snn,
                      estimate_energy)
 from .errors import ConfigError, SpikeLstmError, ValidationError
@@ -69,9 +69,9 @@ def _typed(obj: dict, key: str, kinds, path: str, default=None):
     return value
 
 
-def _count(obj: dict, key: str, path: str, default: int, least: int = 1) -> int:
+def _count(obj: dict, key: str, path: str, default: int | None, least: int = 1) -> int:
     value = _typed(obj, key, int, path, default)
-    if value < least:
+    if value is not None and value < least:
         raise ConfigError(f"{path}.{key}: expected an integer >= {least}, got {value}")
     return value
 
@@ -137,8 +137,10 @@ def build_dataset(cfg: dict, path: str = "dataset"):
         if directory is None:
             raise ConfigError(f"{path}.dir: required for mnist-idx")
         pad_to = _typed(cfg, "pad_to", int, path, 32)
+        if pad_to not in ROW_PADS:
+            raise ConfigError(f"{path}.pad_to: expected one of {ROW_PADS}, got {pad_to}")
+        limit = _count(cfg, "limit_train", path, None)
         full = load_tmnist(_resolve(directory), "train", pad_to)
-        limit = _typed(cfg, "limit_train", int, path)
         if limit is not None:
             order = np.random.default_rng(split_seed).permutation(len(full))[:limit]
             full = full.subset(order)

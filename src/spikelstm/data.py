@@ -28,6 +28,7 @@ from .errors import DataFormatError, ValidationError
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 SEQF_MAGIC = b"SEQF"
+ROW_PADS = (28, 32)  # the image sides to_row_sequence pads to
 
 
 @dataclass
@@ -85,19 +86,21 @@ def load_mnist_idx(images_path: str, labels_path: str):
 
 
 def to_row_sequence(image: np.ndarray, pad_to: int = 32) -> np.ndarray:
-    """One image row per sequence element. pad_to=32 zero-pads 28x28
-    symmetrically (2 each side); pad_to=28 keeps the native shape."""
+    """One image row per sequence element, for one [side, side] image or a
+    [count, side, side] stack. pad_to=32 zero-pads 28x28 symmetrically (2
+    each side); pad_to=28 keeps the native shape."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2 or image.shape[0] != image.shape[1]:
-        raise ValidationError(f"expected a square image, got shape {image.shape}")
-    if pad_to not in (28, 32):
-        raise ValidationError(f"pad_to must be 28 or 32, got {pad_to}")
-    size = image.shape[0]
+    if image.ndim not in (2, 3) or image.shape[-1] != image.shape[-2]:
+        raise ValidationError(f"expected a square image or a stack of them, "
+                              f"got shape {image.shape}")
+    if pad_to not in ROW_PADS:
+        raise ValidationError(f"pad_to must be one of {ROW_PADS}, got {pad_to}")
+    size = image.shape[-1]
     if size > pad_to:
         raise ValidationError(f"image side {size} exceeds pad_to {pad_to}")
     pad = pad_to - size
     lo = pad // 2
-    return np.pad(image, ((lo, pad - lo), (lo, pad - lo)))
+    return np.pad(image, ((0, 0),) * (image.ndim - 2) + ((lo, pad - lo),) * 2)
 
 
 def load_tmnist(data_dir: str, split: str = "train", pad_to: int = 32) -> SequenceDataset:
@@ -111,11 +114,7 @@ def load_tmnist(data_dir: str, split: str = "train", pad_to: int = 32) -> Sequen
     images_path = os.path.join(data_dir, names[split][0])
     labels_path = os.path.join(data_dir, names[split][1])
     images, labels = load_mnist_idx(images_path, labels_path)
-    count, size, _ = images.shape
-    pad = pad_to - size
-    lo = pad // 2
-    sequences = np.pad(images, ((0, 0), (lo, pad - lo), (lo, pad - lo)))
-    return SequenceDataset(sequences, labels, n_classes=10)
+    return SequenceDataset(to_row_sequence(images, pad_to), labels, n_classes=10)
 
 
 def save_feature_tensor(path: str, dataset: SequenceDataset, label_width: int = 4) -> None:

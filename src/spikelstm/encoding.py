@@ -12,14 +12,18 @@ def encode_sequence(sequence: np.ndarray, T: int, encoding: str, rng_seed: int =
     """Encode an [N, F] sequence to [N, T, F] step inputs, or a [B, N, F]
     batch to [B, N, T, F].
 
-    Poisson spikes of sample b come from one [N, T, F] draw of
-    SeedSequence([rng_seed, first_index + b]); a single sequence is sample
-    first_index. A sample's spikes thus depend only on the seed and its
-    index in the evaluated set, not on how that set is batched or chunked.
+    The output keeps a float input's dtype (f64 otherwise). Poisson spikes
+    of sample b come from one [N, T, F] draw of f64 uniforms under
+    SeedSequence([rng_seed, first_index + b]), compared with the input; a
+    single sequence is sample first_index. A sample's spikes thus depend
+    only on the seed and its index in the evaluated set, not on how that
+    set is batched or chunked, nor on the input's float dtype.
     """
     if T < 1:
         raise ValidationError("T must be >= 1")
-    x = np.asarray(sequence, dtype=np.float64)
+    x = np.asarray(sequence)
+    if not np.issubdtype(x.dtype, np.floating):
+        x = x.astype(np.float64)
     if x.ndim not in (2, 3):
         raise ValidationError(f"sequence must be [N, F] or [B, N, F], got shape {x.shape}")
     batch = x if x.ndim == 3 else x[None]
@@ -29,7 +33,7 @@ def encode_sequence(sequence: np.ndarray, T: int, encoding: str, rng_seed: int =
     elif encoding == "poisson":
         if np.any(x < 0.0) or np.any(x > 1.0):
             raise ValidationError("poisson encoding requires values in [0, 1]")
-        out = np.empty(batch.shape[:2] + (T,) + batch.shape[2:])
+        out = np.empty(batch.shape[:2] + (T,) + batch.shape[2:], dtype=x.dtype)
         for b in range(batch.shape[0]):
             rng = np.random.default_rng(np.random.SeedSequence([rng_seed, first_index + b]))
             out[b] = rng.random(out.shape[1:]) < steps[b]

@@ -431,7 +431,7 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     if X.shape[2] != model.input_dim:
         raise DimensionMismatch(f"input has {X.shape[2]} features, model wants {model.input_dim}")
     batch, n_elements, _ = X.shape
-    encoded = encode_sequence(X, T, encoding, seed, first_index).astype(X.dtype, copy=False)
+    encoded = encode_sequence(X, T, encoding, seed, first_index)
     if encoding != "direct":
         _assert_spikes("encoded input", encoded, ternary=True)
     tapes, layer_stats = [], []

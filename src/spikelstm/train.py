@@ -468,10 +468,7 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
     X_val, y_val = val_set
     if 0 in (X_train.shape[0], X_val.shape[0]):
         raise ValidationError("training and validation sets must be non-empty")
-    dtype = np.float32 if config.precision == "f32" else np.float64
-    cast_parameters(model, dtype)
-    X_train = np.asarray(X_train, dtype=dtype)
-    X_val = np.asarray(X_val, dtype=dtype)
+    cast_parameters(model, np.float32 if config.precision == "f32" else np.float64)
 
     params = model_parameters(model)
     trainable = [k for k in params if config.mask.allows(k)]

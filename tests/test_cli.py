@@ -340,19 +340,28 @@ BAD_INPUT = [  # (command, config overrides by section, extra argv, field named)
     ("energy-report", {}, ["--seed", "-1"], "--seed"),
     ("eval", {"dataset": {"test_fraction": 0}}, [], "--split"),
     ("eval", {"seqf": {"n_classes": 4}}, [], "labels"),  # the checkpoint's head has 3
+    ("train-ann", {"dataset": {"kind": "mnist-idx", "pad_to": 20}}, [], "dataset.pad_to"),
+    ("train-ann", {"dataset": {"kind": "mnist-idx", "pad_to": 30}}, [], "dataset.pad_to"),
+    ("train-ann", {"dataset": {"kind": "mnist-idx", "limit_train": -5}}, [],
+     "dataset.limit_train"),
+    ("train-ann", {"dataset": {"kind": "mnist-idx", "limit_train": 0}}, [],
+     "dataset.limit_train"),
 ]
 
 
 @pytest.mark.parametrize("command, overrides, extra, field", BAD_INPUT,
                          ids=[f"{c} {json.dumps(o)} {' '.join(e)}" for c, o, e, _ in BAD_INPUT])
 def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, command, overrides, extra, field):
-    """Negative seeds and scales, empty splits, out-of-range labels and
-    sign-flipping training knobs exit 2 with the field named, not with a
-    traceback or a silent success. eval and energy-report read [0, 1]
-    sequences of `seqf.n_classes` labels into a poisson-encoded checkpoint,
-    so a negative --seed would reach the encoder."""
+    """Negative seeds and scales, empty splits, out-of-range labels,
+    sign-flipping training knobs and MNIST paddings or subset sizes out of
+    range exit 2 with the field named, not with a traceback or a silent
+    success. eval and energy-report read [0, 1] sequences of
+    `seqf.n_classes` labels into a poisson-encoded checkpoint, so a negative
+    --seed would reach the encoder. mnist-idx reads 40 train and 20 test
+    images of 28x28."""
     from spikelstm.data import SequenceDataset, save_feature_tensor
     from spikelstm.snn import random_spiking_lstm
+    from test_data import write_idx_pair
 
     cfg = {"config_version": 1, "dataset": dict(DATASET, size=60), "model": {"hidden": [3]},
            "train": {"epochs": 1}, "snn": {"time_steps": 2}, "seqf": {"n_classes": 3},
@@ -361,6 +370,14 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, command, overrides
         cfg[section] = {**cfg[section], **value} if isinstance(value, dict) else value
     if command == "train-ann":
         del cfg["snn"]
+    if cfg["dataset"]["kind"] == "mnist-idx":
+        cfg["dataset"]["dir"] = str(tmp_path)
+        rng = np.random.default_rng(3)
+        for split, count in (("train", 40), ("t10k", 20)):
+            paths = write_idx_pair(tmp_path, rng.integers(0, 256, (count, 28, 28)),
+                                   np.arange(count) % 10)
+            for path, kind in zip(paths, ("images-idx3", "labels-idx1")):
+                os.replace(path, tmp_path / f"{split}-{kind}-ubyte")
     seqf = cfg.pop("seqf")
     if command in ("train-ann", "train-snn"):
         argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg)]

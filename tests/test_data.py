@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from spikelstm.data import (SequenceDataset, load_feature_tensor, load_mnist_idx,
+from spikelstm.data import (SequenceDataset, load_feature_tensor, load_mnist_idx, load_tmnist,
                             save_feature_tensor, split_dataset, synthetic_task,
                             to_row_sequence)
 from spikelstm.errors import DataFormatError, ValidationError
@@ -91,6 +91,23 @@ def test_row_sequence_padding():
         to_row_sequence(np.zeros((28, 27)), 32)
     with pytest.raises(ValidationError):
         to_row_sequence(img, 30)
+    stack = to_row_sequence(np.stack([img, marked]), 32)  # a stack pads image by image
+    np.testing.assert_array_equal(stack, [to_row_sequence(img, 32), padded])
+
+
+def test_load_tmnist_pads_each_image_as_to_row_sequence(tmp_path):
+    rng = np.random.default_rng(5)
+    raw = rng.integers(0, 256, (6, 28, 28), dtype=np.uint8)
+    paths = write_idx_pair(tmp_path, raw, np.arange(6))
+    for path, kind in zip(paths, ("images-idx3", "labels-idx1")):
+        os.replace(path, tmp_path / f"t10k-{kind}-ubyte")
+    for pad_to in (28, 32):
+        ds = load_tmnist(str(tmp_path), "test", pad_to)
+        np.testing.assert_array_equal(ds.sequences, [to_row_sequence(im / 255.0, pad_to)
+                                                     for im in raw])
+        np.testing.assert_array_equal(ds.labels, np.arange(6))
+    with pytest.raises(ValidationError):
+        load_tmnist(str(tmp_path), "test", 30)
 
 
 @pytest.mark.parametrize("shape,label_width", [((81, 20), 2), ((128, 9), 4)])

@@ -64,3 +64,15 @@ def test_encode_sequence_batch_keys_each_sample_by_its_index():
     tail = encode_sequence(X[2:], 5, "poisson", 9, first_index=12)
     np.testing.assert_array_equal(tail, batch[2:])
     np.testing.assert_array_equal(encode_sequence(X, 5, "direct")[:, :, 4], X)
+
+
+@pytest.mark.parametrize("encoding", ["direct", "poisson"])
+def test_float_input_keeps_its_dtype(encoding):
+    """f32 input encodes to f32 with the values of the f64 path: Poisson
+    draws compare f64 uniforms with the exactly promoted input."""
+    X = np.random.default_rng(4).random((3, 5, 7))
+    ours = encode_sequence(X.astype(np.float32), 6, encoding, 2, first_index=1)
+    f64 = encode_sequence(X.astype(np.float32).astype(np.float64), 6, encoding, 2,
+                          first_index=1)
+    assert ours.dtype == np.float32 and f64.dtype == np.float64
+    np.testing.assert_array_equal(ours, f64)

@@ -182,22 +182,27 @@ def test_piecewise_constant_landscape_still_yields_surrogate_gradient():
 
 
 def test_fit_single_epoch_emits_metrics(tmp_path):
+    """One epoch at each precision writes the three artifacts; the manifest
+    hashes the data as given, so both precisions record the same hash."""
     ds = synthetic_task("planted-pattern", 64, seed=0)
-    rng = np.random.default_rng(0)
-    model = AnnLSTM.random(6, [4], [3], rng, scale=0.3)
-    cfg = TrainConfig(epochs=1, batch_size=16, lr=1e-2, seed=0)
-    out = tmp_path / "run"
-    _, history = fit(model, (ds.sequences[:48], ds.labels[:48]),
-                     (ds.sequences[48:], ds.labels[48:]), cfg, out_dir=str(out))
-    assert len(history) == 2  # one train row + one val row for the epoch
-    with open(out / "metrics.csv") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["epoch", "split", "loss", "accuracy", "spike_rate_mean", "wall_time"]
-    assert len(rows) == 3
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["model_kind"] == "ann"
-    assert len(manifest["data_hash"]) == 64
-    assert (out / "model.ckpt").exists()
+    hashes = set()
+    for precision in ("f64", "f32"):
+        model = AnnLSTM.random(6, [4], [3], np.random.default_rng(0), scale=0.3)
+        cfg = TrainConfig(epochs=1, batch_size=16, lr=1e-2, seed=0, precision=precision)
+        out = tmp_path / precision
+        _, history = fit(model, (ds.sequences[:48], ds.labels[:48]),
+                         (ds.sequences[48:], ds.labels[48:]), cfg, out_dir=str(out))
+        assert len(history) == 2  # one train row + one val row for the epoch
+        with open(out / "metrics.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["epoch", "split", "loss", "accuracy", "spike_rate_mean", "wall_time"]
+        assert len(rows) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["model_kind"] == "ann"
+        assert len(manifest["data_hash"]) == 64
+        assert (out / "model.ckpt").exists()
+        hashes.add(manifest["data_hash"])
+    assert len(hashes) == 1
 
 
 def test_fit_seed_determinism():
