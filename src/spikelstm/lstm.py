@@ -107,11 +107,15 @@ class ClassifierHead:
 
     def forward_cached(self, v: np.ndarray):
         """Logits plus the layer inputs (pre-ReLU after the first) that the
-        backward pass needs."""
+        backward pass needs.
+
+        Each row is multiplied as a 1-row matrix: one GEMM over a batch
+        rounds a row differently depending on the batch size, so a batched
+        readout would not equal the same sample's streamed one."""
         out = np.asarray(v)
         caches = [out]
         for k, (W, b) in enumerate(self.weights):
-            out = out @ W.T + b
+            out = (out[..., None, :] @ W.T)[..., 0, :] + b
             if k < len(self.weights) - 1:
                 caches.append(out)
                 out = np.maximum(out, 0.0)

@@ -162,6 +162,28 @@ def test_batch_stats_split_into_per_sample_stats(encoding):
     assert aux["stats"].layers[-1].hidden_nnz_total > 0
 
 
+@pytest.mark.parametrize("plan", ["g", "i"])
+@pytest.mark.parametrize("encoding", ["direct", "poisson"])
+def test_batched_logits_equal_streamed_ones(plan, encoding):
+    """Every row of a B=43 batch, at f64 and f32, with a one- and a
+    two-layer head: the logits equal snn_forward's for that sample, bit for
+    bit, whatever the batch size."""
+    for dtype, head in itertools.product((np.float64, np.float32), ([3], [6, 3])):
+        rng = np.random.default_rng(17)
+        model = random_spiking_lstm(4, [23, 11], head, rng, plan=ConversionPlan(plan),
+                                    time_steps=3, encoding=encoding, scale=1.5)
+        for cell in model.cells:
+            for gate in ("f", "i", "o"):
+                cell.weights.b[gate] += 1.0
+        cast_parameters(model, dtype)
+        X = rng.random((43, 5, 4))
+        logits, _, aux = snn_batch_forward(model, X, 3, encoding, seed=6)
+        assert aux["stats"].layers[-1].hidden_nnz_total > 0
+        for b in range(len(X)):
+            np.testing.assert_array_equal(
+                logits[b], snn_forward(model, X[b], rng_seed=6, first_index=b)[0])
+
+
 def _orders_model(encoding):
     """Two layers wide enough that a batch of under a hundred exceeds the
     wavefront budget, with open f/i/o gates so both layers spike."""
@@ -187,19 +209,15 @@ def _batch_sizes(model):
 
 def test_both_loop_orders_match_the_per_step_oracle():
     """Every sample of a batch below the wavefront budget and of one above
-    it: logits and per-(n, tau) counts equal the per-step oracle's. The
-    head runs on each sample's readout alone, as in the oracle: one head
-    GEMM over a batch may round differently from a row at a time."""
+    it: logits and per-(n, tau) counts equal the per-step oracle's."""
     model = _orders_model("direct")
     X = np.random.default_rng(14).random((max(_batch_sizes(model)), 5, 3))
     for batch in _batch_sizes(model):
         logits, _, aux = snn_batch_forward(model, X[:batch], 4, "direct", seed=3)
         assert aux["stats"].layers[-1].hidden_nnz_total > 0
-        readout = aux["head_cache"][0]
         for b in range(batch):
             ref_logits, ref_stats, _ = per_step_reference(model, X[b])
-            np.testing.assert_array_equal(model.head.forward(readout[b]), ref_logits)
-            np.testing.assert_allclose(logits[b], ref_logits, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(logits[b], ref_logits)
             assert aux["stats"].sample(b) == ref_stats
 
 
@@ -228,10 +246,10 @@ def test_both_loop_orders_agree_taped_and_untaped(encoding):
 def test_packed_block_matches_the_per_step_oracle_in_every_mode(monkeypatch, plan, encoding):
     """Plan g (no ternary slot in the LIF bank) and plan i, an odd width,
     both encodings, f64 and f32; taped and untaped, by anti-diagonals and in
-    element order. Hard spikes: every sample's per-(n, tau) counts and its
-    head-on-own-readout logits equal the per-step oracle's. Relaxed spikes,
-    which the oracle does not model: the four runs give the same logits and
-    per-(n, tau) counts, and taped and untaped runs the same SpikeStats."""
+    element order. Hard spikes: every sample's per-(n, tau) counts and
+    logits equal the per-step oracle's. Relaxed spikes, which the oracle
+    does not model: the four runs give the same logits and per-(n, tau)
+    counts, and taped and untaped runs the same SpikeStats."""
     rng = np.random.default_rng(16)
     model = random_spiking_lstm(3, [37, 21], [3], rng, plan=ConversionPlan(plan), time_steps=3,
                                 encoding=encoding, scale=1.5)
@@ -251,11 +269,11 @@ def test_packed_block_matches_the_per_step_oracle_in_every_mode(monkeypatch, pla
             for want_tapes in (False, True):
                 logits, _, aux = snn_batch_forward(model, X, 3, encoding, seed=5,
                                                    relaxed=relaxed, want_tapes=want_tapes)
-                runs[walk, want_tapes] = logits, aux["stats"], aux["head_cache"][0]
-        first_logits, first_stats, _ = runs["wavefront", False]
+                runs[walk, want_tapes] = logits, aux["stats"]
+        first_logits, first_stats = runs["wavefront", False]
         assert first_logits.dtype == dtype
         assert first_stats.layers[-1].hidden_nnz_total > 0
-        for (walk, want_tapes), (logits, stats, readout) in runs.items():
+        for (walk, want_tapes), (logits, stats) in runs.items():
             np.testing.assert_array_equal(logits, first_logits)
             for ours, theirs in zip(stats.layers, first_stats.layers):
                 np.testing.assert_array_equal(ours.hidden_nnz, theirs.hidden_nnz)
@@ -264,7 +282,7 @@ def test_packed_block_matches_the_per_step_oracle_in_every_mode(monkeypatch, pla
             for b in range(len(X) * (not relaxed)):
                 ref_logits, ref_stats, _ = per_step_reference(model, X[b], rng_seed=5,
                                                               first_index=b)
-                np.testing.assert_array_equal(model.head.forward(readout[b]), ref_logits)
+                np.testing.assert_array_equal(logits[b], ref_logits)
                 assert stats.sample(b) == ref_stats
 
 
