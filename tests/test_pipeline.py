@@ -95,12 +95,15 @@ def _unit_report(n, T):
 
 def test_latency_tick_fixture():
     """Ticks: proposed 7, priorwork 15, nonspiking 5; latency is ticks times
-    the per-tick cost."""
+    the per-tick cost, a block's op counts at one unit each: one AC per
+    spiking step, 8 MACs + 1 AC + 5 activations per non-spiking element,
+    and the AC plus 4 dense recurrent MACs per prior-work step."""
     schedule = build_schedule(5, 3)
     report = _unit_report(5, 3)
-    for mode, ticks in (("proposed", 7), ("nonspiking", 5), ("priorwork", 15)):
+    for mode, ticks, cost in (("proposed", 7, 1.0), ("nonspiking", 5, 14.0),
+                              ("priorwork", 15, 5.0)):
         result = latency_report(schedule, report, None, mode)
-        assert result["ticks"] == ticks
+        assert result["ticks"] == ticks and result["per_tick_cost"] == cost
         assert result["total_latency"] == ticks * result["per_tick_cost"]
 
 
