@@ -371,21 +371,24 @@ def cmd_energy_report(args) -> int:
     if isinstance(model, AnnLSTM):
         raise ValidationError("energy-report needs a spiking checkpoint (compare via "
                               "the report's nonspiking baseline)")
-    energies, sparsity_rows = [], []
+    chunks, sparsity_rows = [], []  # chunks: each one's energy estimate and sample count
     for lo in range(0, limit, EVAL_CHUNK):
         xb = test.sequences[lo:min(lo + EVAL_CHUNK, limit)]
         _, _, aux = snn_batch_forward(model, xb, model.time_steps, model.encoding, args.seed,
                                       first_index=lo)
-        for b in range(len(xb)):  # per sample, in sample order
-            stats = aux["stats"].sample(b)
-            ops = count_ops_snn(stats, model)
-            audit_multiplier_free(ops)
-            energies.append(estimate_energy(ops, em))
-            sparsity_rows += [{"sample": lo + b, "layer": li, **rates}
-                              for li, rates in enumerate(stats.gate_rates())]
-    totals = {part: {key: sum(e[part][key] / limit for e in energies) for key in energies[0][part]}
+        ops = count_ops_snn(aux["stats"], model)
+        audit_multiplier_free(ops)
+        chunks.append((estimate_energy(ops, em), len(xb)))
+        rates = [{g: v.tolist() for g, v in layer.items()} for layer in aux["stats"].gate_rates()]
+        sparsity_rows += [{"sample": lo + b, "layer": li, **{g: v[b] for g, v in layer.items()}}
+                          for b in range(len(xb)) for li, layer in enumerate(rates)]
+
+    def mean(pick):  # the per-sample averages summed in sample order
+        return sum(x for e, n in chunks for x in (np.broadcast_to(pick(e), n) / limit).tolist())
+
+    totals = {part: {key: mean(lambda e: e[part][key]) for key in chunks[0][0][part]}
               for part in ("digital", "neuromorphic")}
-    totals["total_flops"] = sum(e["total_flops"] / limit for e in energies)
+    totals["total_flops"] = mean(lambda e: e["total_flops"])
     ann_equiv = AnnLSTM(layers=[c.weights for c in model.cells], head=model.head, act=model.act)
     ann_ops = count_ops_ann(ann_equiv, test.sequences.shape[1])
     ann_energy = estimate_energy(ann_ops, em)

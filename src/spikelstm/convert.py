@@ -10,6 +10,7 @@ from .errors import DimensionMismatch, ValidationError
 from .lstm import AnnLSTM, ann_batch_forward
 from .snn import (ConversionPlan, SpikingLSTM, SpikingLSTMCell, default_gate_params,
                   snn_batch_forward)
+from .train import EVAL_CHUNK
 
 
 def convert(ann_model: AnnLSTM, T: int, plan: ConversionPlan | None = None,
@@ -48,7 +49,7 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
     ANN gate values (and the cell-output tanh under 'c') come from
     ann_batch_forward; SNN values are per-element spike rates of the
     spiking gates and time-averaged values of the analog gate, from the
-    taped snn_batch_forward over the probes as one batch.
+    taped snn_batch_forward; both run over chunks of EVAL_CHUNK probes.
 
     Returns a list of rows: {"layer": idx, "gate": name, "mae": float}.
     """
@@ -58,19 +59,22 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
         X = np.asarray(probe_inputs)  # [P, N, F]
     except ValueError as err:
         raise ValidationError(f"probe sequences must share one [N, F] shape ({err})") from None
-    _, ann_caches = ann_batch_forward(ann_model, X, want_caches=True)
-    _, tapes, _ = snn_batch_forward(snn_model, X, T, snn_model.encoding, rng_seed,
-                                    want_tapes=True)
-    rows = []
-    for li, (cache, tape) in enumerate(zip(ann_caches["layers"], tapes)):
-        cell = snn_model.cells[li]
-        ann_gates = dict(zip(REPORT_GATES, (np.stack(v) for v in zip(*cache["gates"]))))
-        snn_values = {g: tape.S_pos[g] - tape.S_neg[g] if g in tape.S_neg else tape.S_pos[g]
-                      for g in cell.plan.spiking_gates}
-        snn_values[cell.plan.analog_gate] = tape.A_analog
-        for a in REPORT_GATES:
-            rate = snn_values[a].mean(axis=1)  # [N, P, H]
-            rows.append({"layer": li, "gate": a,
-                         "mae": float(np.abs(ann_gates[a] - rate).mean())})
-    return rows
-
+    sums = {}  # (layer, gate) -> each chunk's sum of absolute errors
+    for lo in range(0, max(len(X), 1), EVAL_CHUNK):  # no probes fail in the forwards
+        xb = X[lo:lo + EVAL_CHUNK]
+        _, ann_caches = ann_batch_forward(ann_model, xb, want_caches=True)
+        _, tapes, _ = snn_batch_forward(snn_model, xb, T, snn_model.encoding, rng_seed,
+                                        want_tapes=True, first_index=lo)
+        for li, (cache, tape) in enumerate(zip(ann_caches["layers"], tapes)):
+            cell = snn_model.cells[li]
+            ann_gates = dict(zip(REPORT_GATES, (np.stack(v) for v in zip(*cache["gates"]))))
+            snn_values = {g: tape.S_pos[g] - tape.S_neg[g] if g in tape.S_neg else tape.S_pos[g]
+                          for g in cell.plan.spiking_gates}
+            snn_values[cell.plan.analog_gate] = tape.A_analog
+            for a in REPORT_GATES:
+                rate = snn_values[a].mean(axis=1)  # [N, P, H]
+                sums.setdefault((li, a), []).append(np.abs(ann_gates[a] - rate).sum())
+    # a mean is its sum over the count, so one chunk gives mean()'s bits
+    return [{"layer": li, "gate": a,
+             "mae": float(sum(parts) / (X.shape[0] * X.shape[1] * snn_model.hidden_dims[li]))}
+            for (li, a), parts in sums.items()]

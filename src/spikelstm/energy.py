@@ -43,11 +43,6 @@ class LayerSpikeStats:
     def hidden_nnz_total(self) -> int:
         return int(self.hidden_nnz.sum())
 
-    @property
-    def hidden_nnz_last(self) -> int:
-        """Hidden spikes emitted during the final element."""
-        return int(self.hidden_nnz[:, -1].sum())
-
     def __eq__(self, other) -> bool:
         def key(s):
             return (s.units, s.fan_in, s.input_analog, s.input_nnz.tolist(),
@@ -67,28 +62,22 @@ class SpikeStats:
         """(B, N, T): the samples, elements and steps the counts cover."""
         return self.layers[0].hidden_nnz.shape
 
-    def sample(self, b: int) -> "SpikeStats":
-        """The tallies of sample b alone, as a one-sample SpikeStats."""
-        return SpikeStats(layers=[
-            LayerSpikeStats(s.units, s.fan_in, s.input_analog, s.input_nnz[b:b + 1],
-                            s.hidden_nnz[b:b + 1],
-                            {g: v[b:b + 1] for g, v in s.gate_spikes.items()})
-            for s in self.layers], encoding=self.encoding)
-
     def mean_hidden_rate(self) -> float:
         total = sum(s.hidden_nnz_total for s in self.layers)
         possible = sum(s.units * s.hidden_nnz.size for s in self.layers)
         return total / possible if possible else 0.0
 
     def gate_rates(self) -> list:
-        """Per layer: gate -> fraction of unit-steps with a nonzero spike."""
-        return [{g: int(v.sum()) / (s.units * s.hidden_nnz.size) for g, v in s.gate_spikes.items()}
+        """Per layer: gate -> [B] fractions of each sample's unit-steps with
+        a nonzero spike."""
+        return [{g: v / (s.units * s.hidden_nnz[0].size) for g, v in s.gate_spikes.items()}
                 for s in self.layers]
 
 
 @dataclass
 class LayerOps:
-    """Op tallies for one layer (integers; totals are sums of parts)."""
+    """Op tallies for one layer (totals are sums of parts): ints, but a
+    batched spiking count holds the accumulates per sample, [B] int64."""
 
     hidden: int
     fan_in: int
@@ -103,7 +92,9 @@ class LayerOps:
 
 @dataclass
 class OpCountReport:
-    """Exact operation tallies for one evaluated sequence."""
+    """Exact operation tallies per evaluated sequence. A batched count holds
+    the event-driven ones (head_accumulates, the layers' accumulates, hence
+    accumulates and total_flops) as [B] arrays, one entry per sample."""
 
     layers: list
     n_elements: int
@@ -199,12 +190,10 @@ def direct_input_macs(cell) -> int:
 
 
 def count_ops_snn(stats: SpikeStats, model) -> OpCountReport:
-    """Event-driven op tallies of one spiking run of one sequence from its
-    recorded stats (N, T and encoding are the stats')."""
-    batch, n_elements, time_steps = stats.shape
-    if batch != 1:
-        raise ValidationError(f"spike stats hold {batch} samples; count one sequence "
-                              "at a time (SpikeStats.sample)")
+    """Event-driven op tallies of every sample of a spiking run from its
+    recorded stats (N, T and encoding are the stats'), in one pass: the
+    accumulates are [B] int64 arrays, the sample-independent counts ints."""
+    _, n_elements, time_steps = stats.shape
     if len(stats.layers) != len(model.cells):
         raise ValidationError("spike stats layer count != model layer count")
     steps = n_elements * time_steps
@@ -214,8 +203,7 @@ def count_ops_snn(stats: SpikeStats, model) -> OpCountReport:
             raise ValidationError("spike stats unit count != model hidden dim")
         h = s.units
         fanout = 4 * h
-        recurrent_nnz = s.hidden_nnz_total - s.hidden_nnz_last
-        acc = fanout * (int(s.input_nnz.sum()) + recurrent_nnz)
+        recurrent_nnz = s.hidden_nnz[:, :-1].sum(axis=(1, 2))  # the last element's feed the head
         leak_units = 0
         for params in cell.gate_params.values():
             leak_units += int(np.count_nonzero(np.broadcast_to(params.leak, (h,)) != 1.0))
@@ -223,14 +211,14 @@ def count_ops_snn(stats: SpikeStats, model) -> OpCountReport:
             hidden=h, fan_in=s.fan_in,
             macs=direct_input_macs(cell) * n_elements if s.input_analog else 0,
             multiplies=0,
-            accumulates=acc,
+            accumulates=fanout * (s.input_nnz.sum(axis=(1, 2)) + recurrent_nnz),
             recurrent_accumulates=fanout * recurrent_nnz,
             comparisons=step_comparisons(cell) * steps,
             activations=h * steps,  # the one analog gate's hard-activation evals
             leak_multiplies=leak_units * steps,
         ))
     head_macs = sum(W.size for W, _ in model.head.weights)
-    head_acc = stats.layers[-1].hidden_nnz_last  # readout rate accumulation
+    head_acc = stats.layers[-1].hidden_nnz[:, -1].sum(axis=1)  # readout rate accumulation
     return OpCountReport(layers=layers, n_elements=n_elements, time_steps=time_steps,
                          encoding=stats.encoding, head_macs=head_macs,
                          head_accumulates=head_acc)
@@ -239,22 +227,22 @@ def count_ops_snn(stats: SpikeStats, model) -> OpCountReport:
 def audit_multiplier_free(report: OpCountReport) -> None:
     """Assert the spiking datapath needs no multiplies outside the allowed
     buckets (direct-encoding input projection, head, separately bucketed
-    leak scaling). Raises MultiplierAuditError otherwise."""
+    leak scaling). Raises MultiplierAuditError otherwise, naming the layer
+    and, for a count held per sample, the first offending sample."""
     for idx, layer in enumerate(report.layers):
-        if layer.multiplies != 0:
-            raise MultiplierAuditError(
-                f"layer {idx} reports {layer.multiplies} datapath multiplies")
-        if idx > 0 and layer.macs != 0:
-            raise MultiplierAuditError(
-                f"layer {idx} reports {layer.macs} MACs but only the first layer may project analog input")
-        if idx == 0 and report.encoding == "poisson" and layer.macs != 0:
-            raise MultiplierAuditError(
-                f"first layer reports {layer.macs} MACs under poisson encoding")
+        macs = layer.macs if idx > 0 or report.encoding == "poisson" else 0
+        for count, what in ((layer.multiplies, "datapath multiplies"),
+                            (macs, "MACs, allowed only in a direct-encoded first layer")):
+            bad = np.flatnonzero(count)
+            if bad.size:
+                where = f", sample {bad[0]}," if np.ndim(count) else ""
+                raise MultiplierAuditError(
+                    f"layer {idx}{where} reports {np.ravel(count)[bad[0]]} {what}")
 
 
 def estimate_energy(report: OpCountReport, em: EnergyModel | None = None) -> dict:
-    """Digital per-op-weighted energy plus the neuromorphic
-    FLOPs * E_compute + T * E_static estimate per platform."""
+    """Digital per-op-weighted energy plus the neuromorphic FLOPs *
+    E_compute + T * E_static estimate per platform, [B] where the counts are."""
     em = em or EnergyModel()
     digital = {
         "mac": report.macs * em.e_mac,

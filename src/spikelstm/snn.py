@@ -455,9 +455,9 @@ def snn_forward(model: SpikingLSTM, sequence, T: int | None = None, rng_seed: in
     """Streaming evaluation of an [N, F] sequence: the batched engine at
     B=1, the sequence being sample first_index of its set under rng_seed.
 
-    Returns (logits, spike_stats, op_counts). The readout is the head
-    applied to the time-averaged ternary hidden spikes of the final
-    element.
+    Returns (logits, spike_stats, op_counts), the op counts as plain ints.
+    The readout is the head applied to the time-averaged ternary hidden
+    spikes of the final element.
     """
     T = model.time_steps if T is None else T
     sequence = np.asarray(sequence)
@@ -466,7 +466,10 @@ def snn_forward(model: SpikingLSTM, sequence, T: int | None = None, rng_seed: in
     logits, _, aux = snn_batch_forward(model, sequence[None], T, model.encoding, rng_seed,
                                        first_index=first_index)
     stats = aux["stats"]
-    return logits[0], stats, count_ops_snn(stats, model)
+    ops = count_ops_snn(stats, model)
+    for part in (ops, *ops.layers):  # the one sample's [1] counts as ints
+        vars(part).update({k: v.item() for k, v in vars(part).items() if isinstance(v, np.ndarray)})
+    return logits[0], stats, ops
 
 
 def default_gate_params(plan: ConversionPlan, act: HardActConfig, hidden: int,

@@ -202,7 +202,8 @@ def _energy_report_reference(model, test, limit, seed):
             for key, value in energy[part].items():
                 totals[part][key] += value / limit
         totals["total_flops"] += ops.total_flops / limit
-        rows += [{"sample": k, "layer": li, **rates} for li, rates in enumerate(stats.gate_rates())]
+        rows += [{"sample": k, "layer": li, **{g: float(v[0]) for g, v in rates.items()}}
+                 for li, rates in enumerate(stats.gate_rates())]
     return totals, rows
 
 

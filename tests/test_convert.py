@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,22 @@ def test_error_report_rejects_ragged_probes(tiny_ann):
     snn = convert(tiny_ann, T=2)
     with pytest.raises(ValidationError):
         conversion_error_report(tiny_ann, snn, [np.zeros((3, 2)), np.zeros((4, 2))], T=2)
+
+
+@pytest.mark.parametrize("encoding", ["direct", "poisson"])
+def test_error_report_chunked_matches_one_batch(monkeypatch, encoding):
+    """More probes than a chunk: chunks of 4 (4 + 4 + 3 probes) give the
+    one-batch MAEs, probe k keyed as sample k either way."""
+    rng = np.random.default_rng(4)
+    ann = AnnLSTM.random(3, [5, 4], [2], rng, scale=1.5)
+    snn = convert(ann, T=3, plan=ConversionPlan("g"), encoding=encoding)
+    probes = rng.random((11, 6, 3))
+    one_batch = conversion_error_report(ann, snn, probes, T=3, rng_seed=2)
+    # the package's `convert` attribute is the function; the module is in sys.modules
+    monkeypatch.setattr(importlib.import_module("spikelstm.convert"), "EVAL_CHUNK", 4)
+    chunked = conversion_error_report(ann, snn, probes, T=3, rng_seed=2)
+    keys = [(r["layer"], r["gate"]) for r in one_batch]
+    assert [(r["layer"], r["gate"]) for r in chunked] == keys
+    assert all(r["mae"] > 0 for r in one_batch)
+    for ours, theirs in zip(chunked, one_batch):
+        assert ours["mae"] == pytest.approx(theirs["mae"], rel=1e-12)

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -78,11 +81,74 @@ def test_snn_stats_model_mismatch_rejected():
         count_ops_snn(_stats(layers=2), model)
     with pytest.raises(ValidationError):
         count_ops_snn(_stats(units=16), model)
-    two_samples = snn_batch_forward(model, np.zeros((2, 3, 4)), 2, "poisson", 0)[2]["stats"]
-    with pytest.raises(ValidationError):
-        count_ops_snn(two_samples, model)
     report = count_ops_snn(_stats(n=3, T=2, encoding="direct", analog=True), model)
     assert (report.n_elements, report.time_steps, report.encoding) == (3, 2, "direct")
+
+
+def _per_sample(value, b):
+    return value[b] if np.ndim(value) else value
+
+
+@pytest.mark.parametrize("encoding", ["direct", "poisson"])
+def test_batched_counts_equal_streamed_reports(encoding):
+    """One count over a batch's stats gives, sample by sample and field by
+    field, the report snn_forward gives that sample alone: two layers, a
+    leak != 1, sample b streamed as sample first_index + b. Its per-sample
+    accumulates equal a tally of the taped spikes, each nonzero input
+    fanning out to the 4H gate inputs."""
+    rng = np.random.default_rng(9)
+    model = random_spiking_lstm(3, [5, 4], [2], rng, plan=ConversionPlan("g"), time_steps=3,
+                                encoding=encoding, scale=2.0)
+    for cell in model.cells:  # open f/i/o so the top layer spikes
+        for gate in ("f", "i", "o"):
+            cell.weights.b[gate] += 3.0
+    model.cells[1].gate_params["f"].leak = np.full(4, 0.9)
+    X = rng.random((7, 6, 3))
+    _, tapes, aux = snn_batch_forward(model, X, 3, encoding, seed=4, first_index=2,
+                                      want_tapes=True)
+    batched = count_ops_snn(aux["stats"], model)
+    fed = np.count_nonzero(aux["encoded"], axis=(1, 2, 3)) if encoding == "poisson" else 0
+    for layer, tape in zip(batched.layers, tapes):  # tape.H: [N, T, B, H]
+        recurrent = np.count_nonzero(tape.H[:-1], axis=(0, 1, 3))
+        np.testing.assert_array_equal(layer.recurrent_accumulates, 4 * layer.hidden * recurrent)
+        np.testing.assert_array_equal(layer.accumulates, 4 * layer.hidden * (fed + recurrent))
+        fed = np.count_nonzero(tape.H, axis=(0, 1, 3))
+    np.testing.assert_array_equal(batched.head_accumulates,
+                                  np.count_nonzero(tapes[-1].H[-1], axis=(0, 2)))
+    audit_multiplier_free(batched)
+    assert batched.layers[1].leak_multiplies > 0
+    assert batched.accumulates.shape == (7,) and len(set(batched.accumulates.tolist())) > 1
+    assert len(set(batched.head_accumulates.tolist())) > 1
+    batched_energy = estimate_energy(batched)
+    for b in range(len(X)):
+        _, _, alone = snn_forward(model, X[b], rng_seed=4, first_index=2 + b)
+        for ours, theirs in zip(batched.layers, alone.layers, strict=True):
+            for f in dataclasses.fields(LayerOps):
+                assert _per_sample(getattr(ours, f.name), b) == getattr(theirs, f.name), f.name
+        for name in ("n_elements", "time_steps", "encoding", "head_macs", "head_accumulates",
+                     "macs", "multiplies", "accumulates", "comparisons", "activations",
+                     "leak_multiplies", "total_flops"):
+            assert _per_sample(getattr(batched, name), b) == getattr(alone, name), name
+        energy = estimate_energy(alone)
+        for part in ("digital", "neuromorphic"):
+            for key, value in energy[part].items():
+                assert _per_sample(batched_energy[part][key], b) == value, (part, key)
+
+
+def test_streamed_counts_are_plain_ints():
+    """snn_forward's report holds Python ints in every count field, so
+    callers can add them into JSON-bound dicts."""
+    rng = np.random.default_rng(10)
+    model = random_spiking_lstm(3, [5, 4], [2], rng, time_steps=2, scale=2.0)
+    _, _, ops = snn_forward(model, rng.random((4, 3)))
+    for report in (ops, *ops.layers):
+        for f in dataclasses.fields(report):
+            if f.name not in ("layers", "encoding"):
+                assert type(getattr(report, f.name)) is int, f.name
+    for name in ("macs", "multiplies", "accumulates", "comparisons", "activations",
+                 "leak_multiplies", "total_flops"):
+        assert type(getattr(ops, name)) is int, name
+    json.dumps(dataclasses.asdict(ops))
 
 
 def test_poisson_input_acs_match_rate():
@@ -142,6 +208,18 @@ def test_audit_passes_for_both_plans_and_catches_violations():
                          n_elements=1, time_steps=1, encoding="poisson")
     with pytest.raises(MultiplierAuditError):
         audit_multiplier_free(bad2)
+
+
+def test_audit_names_layer_and_first_offending_sample():
+    clean = LayerOps(hidden=1, fan_in=1, accumulates=np.array([4, 5, 6, 7]))
+    bad = LayerOps(hidden=1, fan_in=1, multiplies=np.array([0, 0, 3, 0]))
+    report = OpCountReport(layers=[clean, bad], n_elements=1, time_steps=1, encoding="direct")
+    with pytest.raises(MultiplierAuditError,
+                       match=r"^layer 1, sample 2, reports 3 datapath multiplies$"):
+        audit_multiplier_free(report)
+    bad.multiplies = np.array([0, 4, 0, 5])
+    with pytest.raises(MultiplierAuditError, match=r"^layer 1, sample 1, reports 4 datapath"):
+        audit_multiplier_free(report)
 
 
 def test_leak_multiplies_flagged_separately():

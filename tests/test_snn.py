@@ -5,6 +5,7 @@ import pytest
 
 from spikelstm.activations import HardActConfig
 from spikelstm.convert import convert
+from spikelstm.energy import LayerSpikeStats
 from spikelstm.errors import MultiplierAuditError, NumericalFault, ValidationError
 from spikelstm.lstm import AnnLSTM, ann_batch_forward
 import spikelstm.snn as snn_module
@@ -17,6 +18,20 @@ from spikelstm.verify import per_step_reference
 from conftest import one_unit_cell, zero_weights
 
 CFG = HardActConfig()
+
+
+def _sample_layers(stats, b):
+    """Sample b's per-layer slices of a batched run's SpikeStats, as the
+    one-sample LayerSpikeStats a run of that sample alone records."""
+    return [LayerSpikeStats(s.units, s.fan_in, s.input_analog, s.input_nnz[b:b + 1],
+                            s.hidden_nnz[b:b + 1],
+                            {g: v[b:b + 1] for g, v in s.gate_spikes.items()})
+            for s in stats.layers]
+
+
+def _assert_sample_equals(stats, b, alone):
+    assert stats.encoding == alone.encoding
+    assert _sample_layers(stats, b) == alone.layers
 
 
 def test_plan_validation():
@@ -158,7 +173,7 @@ def test_batch_stats_split_into_per_sample_stats(encoding):
     assert aux["stats"].shape == (9, 6, 3)
     for b in range(9):
         _, alone, _ = snn_forward(model, X[b], rng_seed=4, first_index=2 + b)
-        assert aux["stats"].sample(b) == alone
+        _assert_sample_equals(aux["stats"], b, alone)
     assert aux["stats"].layers[-1].hidden_nnz_total > 0
 
 
@@ -218,7 +233,7 @@ def test_both_loop_orders_match_the_per_step_oracle():
         for b in range(batch):
             ref_logits, ref_stats, _ = per_step_reference(model, X[b])
             np.testing.assert_array_equal(logits[b], ref_logits)
-            assert aux["stats"].sample(b) == ref_stats
+            _assert_sample_equals(aux["stats"], b, ref_stats)
 
 
 @pytest.mark.parametrize("encoding", ["direct", "poisson"])
@@ -238,7 +253,8 @@ def test_both_loop_orders_agree_taped_and_untaped(encoding):
         assert runs[batch, False][1] == runs[batch, True][1]
     np.testing.assert_array_equal(runs[small, False][2], runs[large, False][2][:small])
     for b in range(small):
-        assert runs[small, False][1].sample(b) == runs[large, False][1].sample(b)
+        assert (_sample_layers(runs[small, False][1], b)
+                == _sample_layers(runs[large, False][1], b))
 
 
 @pytest.mark.parametrize("plan", ["g", "i"])
@@ -283,7 +299,7 @@ def test_packed_block_matches_the_per_step_oracle_in_every_mode(monkeypatch, pla
                 ref_logits, ref_stats, _ = per_step_reference(model, X[b], rng_seed=5,
                                                               first_index=b)
                 np.testing.assert_array_equal(logits[b], ref_logits)
-                assert stats.sample(b) == ref_stats
+                _assert_sample_equals(stats, b, ref_stats)
 
 
 def test_packed_parameters_are_never_stale():

@@ -71,7 +71,7 @@ def test_train_forward_matches_streaming_inference():
                     cell.weights.b[gate] += 4.0
             seq = rng.random((5, 3))
             stream_logits, stats, _ = snn_forward(model, seq, rng_seed=4)
-            assert stats.layers[-1].hidden_nnz_last > 0
+            assert stats.layers[-1].hidden_nnz[:, -1].sum() > 0
             batch_logits, _, _ = snn_batch_forward(model, seq[None], 3, encoding, 4)
             np.testing.assert_array_equal(batch_logits[0], stream_logits)
 
