@@ -19,6 +19,27 @@ from .errors import DimensionMismatch, ValidationError
 GATES = ("f", "i", "g", "o")
 
 
+class GateProjection:
+    """x @ m.T for G matrices m [H, K], the gates or a head layer, from one
+    C-contiguous, gate-major pack [G, K, H'], H zero-padded to a multiple of
+    16: one GEMM per gate over x's rows flattened to [M, K], a lone row beside
+    a copy of itself, so a row's bits do not depend on the batch (README)."""
+
+    def __init__(self, mats):
+        mats = np.asarray(mats)
+        count, self.width, fan_in = mats.shape
+        self.pack = np.zeros((count, fan_in, -(-self.width // 16) * 16), mats.dtype)
+        self.pack[..., :self.width] = mats.transpose(0, 2, 1)
+
+    def __call__(self, x):
+        """x [..., K] -> [G, ..., H]."""
+        rows = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
+        out = (rows if len(rows) > 1 else np.concatenate((rows, rows))) @ self.pack
+        if out.shape[1:] != (len(rows), self.width):
+            out = out[:, :len(rows), :self.width]
+        return out.reshape((len(out),) + x.shape[:-1] + (self.width,))
+
+
 @dataclass
 class LSTMWeights:
     """Per-gate weights: w_x [hidden, input], w_h [hidden, hidden], b [hidden]."""
@@ -49,6 +70,10 @@ class LSTMWeights:
     def dtype(self) -> np.dtype:
         """The dtype the layer, and a model of such layers, computes at."""
         return self.w_x["f"].dtype
+
+    def projections(self, order=GATES):
+        """GateProjections of x and of h, the gates in `order`."""
+        return tuple(GateProjection([m[a] for a in order]) for m in (self.w_x, self.w_h))
 
     def copy(self) -> "LSTMWeights":
         return LSTMWeights(
@@ -107,15 +132,11 @@ class ClassifierHead:
 
     def forward_cached(self, v: np.ndarray):
         """Logits plus the layer inputs (pre-ReLU after the first) that the
-        backward pass needs.
-
-        Each row is multiplied as a 1-row matrix: one GEMM over a batch
-        rounds a row differently depending on the batch size, so a batched
-        readout would not equal the same sample's streamed one."""
+        backward pass needs."""
         out = np.asarray(v)
         caches = [out]
         for k, (W, b) in enumerate(self.weights):
-            out = (out[..., None, :] @ W.T)[..., 0, :] + b
+            out = GateProjection([W])(out)[0] + b
             if k < len(self.weights) - 1:
                 caches.append(out)
                 out = np.maximum(out, 0.0)
@@ -176,14 +197,11 @@ def ann_cell_step(weights: LSTMWeights, h_prev, c_prev, x, cfg: HardActConfig):
             f"cell step got x dim {x.shape[-1]} (want {weights.input_dim}), "
             f"h dim {h_prev.shape[-1]} (want {weights.hidden_dim})"
         )
-    z = {a: x @ weights.w_x[a].T + h_prev @ weights.w_h[a].T + weights.b[a] for a in GATES}
-    f = hard_sigmoid(z["f"], cfg)
-    i = hard_sigmoid(z["i"], cfg)
-    o = hard_sigmoid(z["o"], cfg)
-    g = hard_tanh(z["g"], cfg)
+    proj_x, proj_h = weights.projections()
+    f, i, g, o = (zx + zh + weights.b[a] for a, zx, zh in zip(GATES, proj_x(x), proj_h(h_prev)))
+    f, i, o, g = *hard_sigmoid(np.stack((f, i, o)), cfg), hard_tanh(g, cfg)
     c = f * c_prev + i * g
-    h = o * hard_tanh(c, cfg)
-    return h, c
+    return o * hard_tanh(c, cfg), c
 
 
 def ann_batch_forward(model: AnnLSTM, X: np.ndarray, want_caches: bool = False):
@@ -207,12 +225,11 @@ def ann_batch_forward(model: AnnLSTM, X: np.ndarray, want_caches: bool = False):
         c = np.zeros_like(h)
         cache = {"z": [], "gates": [], "c": [c], "h": [h], "x": x_seq}
         outs = np.empty((batch, n_elements, w.hidden_dim), dtype=X.dtype)
+        proj_x, proj_h = w.projections()
+        zx, b = proj_x(x_seq), np.array([w.b[a] for a in GATES])[:, None]  # zx: [4, B, N, H]
         for n in range(n_elements):
-            z = {a: x_seq[:, n] @ w.w_x[a].T + h @ w.w_h[a].T + w.b[a] for a in GATES}
-            f = hard_sigmoid(z["f"], model.act)
-            i = hard_sigmoid(z["i"], model.act)
-            o = hard_sigmoid(z["o"], model.act)
-            g = hard_tanh(z["g"], model.act)
+            z = zx[:, :, n] + proj_h(h) + b  # gates f, i, g, o
+            f, i, o, g = *hard_sigmoid(z[[0, 1, 3]], model.act), hard_tanh(z[2], model.act)
             c = f * c + i * g
             tc = hard_tanh(c, model.act)
             h = o * tc

@@ -57,7 +57,9 @@ def tick_trace(model: SpikingLSTM, stats) -> list:
     SpikeStats' per-(n, tau) counts over the steps on that tick's
     anti-diagonal n + tau - 1. Step (n, tau) reads the (n-1, tau) hidden
     spikes, so its recurrent ACs are (n-1, tau)'s count."""
-    _, n_elements, T = stats.shape
+    batch, n_elements, T = stats.shape
+    if batch != 1:
+        raise ValidationError(f"tick_trace needs a one-sample SpikeStats, got shape {stats.shape}")
     schedule = build_schedule(n_elements, T)
     acs, macs, spikes = (np.zeros((n_elements, T), dtype=np.int64) for _ in range(3))
     for cell, s in zip(model.cells, stats.layers):  # per-(n, tau) counts over the layers

@@ -165,7 +165,8 @@ def snn_cell_step(cell: SpikingLSTMCell, state: CellStepState, x_in, h_in, c_in,
         _assert_spikes("x_in", x_in, ternary=True)
     _assert_spikes("h_in", h_in, ternary=True)
 
-    p = {a: x_in @ w.w_x[a].T + h_in @ w.w_h[a].T + w.b[a] for a in GATES}
+    proj_x, proj_h = w.projections()
+    p = {a: px + ph + w.b[a] for a, px, ph in zip(GATES, proj_x(x_in), proj_h(h_in))}
 
     f = step_sigmoid_neuron(state.membranes["f"], p["f"], cell.gate_params["f"])
     o = step_sigmoid_neuron(state.membranes["o"], p["o"], cell.gate_params["o"])
@@ -198,18 +199,14 @@ WAVEFRONT_BUDGET = 16_384
 class _GatePack:
     """One layer's parameters packed gate-major at its dtype, in the order
     of plan.bank_gates and then the analog gate: the projections as
-    [4, 1, F, H] and [4, 1, H, H] (each gate's slice a view with the strides
-    of its w.T, so np.matmul over the gate axis runs the per-gate GEMMs and
-    gives their bits) and the bias as [4, 1, 1, H]; the LIF bank's vectors
-    as [3, 1, 1, H], the c neuron's as [1, 1, H]. Built from the cell's
-    current arrays at every forward call, so an in-place or rebinding update
-    can never leave it stale."""
+    GateProjections w_x and w_h, the bias as [4, 1, 1, H], the LIF bank's
+    vectors as [3, 1, 1, H] and the c neuron's as [1, 1, H]. Built from the
+    cell's arrays at every forward call, so no update can leave it stale."""
 
     def __init__(self, cell: SpikingLSTMCell):
         plan, w, hidden, dtype = cell.plan, cell.weights, cell.hidden_dim, cell.weights.dtype
         order = plan.bank_gates + (plan.analog_gate,)
-        self.w_x = np.array([w.w_x[a] for a in order], dtype).transpose(0, 2, 1)[:, None]
-        self.w_h = np.array([w.w_h[a] for a in order], dtype).transpose(0, 2, 1)[:, None]
+        self.w_x, self.w_h = w.projections(order)
         self.b = np.array([w.b[a] for a in order], dtype)[:, None, None]
 
         def stack(values):
@@ -267,17 +264,17 @@ class _SnnLayerTape:
                 for key, a in self.lattices.items()}
 
 
-def _cell_block(pack, x, h_in, c_in, c_out, U, tally, relaxed, tape_rows, cells):
-    """The one body of a block of L cells (n, t), on [L, B, .] stacks: the
-    gate projections as [4, L, B, H], the f/o/spiking-i|g LIF bank as
-    [3, L, B, H], the cell combine and the c neuron. U and tally are
-    [bank, c] pairs of membranes and spike counts, [3, L, B, H] and
-    [L, B, H]. Writes the cell values into c_out, adds each neuron's spike
-    components into tally and, when taping, writes rows `cells` of
-    tape.rows(). Rebinds U to the post-reset membranes and returns the
-    hidden spikes."""
-    P = x @ pack.w_x
-    P += h_in @ pack.w_h
+def _cell_block(pack, px, h_in, c_in, c_out, U, tally, relaxed, tape_rows, cells):
+    """The one body of a block of L cells (n, t), on [L, B, .] stacks and
+    their input projections px: the gate projections as [4, L, B, H], the
+    f/o/spiking-i|g LIF bank as [3, L, B, H], the cell combine and the c
+    neuron. U and tally are [bank, c] pairs of membranes and spike counts,
+    [3, L, B, H] and [L, B, H]. Writes the cell values into c_out, adds each
+    neuron's spike components into tally and, when taping, writes rows
+    `cells` of tape.rows(). Rebinds U to the post-reset membranes and
+    returns the hidden spikes."""
+    P = pack.w_h(h_in)  # into the fresh array: on strided views (px) numpy runs slower
+    P += px
     P += pack.b
     # the bank's V = leak * U + P + beta, summed in place into P: addition
     # commutes exactly. At large B each temporary saved is one pass over
@@ -367,6 +364,7 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
         tally = [np.zeros(s.shape[:-2] + (T, batch, hidden), dtype=dtype) for s in spikes]
         blocks = ((k, max(0, k - n_elements + 1), min(T - 1, k))
                   for k in range(n_elements + T - 1))
+        x_rows = pack.w_x(x_rows)  # the state is small: every cell's input projection at once
     else:  # one membrane pair, rebound at each step: a store would spill the L2
         tally = [s[..., None, :, :] for s in spikes]
         blocks = ((n + t, t, t) for n in range(n_elements) for t in range(T))
@@ -379,7 +377,8 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
             U = [m[..., steps, :, :] for m in M]
         elif t0 == 0:
             U = list(pack.mem_init)
-        Hp[ahead] = _cell_block(pack, x_rows[:, cells].swapaxes(0, 1), Hp[cells], c_in, c_out,
+        x = x_rows[..., cells, :].swapaxes(-3, -2)
+        Hp[ahead] = _cell_block(pack, x if wavefront else pack.w_x(x), Hp[cells], c_in, c_out,
                                 U, [s[..., steps, :, :] for s in tally] if wavefront else tally,
                                 relaxed, tape_rows, cells)
         if wavefront:

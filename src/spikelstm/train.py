@@ -185,6 +185,19 @@ def _head_backward(head, caches, dlogits, grads, prefix="head"):
     return d  # gradient wrt the head input
 
 
+def _projection_backward(w, dz, x, h, grads, prefix, dh=None, dx=None):
+    """Backward of one step's projections z_a = x @ w_x[a].T + h @ w_h[a].T + b[a]:
+    accumulates the parameter gradients, and the input ones into dh and dx."""
+    for a in GATES:
+        grads[f"{prefix}.w_x.{a}"] += dz[a].T @ x
+        grads[f"{prefix}.w_h.{a}"] += dz[a].T @ h
+        grads[f"{prefix}.b.{a}"] += dz[a].sum(axis=0)
+        if dh is not None:
+            dh += dz[a] @ w.w_h[a]
+        if dx is not None:
+            dx += dz[a] @ w.w_x[a]
+
+
 # ---------------------------------------------------------------------------
 # ANN engine
 
@@ -215,7 +228,7 @@ def ann_backward(model: AnnLSTM, batch):
         dX_out = np.zeros_like(cache["x"]) if li > 0 else None
         for n in range(n_elements - 1, -1, -1):
             f, i, g, o, tc = cache["gates"][n]
-            z = cache["z"][n]
+            z = cache["z"][n]  # gates f, i, g, o
             dh_n = dh.copy()
             if li == len(model.layers) - 1 and n == n_elements - 1:
                 dh_n += dh_seed_top
@@ -227,20 +240,11 @@ def ann_backward(model: AnnLSTM, batch):
             di = dc * g
             dg = dc * i
             dc = dc * f
-            dz = {
-                "f": df * hard_sigmoid_grad(z["f"], model.act),
-                "i": di * hard_sigmoid_grad(z["i"], model.act),
-                "o": do * hard_sigmoid_grad(z["o"], model.act),
-                "g": dg * hard_tanh_grad(z["g"], model.act),
-            }
+            dz = dict(zip("fio", np.stack((df, di, do)) * hard_sigmoid_grad(z[[0, 1, 3]], model.act)))
+            dz["g"] = dg * hard_tanh_grad(z[2], model.act)
             dh = np.zeros_like(dh)
-            for a in GATES:
-                grads[f"layers.{li}.w_x.{a}"] += dz[a].T @ cache["x"][:, n]
-                grads[f"layers.{li}.w_h.{a}"] += dz[a].T @ cache["h"][n]
-                grads[f"layers.{li}.b.{a}"] += dz[a].sum(axis=0)
-                dh += dz[a] @ w.w_h[a]
-                if dX_out is not None:
-                    dX_out[:, n] += dz[a] @ w.w_x[a]
+            _projection_backward(w, dz, cache["x"][:, n], cache["h"][n], grads, f"layers.{li}",
+                                 dh, None if dX_out is None else dX_out[:, n])
         dX_above = dX_out
     return float(loss), grads
 
@@ -352,16 +356,9 @@ def snn_backward(model: SpikingLSTM, batch, seed: int = 0, relaxed: bool = False
                       for gate in ("f", "o", spiking_ig)}
                 dP[analog] = dA * analog_grad(tape.P_analog[n, t], cell.act)
                 # --- projections ---
-                x_in = x_feed[:, n, t]
-                h_in = tape.Hp[n, t]
-                for a in GATES:
-                    grads[f"{gp}.w_x.{a}"] += dP[a].T @ x_in
-                    grads[f"{gp}.w_h.{a}"] += dP[a].T @ h_in
-                    grads[f"{gp}.b.{a}"] += dP[a].sum(axis=0)
-                    if n > 0:
-                        dH_prev[t] += dP[a] @ w.w_h[a]
-                    if want_dx:
-                        dX_out[n, t] += dP[a] @ w.w_x[a]
+                _projection_backward(w, dP, x_feed[:, n, t], tape.Hp[n, t], grads, gp,
+                                     dH_prev[t] if n > 0 else None,
+                                     dX_out[n, t] if want_dx else None)
             dH_next = dH_prev
             dC_next = dC_prev
         if want_dx:
@@ -422,8 +419,8 @@ def evaluate(model, X, y, seed=0):
     """(loss, accuracy, mean hidden spike rate) on a labeled set, in chunks
     of EVAL_CHUNK samples.
 
-    Sample k is poisson-encoded as sample k of the set, so the result
-    does not depend on the chunk size (beyond loss summation order).
+    Sample k is encoded as sample k of the set and every projection is
+    batch-invariant, so only the loss sum's order depends on EVAL_CHUNK.
     """
     if X.shape[0] == 0:
         raise ValidationError("evaluate needs a non-empty set")
@@ -546,7 +543,7 @@ def _write_artifacts(model, config, history, best, out_dir, train_data, diverged
                              "" if np.isnan(rate) else f"{rate:.6f}",
                              f"{row['wall_time']:.3f}"])
     manifest = {
-        "config": _config_as_dict(config),
+        "config": asdict(config),
         "seed": config.seed,
         "best_epoch": best["epoch"],
         "best_val_accuracy": best["val_accuracy"],
@@ -559,9 +556,3 @@ def _write_artifacts(model, config, history, best, out_dir, train_data, diverged
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
     ckpt.save_model(model, os.path.join(out_dir, "model.ckpt"))
-
-
-def _config_as_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    d["lr_decay_epochs"] = list(config.lr_decay_epochs)
-    return d

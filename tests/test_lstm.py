@@ -3,7 +3,7 @@ import pytest
 
 from spikelstm.activations import HardActConfig, hard_tanh
 from spikelstm.errors import DimensionMismatch, ValidationError
-from spikelstm.lstm import AnnLSTM, ClassifierHead, ann_batch_forward, ann_cell_step
+from spikelstm.lstm import AnnLSTM, ClassifierHead, GateProjection, ann_batch_forward, ann_cell_step
 from spikelstm.train import cast_parameters
 
 from conftest import zero_weights
@@ -49,7 +49,7 @@ def test_forward_single_element_reduces_to_cell_plus_head():
     model = AnnLSTM.random(2, [3], [2], rng, scale=0.5)
     x = rng.normal(0, 1, (1, 2))
     h, _ = ann_cell_step(model.layers[0], np.zeros(3), np.zeros(3), x[0], model.act)
-    np.testing.assert_allclose(ann_forward(model, x), model.head.forward(h))
+    np.testing.assert_array_equal(ann_forward(model, x), model.head.forward(h))
 
 
 def test_forward_zero_weight_model_returns_head_bias():
@@ -84,9 +84,8 @@ def test_forward_matches_independent_reference():
 
 
 def test_f32_forward_matches_an_f32_cell_step_loop():
-    """An f32 model: the batched engine agrees with ann_cell_step run one
-    sample and one element at a time to f32 tolerance, both at f32 (one
-    GEMM over a batch may round differently from a row at a time)."""
+    """An f32 model: the batched engine equals ann_cell_step run one sample
+    and one element at a time, both at f32."""
     rng = np.random.default_rng(12)
     model = AnnLSTM.random(3, [7, 5], [4], rng, scale=0.8)
     cast_parameters(model, np.float32)
@@ -103,7 +102,7 @@ def test_f32_forward_matches_an_f32_cell_step_loop():
             below = np.array(outs)
         ref = model.head.forward(below[-1])
         assert logits.dtype == ref.dtype == np.float32
-        np.testing.assert_allclose(logits[b], ref, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(logits[b], ref)
 
 
 def test_forward_rejects_empty_sequence():
@@ -150,3 +149,43 @@ def test_head_two_layer_relu():
     # relu(1*0.05 - 0.2) = 0 -> logits = 0.1
     np.testing.assert_allclose(head.forward(np.array([0.05, 3.0])), [0.1])
     np.testing.assert_allclose(head.forward(np.array([0.5, 0.0])), [2 * 0.3 + 0.1])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_blas_gemm_rows_do_not_depend_on_the_row_count(dtype):
+    """The BLAS property GateProjection rests on, at package shapes (K up to
+    384, widths 3, 10, 33 and 60 padded to 16): each row of a chunk's
+    product, for chunks of 2 rows or more, equals the same row of the full
+    product, and a lone row beside its copy equals it too. A BLAS that
+    breaks this makes batched and streamed runs round differently."""
+    rng = np.random.default_rng(20)
+    for fan_in in (3, 10, 33, 60, 128, 384):
+        for width in (3, 10, 33, 60):
+            proj = GateProjection(list(rng.normal(0.0, 1.0, (4, width, fan_in)).astype(dtype)))
+            X = rng.normal(0.0, 1.0, (64, fan_in)).astype(dtype)
+            full = X @ proj.pack
+            shape = f"K={fan_in}, H={width}"
+            for size in (2, 3, 5, 7, 16, 33):
+                for lo in range(0, len(X) - size + 1, size):
+                    np.testing.assert_array_equal(X[lo:lo + size] @ proj.pack,
+                                                  full[:, lo:lo + size], err_msg=shape)
+            for row in range(0, len(X), 9):
+                pair = np.stack([X[row], X[row]])
+                np.testing.assert_array_equal((pair @ proj.pack)[:, 0], full[:, row],
+                                              err_msg=shape)
+
+
+def test_gate_projection_rows_equal_the_full_projection():
+    """GateProjection gives x @ m.T per matrix, [G, ..., H] for any leading
+    shape, and a row's bits do not depend on the call it is part of."""
+    rng = np.random.default_rng(21)
+    mats = list(rng.normal(0.0, 1.0, (4, 10, 7)))
+    proj = GateProjection(mats)
+    X = rng.normal(0.0, 1.0, (3, 5, 7))
+    full = proj(X)
+    assert full.shape == (4, 3, 5, 10)
+    np.testing.assert_allclose(full, np.stack([X @ m.T for m in mats]), rtol=1e-12)
+    for b in range(3):
+        np.testing.assert_array_equal(proj(X[b]), full[:, b])
+        np.testing.assert_array_equal(proj(X[b, 2]), full[:, b, 2])
+    np.testing.assert_array_equal(proj(X[:, ::-2]), full[:, :, ::-2])

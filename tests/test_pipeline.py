@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from spikelstm.energy import LayerOps, OpCountReport
 from spikelstm.errors import ValidationError
-from spikelstm.pipeline import build_schedule, latency_report, simulate_pipelined
-from spikelstm.snn import ConversionPlan, random_spiking_lstm, snn_forward
+from spikelstm.pipeline import build_schedule, latency_report, simulate_pipelined, tick_trace
+from spikelstm.snn import ConversionPlan, random_spiking_lstm, snn_batch_forward, snn_forward
 from spikelstm.train import cast_parameters
 from spikelstm.verify import per_step_reference
 
@@ -16,6 +16,18 @@ def test_schedule_tick_counts():
     assert build_schedule(9, 1).total_ticks == 9
     with pytest.raises(ValidationError):
         build_schedule(0, 3)
+
+
+def test_tick_trace_rejects_a_batched_spike_stats():
+    """A three-sample SpikeStats is refused, naming its shape, instead of
+    being traced as its first sample."""
+    rng = np.random.default_rng(1)
+    model = random_spiking_lstm(3, [4], [2], rng, time_steps=2, scale=1.5)
+    _, _, aux = snn_batch_forward(model, rng.random((3, 5, 3)), 2, "direct", seed=0)
+    with pytest.raises(ValidationError, match=r"\(3, 5, 2\)"):
+        tick_trace(model, aux["stats"])
+    _, _, aux = snn_batch_forward(model, rng.random((1, 5, 3)), 2, "direct", seed=0)
+    assert len(tick_trace(model, aux["stats"])) == 5 + 2 - 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -359,3 +359,104 @@ def test_forward_rejects_multi_bit_spike_input(monkeypatch):
         monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", budget)
         with pytest.raises(MultiplierAuditError):
             snn_forward(model, seq)
+
+
+def _chunk_sizes(rng, total):
+    """Random chunk sizes that sum to total, one of them 1."""
+    sizes = [1]
+    while sum(sizes) < total:
+        sizes.append(int(rng.integers(1, total - sum(sizes) + 1)))
+    return rng.permutation(sizes)
+
+
+def _assert_rows(full, part, lo, axis, what):
+    """part's bytes equal those of full's rows lo.. along axis."""
+    rows = np.take(full, range(lo, lo + part.shape[axis]), axis=axis)
+    assert rows.tobytes() == np.ascontiguousarray(part).tobytes(), what
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("plan", ["g", "i"])
+@pytest.mark.parametrize("encoding", ["direct", "poisson"])
+def test_chunked_runs_equal_the_unsplit_run_entry_for_entry(monkeypatch, dtype, plan, encoding):
+    """A batch run in random chunks (a chunk of 1 included, each by
+    anti-diagonals) against the unsplit run in element order, at widths 3,
+    10, 33 and 60: every SNN tape lattice, Hp, Cp and the logits, and every
+    ANN cache, logit and head input, byte for byte."""
+    rng = np.random.default_rng({"g": 30, "i": 31}[plan] + 2 * (encoding == "poisson"))
+    batch, n_elements, T, feats = 12, 4, 3, 7
+    X = rng.random((batch, n_elements, feats))
+    for width in (3, 10, 33, 60):
+        model = random_spiking_lstm(feats, [width, width], [3], rng, plan=ConversionPlan(plan),
+                                    time_steps=T, encoding=encoding, scale=1.5)
+        for cell in model.cells:
+            for gate in ("f", "i", "o"):
+                cell.weights.b[gate] += 3.0
+            c = cell.gate_params["c"]  # a c neuron that spikes even at width 3
+            c.threshold_pos, c.threshold_neg = 0.3 * c.threshold_pos, 0.3 * c.threshold_neg
+        ann = AnnLSTM.random(feats, [width, width], [3], rng, scale=0.8)
+        cast_parameters(model, dtype)
+        cast_parameters(ann, dtype)
+        monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", 0)
+        logits, tapes, aux = snn_batch_forward(model, X, T, encoding, seed=9, want_tapes=True)
+        assert all(layer.hidden_nnz_total > 0 for layer in aux["stats"].layers)
+        ann_logits, caches = ann_batch_forward(ann, X, want_caches=True)
+        monkeypatch.undo()
+        lo = 0
+        for size in _chunk_sizes(rng, batch):
+            part, part_tapes, _ = snn_batch_forward(model, X[lo:lo + size], T, encoding, seed=9,
+                                                    want_tapes=True, first_index=lo)
+            _assert_rows(logits, part, lo, 0, "SNN logits")
+            for li, (tape, part_tape) in enumerate(zip(tapes, part_tapes)):
+                for key, lattice in tape.lattices.items():
+                    _assert_rows(lattice, part_tape.lattices[key], lo, -2, (width, li, key))
+                _assert_rows(tape.Hp, part_tape.Hp, lo, -2, (width, li, "Hp"))
+                _assert_rows(tape.Cp, part_tape.Cp, lo, -2, (width, li, "Cp"))
+            part, part_caches = ann_batch_forward(ann, X[lo:lo + size], want_caches=True)
+            _assert_rows(ann_logits, part, lo, 0, "ANN logits")
+            for ours, theirs in zip(caches["head"], part_caches["head"]):
+                _assert_rows(ours, theirs, lo, 0, "ANN head input")
+            for li, (cache, part_cache) in enumerate(zip(caches["layers"], part_caches["layers"])):
+                for key in ("gates", "c", "h", "z"):
+                    for n, (ours, theirs) in enumerate(zip(cache[key], part_cache[key])):
+                        _assert_rows(np.asarray(ours), np.asarray(theirs), lo, -2,
+                                     (width, li, key, n))
+            lo += size
+
+
+@pytest.mark.parametrize("plan", ["g", "i"])
+@pytest.mark.parametrize("encoding", ["direct", "poisson"])
+def test_oracle_cell_equals_the_batch_tape_on_membranes_and_cell_values(plan, encoding):
+    """snn_cell_step run per sample against a B=7 taped batch, at f64 and
+    f32: the membranes entering each step equal the tape's Upre rows, and
+    c_out and h_out its Cp and Hp rows, bit for bit."""
+    rng = np.random.default_rng(40 + (plan == "i") + 2 * (encoding == "poisson"))
+    T = 3
+    model = random_spiking_lstm(5, [33, 10], [3], rng, plan=ConversionPlan(plan), time_steps=T,
+                                encoding=encoding, scale=1.5)
+    for cell in model.cells:
+        for gate in ("f", "i", "o"):
+            cell.weights.b[gate] += 1.0
+        for params in cell.gate_params.values():
+            params.leak = params.leak * rng.uniform(0.8, 1.2, params.leak.shape)
+    X = rng.random((7, 4, 5))
+    for dtype in (np.float64, np.float32):
+        cast_parameters(model, dtype)
+        _, tapes, aux = snn_batch_forward(model, X, T, encoding, seed=2, want_tapes=True)
+        assert aux["stats"].layers[-1].hidden_nnz_total > 0
+        for b in range(len(X)):
+            below = aux["encoded"][b]  # [N, T, F]
+            for li, (cell, tape) in enumerate(zip(model.cells, tapes)):
+                h = np.zeros((T, cell.hidden_dim), dtype)
+                c = np.zeros_like(h)
+                for n in range(len(below)):
+                    state = CellStepState.fresh(cell)
+                    for t in range(T):
+                        for gate, neuron in state.membranes.items():
+                            np.testing.assert_array_equal(neuron.membrane,
+                                                          tape.Upre[gate][n, t, b])
+                        h[t], c[t] = snn_cell_step(cell, state, below[n, t], h[t], c[t],
+                                                   x_is_spikes=li > 0 or encoding != "direct")
+                        np.testing.assert_array_equal(c[t], tape.Cp[n + 1, t, b])
+                        np.testing.assert_array_equal(h[t], tape.Hp[n + 1, t, b])
+                below = tape.H[:, :, b]

@@ -205,6 +205,26 @@ def test_fit_single_epoch_emits_metrics(tmp_path):
     assert len(hashes) == 1
 
 
+def test_manifest_records_the_config_as_json(tmp_path):
+    """manifest.json's config holds every TrainConfig field in field order:
+    the mask as an object and the lr decay epochs as an array."""
+    ds = synthetic_task("planted-pattern", 48, seed=0)
+    model = AnnLSTM.random(6, [4], [3], np.random.default_rng(0), scale=0.3)
+    cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-2, seed=3, mask=TrainMask(threshold=True),
+                      lr_decay_epochs=(1,), lr_decay_factor=0.5)
+    fit(model, (ds.sequences[:32], ds.labels[:32]), (ds.sequences[32:], ds.labels[32:]), cfg,
+        out_dir=str(tmp_path))
+    text = (tmp_path / "manifest.json").read_text()
+    config = json.loads(text)["config"]
+    assert config == {"epochs": 2, "batch_size": 16, "lr": 0.01, "grad_clip": 5.0, "seed": 3,
+                      "precision": "f64",
+                      "mask": {"weights": True, "threshold": True, "leak": False,
+                               "mem_init": False, "step_bias": False},
+                      "lr_decay_epochs": [1], "lr_decay_factor": 0.5}
+    assert list(config) == list(TrainConfig.__dataclass_fields__)
+    assert '    "lr_decay_epochs": [\n      1\n    ],\n' in text
+
+
 def test_fit_seed_determinism():
     ds = synthetic_task("planted-pattern", 96, seed=3)
     histories = []
