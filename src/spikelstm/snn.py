@@ -341,6 +341,7 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     dtype = cell.weights.dtype
     hidden = cell.hidden_dim
     wavefront = T * batch * hidden <= WAVEFRONT_BUDGET
+    hoisted = n_elements * T * batch * hidden <= WAVEFRONT_BUDGET
     pack = _GatePack(cell)
     bank_gates = cell.plan.bank_gates
     # spike components summed over (n, t): the nonzero count of hard
@@ -348,7 +349,8 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     spikes = [np.zeros((3, batch, hidden), dtype=dtype), np.zeros((batch, hidden), dtype=dtype)]
     # x, the taped lattices, and H and C behind their zero element, as views
     # whose row n*T + t is cell (n, t): a block is one basic slice of each
-    x_rows = x_feed.reshape(batch, n_elements * T, n_in)
+    x_rows = x_feed.reshape(batch, n_elements * T, n_in).swapaxes(0, 1)
+    x_rows = pack.w_x(x_rows) if hoisted else x_rows
     if tape is not None:
         tape_rows = tape.rows()
         Hp, Cp = (a.reshape(-1, batch, hidden) for a in (tape.Hp, tape.Cp))
@@ -364,7 +366,6 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
         tally = [np.zeros(s.shape[:-2] + (T, batch, hidden), dtype=dtype) for s in spikes]
         blocks = ((k, max(0, k - n_elements + 1), min(T - 1, k))
                   for k in range(n_elements + T - 1))
-        x_rows = pack.w_x(x_rows)  # the state is small: every cell's input projection at once
     else:  # one membrane pair, rebound at each step: a store would spill the L2
         tally = [s[..., None, :, :] for s in spikes]
         blocks = ((n + t, t, t) for n in range(n_elements) for t in range(T))
@@ -377,8 +378,8 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
             U = [m[..., steps, :, :] for m in M]
         elif t0 == 0:
             U = list(pack.mem_init)
-        x = x_rows[..., cells, :].swapaxes(-3, -2)
-        Hp[ahead] = _cell_block(pack, x if wavefront else pack.w_x(x), Hp[cells], c_in, c_out,
+        x = x_rows[..., cells, :, :]
+        Hp[ahead] = _cell_block(pack, x if hoisted else pack.w_x(x), Hp[cells], c_in, c_out,
                                 U, [s[..., steps, :, :] for s in tally] if wavefront else tally,
                                 relaxed, tape_rows, cells)
         if wavefront:
