@@ -23,7 +23,8 @@ class GateProjection:
     """x @ m.T for G matrices m [H, K], the gates or a head layer, from one
     C-contiguous, gate-major pack [G, K, H'], H zero-padded to a multiple of
     16: one GEMM per gate over x's rows flattened to [M, K], a lone row beside
-    a copy of itself, so a row's bits do not depend on the batch (README)."""
+    a copy of itself, so a row's bits do not depend on the batch (README).
+    A result is a view into the [G, M, H'] product, which it keeps alive."""
 
     def __init__(self, mats):
         self.width, fan_in = mats[0].shape
@@ -197,9 +198,13 @@ def ann_cell_step(weights: LSTMWeights, h_prev, c_prev, x, cfg: HardActConfig):
         )
     proj_x, proj_h = weights.projections()
     z = [zx + zh + weights.b[a] for a, zx, zh in zip(GATES, proj_x(x), proj_h(h_prev))]
-    f, i, o, g = *(hard_sigmoid(z[k], cfg) for k in (0, 1, 3)), hard_tanh(z[2], cfg)
+    f = hard_sigmoid(z[0], cfg)
+    i = hard_sigmoid(z[1], cfg)
+    o = hard_sigmoid(z[3], cfg)
+    g = hard_tanh(z[2], cfg)
     c = f * c_prev + i * g
-    return o * hard_tanh(c, cfg), c
+    h = o * hard_tanh(c, cfg)
+    return h, c
 
 
 def ann_batch_forward(model: AnnLSTM, X: np.ndarray, want_caches: bool = False):
@@ -229,7 +234,10 @@ def ann_batch_forward(model: AnnLSTM, X: np.ndarray, want_caches: bool = False):
             z = proj_x(x_seq[:, n])  # gates f, i, g, o; in place, as [4, B, H] temporaries cost
             z += proj_h(h)
             z += b
-            f, i, o, g = *(hard_sigmoid(z[k], model.act) for k in (0, 1, 3)), hard_tanh(z[2], model.act)
+            f = hard_sigmoid(z[0], model.act)
+            i = hard_sigmoid(z[1], model.act)
+            o = hard_sigmoid(z[3], model.act)
+            g = hard_tanh(z[2], model.act)
             c = f * c + i * g
             tc = hard_tanh(c, model.act)
             h = o * tc

@@ -264,17 +264,17 @@ class _SnnLayerTape:
                 for key, a in self.lattices.items()}
 
 
-def _cell_block(pack, px, h_in, c_in, c_out, U, tally, relaxed, tape_rows, cells):
-    """The one body of a block of L cells (n, t), on [L, B, .] stacks and
-    their input projections px: the gate projections as [4, L, B, H], the
-    f/o/spiking-i|g LIF bank as [3, L, B, H], the cell combine and the c
-    neuron. U and tally are [bank, c] pairs of membranes and spike counts,
-    [3, L, B, H] and [L, B, H]. Writes the cell values into c_out, adds each
-    neuron's spike components into tally and, when taping, writes rows
-    `cells` of tape.rows(). Rebinds U to the post-reset membranes and
-    returns the hidden spikes."""
-    P = pack.w_h(h_in)  # into the fresh array: on strided views (px) numpy runs slower
-    P += px
+def _cell_block(pack, x, h_in, c_in, c_out, U, tally, relaxed, tape_rows, cells):
+    """The one body of a block of L cells (n, t), on [L, B, .] stacks: the
+    gate projections as [4, L, B, H], the f/o/spiking-i|g LIF bank as
+    [3, L, B, H], the cell combine and the c neuron. U and tally are
+    [bank, c] pairs of membranes and spike counts, [3, L, B, H] and
+    [L, B, H]. Writes the cell values into c_out, adds each neuron's spike
+    components into tally and, when taping, writes rows `cells` of
+    tape.rows(). Rebinds U to the post-reset membranes and returns the
+    hidden spikes."""
+    P = pack.w_x(x)
+    P += pack.w_h(h_in)
     P += pack.b
     # the bank's V = leak * U + P + beta, summed in place into P: addition
     # commutes exactly. At large B each temporary saved is one pass over
@@ -341,7 +341,6 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     dtype = cell.weights.dtype
     hidden = cell.hidden_dim
     wavefront = T * batch * hidden <= WAVEFRONT_BUDGET
-    hoisted = n_elements * T * batch * hidden <= WAVEFRONT_BUDGET
     pack = _GatePack(cell)
     bank_gates = cell.plan.bank_gates
     # spike components summed over (n, t): the nonzero count of hard
@@ -349,8 +348,7 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     spikes = [np.zeros((3, batch, hidden), dtype=dtype), np.zeros((batch, hidden), dtype=dtype)]
     # x, the taped lattices, and H and C behind their zero element, as views
     # whose row n*T + t is cell (n, t): a block is one basic slice of each
-    x_rows = x_feed.reshape(batch, n_elements * T, n_in).swapaxes(0, 1)
-    x_rows = pack.w_x(x_rows) if hoisted else x_rows
+    x_rows = x_feed.reshape(batch, n_elements * T, n_in)
     if tape is not None:
         tape_rows = tape.rows()
         Hp, Cp = (a.reshape(-1, batch, hidden) for a in (tape.Hp, tape.Cp))
@@ -378,8 +376,7 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
             U = [m[..., steps, :, :] for m in M]
         elif t0 == 0:
             U = list(pack.mem_init)
-        x = x_rows[..., cells, :, :]
-        Hp[ahead] = _cell_block(pack, x if hoisted else pack.w_x(x), Hp[cells], c_in, c_out,
+        Hp[ahead] = _cell_block(pack, x_rows[:, cells].swapaxes(0, 1), Hp[cells], c_in, c_out,
                                 U, [s[..., steps, :, :] for s in tally] if wavefront else tally,
                                 relaxed, tape_rows, cells)
         if wavefront:
