@@ -197,11 +197,11 @@ def ann_cell_step(weights: LSTMWeights, h_prev, c_prev, x, cfg: HardActConfig):
             f"h dim {h_prev.shape[-1]} (want {weights.hidden_dim})"
         )
     proj_x, proj_h = weights.projections()
-    z = [zx + zh + weights.b[a] for a, zx, zh in zip(GATES, proj_x(x), proj_h(h_prev))]
-    f = hard_sigmoid(z[0], cfg)
-    i = hard_sigmoid(z[1], cfg)
-    o = hard_sigmoid(z[3], cfg)
-    g = hard_tanh(z[2], cfg)
+    z = {a: zx + zh + weights.b[a] for a, zx, zh in zip(GATES, proj_x(x), proj_h(h_prev))}
+    f = hard_sigmoid(z["f"], cfg)
+    i = hard_sigmoid(z["i"], cfg)
+    o = hard_sigmoid(z["o"], cfg)
+    g = hard_tanh(z["g"], cfg)
     c = f * c_prev + i * g
     h = o * hard_tanh(c, cfg)
     return h, c
