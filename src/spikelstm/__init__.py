@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .activations import HardActConfig, hard_sigmoid, hard_tanh
 from .convert import convert, conversion_error_report
 from .encoding import encode_sequence
-from .energy import (EnergyModel, OpCountReport, SpikeStats, audit_multiplier_free,
-                     count_ops_ann, count_ops_snn, estimate_energy)
+from .energy import (OpCountReport, SpikeStats, audit_multiplier_free, count_ops_ann,
+                     count_ops_snn, estimate_energy)
 from .errors import SpikeLstmError
 from .lstm import AnnLSTM, ClassifierHead, LSTMWeights, ann_batch_forward, ann_cell_step
 from .neuron import (NEVER, LIFGateParams, NeuronState, if_avg_sigmoid, if_avg_tanh,

@@ -23,6 +23,7 @@ Layout (little-endian throughout, float64 blocks):
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -49,8 +50,7 @@ def _read(fh, n, what):
 
 
 def _read_f64(fh, shape, what) -> np.ndarray:
-    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    raw = _read(fh, 8 * n, what)
+    raw = _read(fh, 8 * math.prod(shape), what)
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
@@ -148,9 +148,8 @@ def load_model(path: str):
                         step_bias=step_bias, mem_init=mem_init, surrogate_gamma=gamma)
                 cells.append(SpikingLSTMCell(weights=w, gate_params=gate_params,
                                              plan=plan, act=act))
-            model = SpikingLSTM(cells=cells, head=head, plan=plan,
-                                time_steps=time_steps,
-                                encoding="poisson" if encoding == 1 else "direct", act=act)
+            model = SpikingLSTM(cells=cells, head=head, time_steps=time_steps,
+                                encoding="poisson" if encoding == 1 else "direct")
         if fh.read(1):
             raise CheckpointFormatError(f"{path}: trailing bytes after model payload")
     return model

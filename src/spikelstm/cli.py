@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -21,13 +22,11 @@ from . import __version__, checkpoint
 from .activations import HardActConfig
 from .convert import convert as convert_model
 from .data import ROW_PADS, load_feature_tensor, load_tmnist, split_dataset, synthetic_task
-from .energy import (EnergyModel, audit_multiplier_free, count_ops_ann, count_ops_snn,
-                     estimate_energy)
+from .energy import audit_multiplier_free, count_ops_ann, count_ops_snn, estimate_energy
 from .errors import ConfigError, SpikeLstmError, ValidationError
 from .lstm import AnnLSTM
 from .pipeline import build_schedule, latency_report, tick_trace
-from .snn import (ConversionPlan, SpikingLSTM, random_spiking_lstm, snn_batch_forward,
-                  snn_forward)
+from .snn import ConversionPlan, snn_batch_forward, snn_forward
 from .train import EVAL_CHUNK, TrainConfig, TrainMask, evaluate, fit
 from .verify import per_step_reference, run_all
 
@@ -160,28 +159,18 @@ _MODEL_KEYS = ("hidden", "head", "v_sig", "v_tanh_pos", "v_tanh_neg", "init_scal
                "init_seed", "forget_bias")
 
 
-def _act_from(cfg: dict, path: str) -> HardActConfig:
-    return HardActConfig(
-        v_sig=_typed(cfg, "v_sig", float, path, 4.0),
-        v_tanh_pos=_typed(cfg, "v_tanh_pos", float, path, 3.0),
-        v_tanh_neg=_typed(cfg, "v_tanh_neg", float, path, -2.0),
-    )
-
-
-def _layer_dims(cfg: dict, path: str):
-    """The model's hidden widths (at least one layer) and head widths."""
+def build_ann(cfg: dict, input_dim: int, n_classes: int, path: str = "model") -> AnnLSTM:
+    """A random ANN from the model section: at least one hidden layer."""
+    _expect_keys(cfg, _MODEL_KEYS, (), path)
     hidden = _int_list(cfg, "hidden", path, [8])
     if not hidden:
         raise ConfigError(f"{path}.hidden: expected at least one layer")
-    return hidden, _int_list(cfg, "head", path, [])
-
-
-def build_ann(cfg: dict, input_dim: int, n_classes: int, path: str = "model") -> AnnLSTM:
-    _expect_keys(cfg, _MODEL_KEYS, (), path)
-    hidden, head = _layer_dims(cfg, path)
+    head = _int_list(cfg, "head", path, [])
     rng = np.random.default_rng(_count(cfg, "init_seed", path, 0, least=0))
-    return AnnLSTM.random(input_dim, hidden, list(head) + [n_classes], rng,
-                          act=_act_from(cfg, path),
+    act = HardActConfig(v_sig=_typed(cfg, "v_sig", float, path, 4.0),
+                        v_tanh_pos=_typed(cfg, "v_tanh_pos", float, path, 3.0),
+                        v_tanh_neg=_typed(cfg, "v_tanh_neg", float, path, -2.0))
+    return AnnLSTM.random(input_dim, hidden, head + [n_classes], rng, act=act,
                           scale=_nonnegative(cfg, "init_scale", path, 0.3),
                           forget_bias=_typed(cfg, "forget_bias", float, path, 0.0))
 
@@ -270,29 +259,16 @@ def cmd_train_snn(args) -> int:
     encoding = _typed(snn_cfg, "encoding", str, "snn", "direct")
     gamma = _typed(snn_cfg, "surrogate_gamma", float, "snn", 0.3)
     init_ckpt = _typed(snn_cfg, "init_checkpoint", str, "snn")
-    if init_ckpt:
-        model = checkpoint.load_model(_resolve(init_ckpt))
-        if isinstance(model, AnnLSTM):
-            model = convert_model(model, T=T, plan=ConversionPlan(
-                _typed(snn_cfg, "analog_gate", str, "snn", "i")),
-                shift=_typed(snn_cfg, "shift", bool, "snn", True),
-                surrogate_gamma=gamma, encoding=encoding)
-        else:
-            model.time_steps = T
-            model.encoding = encoding
-    else:
-        # no pre-trained model: converted-default LIF parameters on random weights
-        mc = cfg.get("model", {})
-        _expect_keys(mc, _MODEL_KEYS, (), "model")
-        hidden, head = _layer_dims(mc, "model")
-        rng = np.random.default_rng(_count(mc, "init_seed", "model", 0, least=0))
-        model = random_spiking_lstm(
-            train.sequences.shape[2], hidden, list(head) + [train.n_classes], rng,
-            plan=ConversionPlan(_typed(snn_cfg, "analog_gate", str, "snn", "i")),
-            act=_act_from(mc, "model"), time_steps=T, encoding=encoding,
+    # no pre-trained model: the conversion of a random ANN (no-pretraining start)
+    model = (checkpoint.load_model(_resolve(init_ckpt)) if init_ckpt else
+             build_ann(cfg.get("model", {}), train.sequences.shape[2], train.n_classes))
+    if isinstance(model, AnnLSTM):
+        model = convert_model(model, T=T, plan=ConversionPlan(
+            _typed(snn_cfg, "analog_gate", str, "snn", "i")),
             shift=_typed(snn_cfg, "shift", bool, "snn", True),
-            scale=_nonnegative(mc, "init_scale", "model", 0.3), surrogate_gamma=gamma,
-            forget_bias=_typed(mc, "forget_bias", float, "model", 0.0))
+            surrogate_gamma=gamma, encoding=encoding)
+    else:  # rebuilt, so the new T and encoding are validated
+        model = dataclasses.replace(model, time_steps=T, encoding=encoding)
     tc = build_train_config(cfg.get("train", {}), seed, mask)
     return _fit(args.command, model, train, val, tc, cfg["out_dir"])
 
@@ -317,11 +293,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _demo_model(n_features=3, hidden=4, classes=3, T=3, seed=0) -> SpikingLSTM:
-    return random_spiking_lstm(n_features, [hidden], [classes],
-                               np.random.default_rng(seed), time_steps=T, scale=1.0)
-
-
 def cmd_pipeline_sim(args) -> int:
     if args.n < 1 or args.t < 1:
         raise ValidationError(f"pipeline-sim needs --n >= 1 and --t >= 1 "
@@ -330,8 +301,9 @@ def cmd_pipeline_sim(args) -> int:
         model = checkpoint.load_model(args.ckpt)
         if isinstance(model, AnnLSTM):
             raise ValidationError("pipeline-sim needs a spiking checkpoint")
-    else:
-        model = _demo_model(T=args.t, seed=args.seed)
+    else:  # a demo model: the conversion of a random ANN, 3 features -> 4 units -> 3 classes
+        model = convert_model(AnnLSTM.random(3, [4], [3], np.random.default_rng(args.seed),
+                                             scale=1.0), T=args.t)
     rng = np.random.default_rng(args.seed)
     sequence = rng.random((args.n, model.input_dim))
     logits, stats, op_counts = snn_forward(model, sequence, T=args.t, rng_seed=args.seed)
@@ -367,7 +339,6 @@ def cmd_energy_report(args) -> int:
     if limit < 1:
         raise ValidationError(f"energy-report needs --limit >= 1 and a non-empty test split "
                               f"(--limit {args.limit}, {len(test)} test samples)")
-    em = EnergyModel()
     if isinstance(model, AnnLSTM):
         raise ValidationError("energy-report needs a spiking checkpoint (compare via "
                               "the report's nonspiking baseline)")
@@ -378,7 +349,7 @@ def cmd_energy_report(args) -> int:
                                       first_index=lo)
         ops = count_ops_snn(aux["stats"], model)
         audit_multiplier_free(ops)
-        chunks.append((estimate_energy(ops, em), len(xb)))
+        chunks.append((estimate_energy(ops), len(xb)))
         rates = [{g: v.tolist() for g, v in layer.items()} for layer in aux["stats"].gate_rates()]
         sparsity_rows += [{"sample": lo + b, "layer": li, **{g: v[b] for g, v in layer.items()}}
                           for b in range(len(xb)) for li, layer in enumerate(rates)]
@@ -391,7 +362,7 @@ def cmd_energy_report(args) -> int:
     totals["total_flops"] = mean(lambda e: e["total_flops"])
     ann_equiv = AnnLSTM(layers=[c.weights for c in model.cells], head=model.head, act=model.act)
     ann_ops = count_ops_ann(ann_equiv, test.sequences.shape[1])
-    ann_energy = estimate_energy(ann_ops, em)
+    ann_energy = estimate_energy(ann_ops)
     out = {
         "command": "energy-report", "ckpt": args.ckpt, "samples": limit,
         "time_steps": model.time_steps, "encoding": model.encoding,

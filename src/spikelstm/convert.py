@@ -20,10 +20,9 @@ def convert(ann_model: AnnLSTM, T: int, plan: ConversionPlan | None = None,
 
     Weights and gate biases are copied verbatim (exactly, bit for bit).
     Thresholds come from the activation scales the ANN was trained with:
-    they are the zero-error thresholds in the infinite-T limit.
+    they are the zero-error thresholds in the infinite-T limit. Applied to
+    an untrained AnnLSTM.random it builds the no-pretraining start.
     """
-    if T < 1:
-        raise ValidationError("T must be >= 1")
     plan = plan or ConversionPlan()
     cells = []
     for weights in ann_model.layers:
@@ -34,8 +33,7 @@ def convert(ann_model: AnnLSTM, T: int, plan: ConversionPlan | None = None,
             plan=plan,
             act=ann_model.act,
         ))
-    return SpikingLSTM(cells=cells, head=ann_model.head.copy(), plan=plan,
-                       time_steps=T, encoding=encoding, act=ann_model.act)
+    return SpikingLSTM(cells=cells, head=ann_model.head.copy(), time_steps=T, encoding=encoding)
 
 
 REPORT_GATES = ("f", "i", "g", "o", "c")

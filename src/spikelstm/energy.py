@@ -17,7 +17,7 @@ Counting conventions (fixed, asserted by tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,24 +133,10 @@ class OpCountReport:
                 + self.activations + self.leak_multiplies)
 
 
-@dataclass
-class EnergyModel:
-    """Per-op energies (arbitrary units; defaults follow the usual 45 nm
-    32-bit float accounting) and normalized neuromorphic (compute, static)
-    pairs."""
-
-    e_mac: float = 4.6
-    e_ac: float = 0.9
-    e_compare: float = 0.1
-    e_act: float = 0.9
-    neuromorphic: dict = field(
-        default_factory=lambda: {"truenorth": (0.4, 0.6), "spinnaker": (0.64, 0.36)}
-    )
-
-    def __post_init__(self):
-        for v in (self.e_mac, self.e_ac, self.e_compare, self.e_act):
-            if v < 0:
-                raise ValidationError("per-op energies must be nonnegative")
+# Per-op energies (arbitrary units, the usual 45 nm 32-bit float accounting)
+# and the normalized neuromorphic (compute, static) pairs.
+E_MAC, E_AC, E_COMPARE, E_ACT = 4.6, 0.9, 0.1, 0.9
+NEUROMORPHIC = {"truenorth": (0.4, 0.6), "spinnaker": (0.64, 0.36)}
 
 
 def count_ops_ann(model, n_elements: int) -> OpCountReport:
@@ -240,22 +226,21 @@ def audit_multiplier_free(report: OpCountReport) -> None:
                     f"layer {idx}{where} reports {np.ravel(count)[bad[0]]} {what}")
 
 
-def estimate_energy(report: OpCountReport, em: EnergyModel | None = None) -> dict:
+def estimate_energy(report: OpCountReport) -> dict:
     """Digital per-op-weighted energy plus the neuromorphic FLOPs *
     E_compute + T * E_static estimate per platform, [B] where the counts are."""
-    em = em or EnergyModel()
     digital = {
-        "mac": report.macs * em.e_mac,
-        "multiply": report.multiplies * em.e_mac,
-        "accumulate": report.accumulates * em.e_ac,
-        "compare": report.comparisons * em.e_compare,
-        "activation": report.activations * em.e_act,
-        "leak_multiply": report.leak_multiplies * em.e_mac,
+        "mac": report.macs * E_MAC,
+        "multiply": report.multiplies * E_MAC,
+        "accumulate": report.accumulates * E_AC,
+        "compare": report.comparisons * E_COMPARE,
+        "activation": report.activations * E_ACT,
+        "leak_multiply": report.leak_multiplies * E_MAC,
     }
     digital["total"] = sum(digital.values())
     neuromorphic = {
         name: report.total_flops * e_compute + report.time_steps * e_static
-        for name, (e_compute, e_static) in em.neuromorphic.items()
+        for name, (e_compute, e_static) in NEUROMORPHIC.items()
     }
     return {"digital": digital, "neuromorphic": neuromorphic,
             "total_flops": report.total_flops, "time_steps": report.time_steps}

@@ -45,11 +45,16 @@ class LIFGateParams:
     surrogate_gamma: float = 0.3
 
     def __post_init__(self):
-        if np.any(np.asarray(self.leak) <= 0):
+        values = {name: np.ravel(v) for name, v in vars(self).items() if v is not None}
+        # NaN passes every comparison below; one isfinite call checks all fields
+        if not np.isfinite(np.concatenate(list(values.values()))).all():
+            name = next(name for name, v in values.items() if not np.isfinite(v).all())
+            raise ValidationError(f"{name} must be finite")
+        if (values["leak"] <= 0).any():
             raise ValidationError("leak must be > 0")
-        if np.any(np.asarray(self.threshold_pos) <= 0):
+        if (values["threshold_pos"] <= 0).any():
             raise ValidationError("threshold_pos must be > 0")
-        if self.threshold_neg is not None and np.any(np.asarray(self.threshold_neg) >= 0):
+        if self.threshold_neg is not None and (values["threshold_neg"] >= 0).any():
             raise ValidationError("threshold_neg must be < 0 when present")
         # gamma 0 is allowed (it collapses the surrogate support, a useful
         # training diagnostic)

@@ -104,25 +104,37 @@ class CellStepState:
 
 @dataclass
 class SpikingLSTM:
-    """Stacked spiking cells plus the (non-spiking) classifier head."""
+    """Stacked spiking cells plus the (non-spiking) classifier head. The
+    model's plan and act are its cells', which must all share them: a
+    checkpoint stores one of each."""
 
     cells: list
     head: ClassifierHead
-    plan: ConversionPlan
     time_steps: int
     encoding: str = "direct"
-    act: HardActConfig = field(default_factory=HardActConfig)
 
     def __post_init__(self):
         if self.time_steps < 1:
             raise ValidationError("time_steps must be >= 1")
         if self.encoding not in ("direct", "poisson"):
             raise ValidationError(f"unknown encoding {self.encoding!r}")
+        for li, cell in enumerate(self.cells[1:], 1):
+            for name in ("plan", "act"):
+                if getattr(cell, name) != getattr(self.cells[0], name):
+                    raise ValidationError(f"layer {li}: {name} differs from layer 0's")
         for lower, upper in zip(self.cells[:-1], self.cells[1:]):
             if lower.hidden_dim != upper.input_dim:
                 raise DimensionMismatch("spiking layer stack dimension mismatch")
         if self.head.input_dim != self.cells[-1].hidden_dim:
             raise DimensionMismatch("head input dim != top layer hidden dim")
+
+    @property
+    def plan(self) -> ConversionPlan:
+        return self.cells[0].plan
+
+    @property
+    def act(self) -> HardActConfig:
+        return self.cells[0].act
 
     @property
     def input_dim(self) -> int:
@@ -499,24 +511,3 @@ def default_gate_params(plan: ConversionPlan, act: HardActConfig, hidden: int,
                 surrogate_gamma=surrogate_gamma,
             )
     return params
-
-
-def random_spiking_lstm(input_dim, hidden_dims, head_dims, rng, plan=None, act=None,
-                        time_steps=2, encoding="direct", shift=True, scale=0.1,
-                        surrogate_gamma=0.3, forget_bias=0.0) -> SpikingLSTM:
-    """Fresh spiking model with converted-default LIF parameters on random
-    weights (the no-pretraining initialization)."""
-    plan = plan or ConversionPlan()
-    act = act or HardActConfig()
-    cells = []
-    d = input_dim
-    for h in hidden_dims:
-        weights = LSTMWeights.random(d, h, rng, scale, forget_bias)
-        cells.append(SpikingLSTMCell(
-            weights=weights,
-            gate_params=default_gate_params(plan, act, h, shift, surrogate_gamma),
-            plan=plan, act=act))
-        d = h
-    head = ClassifierHead.random([d] + list(head_dims), rng, scale)
-    return SpikingLSTM(cells=cells, head=head, plan=plan, time_steps=time_steps,
-                       encoding=encoding, act=act)

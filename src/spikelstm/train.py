@@ -384,7 +384,7 @@ def clip_global_norm(grads: GradientBundle, max_norm: float) -> float:
             raise NumericalFault("non-finite gradient before clipping")
         sq += float((g * g).sum())
     norm = float(np.sqrt(sq))
-    if max_norm is not None and norm > max_norm > 0:
+    if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale
@@ -395,18 +395,17 @@ class Adam:
     """Plain Adam on a name->array parameter dict; masked names are never
     touched, so they stay bit-identical across steps."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict = {}
         self.v: dict = {}
 
     def step(self, params: dict, grads: GradientBundle, trainable) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for name in trainable:
@@ -416,7 +415,7 @@ class Adam:
                 self.v[name] = np.zeros_like(p)
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            p -= self.lr * (self.m[name] / bias1) / (np.sqrt(self.v[name] / bias2) + self.eps)
+            p -= self.lr * (self.m[name] / bias1) / (np.sqrt(self.v[name] / bias2) + self.EPS)
 
 
 def evaluate(model, X, y, seed=0):

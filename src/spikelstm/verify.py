@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import HardActConfig, hard_sigmoid, hard_tanh
+from .convert import convert
 from .encoding import encode_sequence
-from .energy import (EnergyModel, LayerOps, LayerSpikeStats, OpCountReport, SpikeStats,
+from .energy import (LayerOps, LayerSpikeStats, OpCountReport, SpikeStats,
                      audit_multiplier_free, direct_input_macs, estimate_energy,
                      step_comparisons)
 from .lstm import AnnLSTM
@@ -26,8 +27,7 @@ from .neuron import (NEVER, LIFGateParams, if_avg_sigmoid, if_avg_tanh,
                      lif_avg_sigmoid, lif_first_spike_time, optimal_shift,
                      run_constant_drive, spike, spike_partials)
 from .pipeline import simulate_pipelined
-from .snn import (CellStepState, ConversionPlan, random_spiking_lstm, snn_cell_step,
-                  snn_forward)
+from .snn import CellStepState, ConversionPlan, snn_cell_step, snn_forward
 from .train import (ann_backward, ann_loss, model_parameters, snn_backward,
                     snn_relaxed_loss)
 
@@ -245,8 +245,8 @@ def check_snn_gradients(n_models: int = 3, tol: float = 1e-4) -> VerifyResult:
     for k in range(n_models):
         rng = np.random.default_rng(900 + k)
         plan = ConversionPlan("i" if k % 2 == 0 else "g")
-        model = random_spiking_lstm(2, [3] if k % 2 == 0 else [2, 2], [2], rng, plan=plan,
-                                    time_steps=2, encoding="direct", scale=1.0)
+        ann = AnnLSTM.random(2, [3] if k % 2 == 0 else [2, 2], [2], rng, scale=1.0)
+        model = convert(ann, T=2, plan=plan)
         for cell in model.cells:
             for p in cell.gate_params.values():
                 p.leak = p.leak * rng.uniform(0.8, 1.2, p.leak.shape)
@@ -329,8 +329,8 @@ def check_pipeline_equivalence(n_cases: int = 100) -> VerifyResult:
         T = int(rng.integers(1, 9))
         enc = "direct" if rng.random() < 0.5 else "poisson"
         plan = ConversionPlan("i" if rng.random() < 0.5 else "g")
-        model = random_spiking_lstm(feats, layers, [3], rng, plan=plan, time_steps=T,
-                                    encoding=enc, scale=2.0)
+        ann = AnnLSTM.random(feats, layers, [3], rng, scale=2.0)
+        model = convert(ann, T=T, plan=plan, encoding=enc)
         for cell in model.cells:  # open f/i/o, or most readouts are all zero
             for gate in ("f", "i", "o"):
                 cell.weights.b[gate] += 3.0
@@ -361,7 +361,7 @@ def check_energy_fixtures() -> VerifyResult:
         layers=[LayerOps(hidden=1, fan_in=1, accumulates=996, comparisons=2, activations=2)],
         n_elements=1, time_steps=4, encoding="poisson")
     # total_flops = 996 + 2 + 2 = 1000
-    energy = estimate_energy(report, EnergyModel())
+    energy = estimate_energy(report)
     ok = abs(energy["neuromorphic"]["truenorth"] - 402.4) < 1e-9
     ok &= abs(energy["neuromorphic"]["spinnaker"] - 641.44) < 1e-9
     ok &= report.total_flops == 1000

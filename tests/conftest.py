@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spikelstm.activations import HardActConfig
+from spikelstm.convert import convert
 from spikelstm.data import synthetic_task, split_dataset
 from spikelstm.lstm import AnnLSTM, LSTMWeights
 from spikelstm.snn import ConversionPlan, SpikingLSTMCell, default_gate_params
@@ -23,6 +24,12 @@ def one_unit_cell(plan="i", shift=False, act=None, w_fx=0.0):
     plan = ConversionPlan(plan)
     return SpikingLSTMCell(weights=w, gate_params=default_gate_params(plan, act, 1, shift=shift),
                            plan=plan, act=act)
+
+
+def random_snn(input_dim, hidden_dims, head_dims, rng, time_steps=2, scale=0.1, **convert_args):
+    """The no-pretraining start: the conversion of a random ANN."""
+    ann = AnnLSTM.random(input_dim, hidden_dims, head_dims, rng, scale=scale)
+    return convert(ann, T=time_steps, **convert_args)
 
 
 @pytest.fixture(scope="session")

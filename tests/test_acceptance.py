@@ -15,15 +15,17 @@ import pytest
 from spikelstm.convert import convert, conversion_error_report
 from spikelstm.data import (SequenceDataset, load_feature_tensor, load_tmnist,
                             save_feature_tensor, split_dataset, synthetic_task)
-from spikelstm.energy import (EnergyModel, LayerOps, OpCountReport, audit_multiplier_free,
-                              count_ops_ann, estimate_energy)
+from spikelstm.energy import (LayerOps, OpCountReport, audit_multiplier_free, count_ops_ann,
+                              estimate_energy)
 from spikelstm.lstm import AnnLSTM
 from spikelstm.pipeline import build_schedule, latency_report
-from spikelstm.snn import ConversionPlan, random_spiking_lstm, snn_forward
+from spikelstm.snn import ConversionPlan, snn_forward
 from spikelstm.train import TrainConfig, TrainMask, evaluate, fit
 from spikelstm.verify import (check_ann_gradients, check_if_oracle, check_lif_oracle,
                               check_pipeline_equivalence, check_shift_optimality,
                               check_snn_gradients)
+
+from conftest import random_snn
 
 MNIST_DIR = os.path.join(os.environ.get("SPIKELSTM_DATA_ROOT", ""), "mnist")
 HAVE_MNIST = os.path.exists(os.path.join(MNIST_DIR, "train-images-idx3-ubyte"))
@@ -63,8 +65,8 @@ def synthetic_pipeline():
                               TrainConfig(epochs=8, batch_size=32, lr=3e-3, seed=0,
                                           mask=TrainMask()))
 
-    snn_np = random_spiking_lstm(6, [8], [3], np.random.default_rng(0), time_steps=2,
-                                 scale=0.3)
+    snn_np = random_snn(6, [8], [3], np.random.default_rng(0), time_steps=2,
+                        scale=0.3)
     snn_np, _ = fit(snn_np, tr, va, ft_cfg)
 
     return {"ann": ann, "train": train, "val": val, "test": test,
@@ -131,8 +133,8 @@ def test_criterion_5_multiplier_audit():
     audited = 0
     for plan in ("i", "g"):
         for encoding in ("direct", "poisson"):
-            model = random_spiking_lstm(5, [6, 4], [3], rng, plan=ConversionPlan(plan),
-                                        time_steps=3, encoding=encoding, scale=1.5)
+            model = random_snn(5, [6, 4], [3], rng, plan=ConversionPlan(plan),
+                               time_steps=3, encoding=encoding, scale=1.5)
             for k in range(8):
                 seq = rng.random((7, 5))
                 _, _, ops = snn_forward(model, seq, rng_seed=k)
@@ -343,7 +345,7 @@ def test_criterion_8_energy_model(synthetic_pipeline):
     # hand-arithmetic fixtures
     fixture = OpCountReport(layers=[LayerOps(hidden=1, fan_in=1, accumulates=1000)],
                             n_elements=1, time_steps=4, encoding="poisson")
-    energy = estimate_energy(fixture, EnergyModel())
+    energy = estimate_energy(fixture)
     assert energy["neuromorphic"]["truenorth"] == pytest.approx(402.4)
     assert energy["neuromorphic"]["spinnaker"] == pytest.approx(641.44)
 

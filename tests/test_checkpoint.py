@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spikelstm.activations import HardActConfig
 from spikelstm.checkpoint import load_model, save_model
 from spikelstm.convert import convert
 from spikelstm.errors import CheckpointFormatError
@@ -48,6 +49,21 @@ def test_snn_round_trip_bit_exact(tmp_path, plan, encoding):
     path2 = tmp_path / "snn2.ckpt"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("plan", ["i", "g"])
+def test_converted_stack_round_trip_bit_exact(tmp_path, plan):
+    """Every layer of a loaded two-layer model carries the saved plan and
+    scales, and re-saving it gives the same bytes."""
+    act = HardActConfig(v_sig=3.0, v_tanh_pos=2.5, v_tanh_neg=-1.5)
+    ann = AnnLSTM.random(3, [4, 5], [2], np.random.default_rng(4), act=act, scale=0.9)
+    model = convert(ann, T=3, plan=ConversionPlan(plan))
+    save_model(model, tmp_path / "snn.ckpt")
+    loaded = load_model(tmp_path / "snn.ckpt")
+    assert [(c.plan, c.act) for c in loaded.cells] == [(ConversionPlan(plan), act)] * 2
+    _assert_params_bit_equal(model, loaded)
+    save_model(loaded, tmp_path / "again.ckpt")
+    assert (tmp_path / "snn.ckpt").read_bytes() == (tmp_path / "again.ckpt").read_bytes()
 
 
 def test_bad_magic_rejected(tmp_path):

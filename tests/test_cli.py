@@ -9,6 +9,9 @@ from spikelstm import checkpoint
 from spikelstm.cli import main
 from spikelstm.lstm import AnnLSTM
 from spikelstm.snn import SpikingLSTM
+
+from conftest import random_snn
+
 DATASET = {"kind": "synthetic-planted", "size": 240, "seed": 1, "noise": 0.5}
 
 
@@ -148,6 +151,28 @@ def test_eval_json(ann_run, tmp_path, capsys):
     assert 0.0 <= payload["accuracy"] <= 1.0
 
 
+def test_eval_rejects_non_finite_lif_field_with_exit_2(tmp_path, capsys):
+    """A NaN threshold in a checkpoint is refused at load, naming the field,
+    before it can reach a membrane."""
+    model = random_snn(3, [4], [3], np.random.default_rng(0))
+    model.cells[0].gate_params["f"].threshold_pos = np.full(4, np.nan)
+    checkpoint.save_model(model, str(tmp_path / "nan.ckpt"))
+    ds_cfg = write_json(tmp_path / "ds.json", {"config_version": 1, "dataset": DATASET})
+    assert main(["eval", "--ckpt", str(tmp_path / "nan.ckpt"), "--dataset-config", ds_cfg]) == 2
+    err = capsys.readouterr().err
+    assert "threshold_pos must be finite" in err and "Traceback" not in err
+
+
+def test_train_snn_validates_time_steps_of_a_spiking_checkpoint(tmp_path, capsys):
+    ckpt = str(tmp_path / "snn.ckpt")
+    checkpoint.save_model(random_snn(6, [4], [3], np.random.default_rng(0)), ckpt)
+    cfg = write_json(tmp_path / "cfg.json", {
+        "config_version": 1, "dataset": DATASET, "out_dir": str(tmp_path / "run"),
+        "snn": {"init_checkpoint": ckpt, "time_steps": 0}})
+    assert main(["train-snn", "--config", cfg]) == 2
+    assert "time_steps must be >= 1" in capsys.readouterr().err
+
+
 def test_pipeline_sim_reports_paper_tick_counts(tmp_path, capsys):
     trace_path = str(tmp_path / "trace.csv")
     assert main(["pipeline-sim", "--n", "5", "--t", "3", "--trace-out", trace_path]) == 0
@@ -213,7 +238,7 @@ def test_batched_energy_report_matches_streamed_reference(tmp_path, capsys, enco
     equal a per-sample B=1 reference on a test split larger than a chunk."""
     from spikelstm.cli import build_dataset
     from spikelstm.data import SequenceDataset, save_feature_tensor
-    from spikelstm.snn import ConversionPlan, random_spiking_lstm
+    from spikelstm.snn import ConversionPlan
     from spikelstm.train import EVAL_CHUNK
 
     rng = np.random.default_rng(2)  # values in [0, 1], as poisson encoding needs
@@ -223,9 +248,9 @@ def test_batched_energy_report_matches_streamed_reference(tmp_path, capsys, enco
                "test_fraction": 0.5, "val_fraction": 0.1}
     _, _, test = build_dataset(dataset)
     assert len(test) > EVAL_CHUNK
-    model = random_spiking_lstm(3, [5, 4], [3], np.random.default_rng(7),
-                                plan=ConversionPlan("g"), time_steps=3, encoding=encoding,
-                                scale=1.5)
+    model = random_snn(3, [5, 4], [3], np.random.default_rng(7),
+                       plan=ConversionPlan("g"), time_steps=3, encoding=encoding,
+                       scale=1.5)
     for cell in model.cells:
         cell.weights.b["o"] += 3.0  # open o so the hidden layers spike
     ckpt = str(tmp_path / "snn.ckpt")
@@ -361,7 +386,6 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, command, overrides
     --seed would reach the encoder. mnist-idx reads 40 train and 20 test
     images of 28x28."""
     from spikelstm.data import SequenceDataset, save_feature_tensor
-    from spikelstm.snn import random_spiking_lstm
     from test_data import write_idx_pair
 
     cfg = {"config_version": 1, "dataset": dict(DATASET, size=60), "model": {"hidden": [3]},
@@ -386,8 +410,8 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, command, overrides
         argv = [command, "--n", "3", "--t", "2"]
     else:
         ckpt = str(tmp_path / "snn.ckpt")
-        checkpoint.save_model(random_spiking_lstm(6, [4], [3], np.random.default_rng(0),
-                                                  time_steps=2, encoding="poisson"), ckpt)
+        checkpoint.save_model(random_snn(6, [4], [3], np.random.default_rng(0),
+                                         time_steps=2, encoding="poisson"), ckpt)
         rng = np.random.default_rng(1)
         save_feature_tensor(str(tmp_path / "x.seqf"), SequenceDataset(
             rng.random((40, 5, 6)), np.arange(40) % seqf["n_classes"], seqf["n_classes"]))

@@ -4,12 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from spikelstm.energy import (EnergyModel, LayerOps, LayerSpikeStats, OpCountReport,
-                              SpikeStats, audit_multiplier_free, count_ops_ann,
-                              count_ops_snn, estimate_energy)
+from spikelstm.energy import (LayerOps, LayerSpikeStats, OpCountReport, SpikeStats,
+                              audit_multiplier_free, count_ops_ann, count_ops_snn,
+                              estimate_energy)
 from spikelstm.errors import MultiplierAuditError, ValidationError
 from spikelstm.lstm import AnnLSTM
-from spikelstm.snn import ConversionPlan, random_spiking_lstm, snn_batch_forward, snn_forward
+from spikelstm.snn import ConversionPlan, snn_batch_forward, snn_forward
+
+from conftest import random_snn
 
 
 def test_ann_counts_hand_example():
@@ -57,7 +59,7 @@ def _stats(units=32, fan_in=4, input_nnz=0, hidden_total=0, n=1, T=1,
 def test_snn_single_spike_fanout():
     """One spiking input into a 32-unit cell: fan-out 4*32 = 128 ACs."""
     rng = np.random.default_rng(0)
-    model = random_spiking_lstm(4, [32], [2], rng, encoding="poisson", time_steps=1)
+    model = random_snn(4, [32], [2], rng, encoding="poisson", time_steps=1)
     report = count_ops_snn(_stats(input_nnz=1), model)
     assert report.layers[0].accumulates == 128
     assert report.layers[0].macs == 0
@@ -65,7 +67,7 @@ def test_snn_single_spike_fanout():
 
 def test_snn_zero_spikes_keeps_comparisons():
     rng = np.random.default_rng(0)
-    model = random_spiking_lstm(4, [32], [2], rng, encoding="poisson", time_steps=1)
+    model = random_snn(4, [32], [2], rng, encoding="poisson", time_steps=1)
     report = count_ops_snn(_stats(), model)
     assert report.layers[0].accumulates == 0
     # f+o+i sigmoid (1 each) + g,c ternary (2 each)... plan 'i' spiking set is f,g,o,c:
@@ -76,7 +78,7 @@ def test_snn_zero_spikes_keeps_comparisons():
 
 def test_snn_stats_model_mismatch_rejected():
     rng = np.random.default_rng(0)
-    model = random_spiking_lstm(4, [32], [2], rng, encoding="poisson", time_steps=2)
+    model = random_snn(4, [32], [2], rng, encoding="poisson", time_steps=2)
     with pytest.raises(ValidationError):
         count_ops_snn(_stats(layers=2), model)
     with pytest.raises(ValidationError):
@@ -97,8 +99,8 @@ def test_batched_counts_equal_streamed_reports(encoding):
     accumulates equal a tally of the taped spikes, each nonzero input
     fanning out to the 4H gate inputs."""
     rng = np.random.default_rng(9)
-    model = random_spiking_lstm(3, [5, 4], [2], rng, plan=ConversionPlan("g"), time_steps=3,
-                                encoding=encoding, scale=2.0)
+    model = random_snn(3, [5, 4], [2], rng, plan=ConversionPlan("g"), time_steps=3,
+                       encoding=encoding, scale=2.0)
     for cell in model.cells:  # open f/i/o so the top layer spikes
         for gate in ("f", "i", "o"):
             cell.weights.b[gate] += 3.0
@@ -139,7 +141,7 @@ def test_streamed_counts_are_plain_ints():
     """snn_forward's report holds Python ints in every count field, so
     callers can add them into JSON-bound dicts."""
     rng = np.random.default_rng(10)
-    model = random_spiking_lstm(3, [5, 4], [2], rng, time_steps=2, scale=2.0)
+    model = random_snn(3, [5, 4], [2], rng, time_steps=2, scale=2.0)
     _, _, ops = snn_forward(model, rng.random((4, 3)))
     for report in (ops, *ops.layers):
         for f in dataclasses.fields(report):
@@ -155,8 +157,8 @@ def test_poisson_input_acs_match_rate():
     """Expected input ACs = rate * F * fanout * T, within 4-sigma CLT bounds."""
     rng = np.random.default_rng(1)
     feats, hidden, T, n = 8, 16, 64, 8
-    model = random_spiking_lstm(feats, [hidden], [2], rng, encoding="poisson",
-                                time_steps=T, scale=0.01)
+    model = random_snn(feats, [hidden], [2], rng, encoding="poisson",
+                       time_steps=T, scale=0.01)
     rate = 0.35
     seq = np.full((n, feats), rate)
     _, stats, report = snn_forward(model, seq, rng_seed=5)
@@ -171,7 +173,7 @@ def test_energy_fixture_values():
     report = OpCountReport(
         layers=[LayerOps(hidden=1, fan_in=1, accumulates=1000)],
         n_elements=1, time_steps=4, encoding="poisson")
-    energy = estimate_energy(report, EnergyModel())
+    energy = estimate_energy(report)
     assert energy["neuromorphic"]["truenorth"] == pytest.approx(402.4)
     assert energy["neuromorphic"]["spinnaker"] == pytest.approx(641.44)
 
@@ -184,7 +186,7 @@ def test_zero_counts_zero_digital_energy():
 
 def test_energy_monotone_in_spike_rate():
     rng = np.random.default_rng(0)
-    model = random_spiking_lstm(4, [8], [2], rng, encoding="poisson", time_steps=2)
+    model = random_snn(4, [8], [2], rng, encoding="poisson", time_steps=2)
     quiet = count_ops_snn(_stats(units=8, input_nnz=3, hidden_total=2, n=2, T=2), model)
     busy = count_ops_snn(_stats(units=8, input_nnz=30, hidden_total=9, n=2, T=2), model)
     assert (estimate_energy(busy)["digital"]["total"]
@@ -194,8 +196,8 @@ def test_energy_monotone_in_spike_rate():
 def test_audit_passes_for_both_plans_and_catches_violations():
     rng = np.random.default_rng(3)
     for plan in ("i", "g"):
-        model = random_spiking_lstm(3, [4], [2], rng, plan=ConversionPlan(plan),
-                                    time_steps=2, scale=1.5)
+        model = random_snn(3, [4], [2], rng, plan=ConversionPlan(plan),
+                           time_steps=2, scale=1.5)
         seq = rng.random((5, 3))
         _, _, report = snn_forward(model, seq)
         audit_multiplier_free(report)
@@ -224,7 +226,7 @@ def test_audit_names_layer_and_first_offending_sample():
 
 def test_leak_multiplies_flagged_separately():
     rng = np.random.default_rng(0)
-    model = random_spiking_lstm(4, [8], [2], rng, encoding="poisson", time_steps=2)
+    model = random_snn(4, [8], [2], rng, encoding="poisson", time_steps=2)
     model.cells[0].gate_params["f"].leak = np.full(8, 0.9)
     report = count_ops_snn(_stats(units=8, T=2, n=3), model)
     assert report.layers[0].leak_multiplies == 8 * 3 * 2
@@ -234,7 +236,7 @@ def test_leak_multiplies_flagged_separately():
 
 def test_two_layer_counts_are_additive():
     rng = np.random.default_rng(6)
-    m2 = random_spiking_lstm(3, [4, 4], [2], rng, time_steps=2, scale=1.5)
+    m2 = random_snn(3, [4, 4], [2], rng, time_steps=2, scale=1.5)
     seq = rng.random((5, 3))
     _, _, report = snn_forward(m2, seq)
     assert report.accumulates == (sum(l.accumulates for l in report.layers)

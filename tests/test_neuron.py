@@ -61,6 +61,16 @@ def test_tanh_neuron_requires_negative_threshold():
         step_tanh_neuron(NeuronState(membrane=np.zeros(1)), np.zeros(1), params)
 
 
+@pytest.mark.parametrize("field", ["leak", "threshold_pos", "threshold_neg", "step_bias",
+                                   "mem_init", "surrogate_gamma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite_fields(field, bad):
+    """NaN passes every sign check, so each field is checked for finiteness."""
+    value = np.array([1.0, bad]) if field != "surrogate_gamma" else bad
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        LIFGateParams(**{field: value})
+
+
 def test_non_finite_membrane_faults_with_unit_index():
     params = LIFGateParams(leak=1.0, threshold_pos=1.0)
     state = NeuronState(membrane=np.array([0.0, 0.0, 0.0]))

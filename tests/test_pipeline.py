@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 from spikelstm.energy import LayerOps, OpCountReport
 from spikelstm.errors import ValidationError
 from spikelstm.pipeline import build_schedule, latency_report, simulate_pipelined, tick_trace
-from spikelstm.snn import ConversionPlan, random_spiking_lstm, snn_batch_forward, snn_forward
+from spikelstm.snn import ConversionPlan, snn_batch_forward, snn_forward
 from spikelstm.train import cast_parameters
 from spikelstm.verify import per_step_reference
+
+from conftest import random_snn
 
 
 def test_schedule_tick_counts():
@@ -22,7 +24,7 @@ def test_tick_trace_rejects_a_batched_spike_stats():
     """A three-sample SpikeStats is refused, naming its shape, instead of
     being traced as its first sample."""
     rng = np.random.default_rng(1)
-    model = random_spiking_lstm(3, [4], [2], rng, time_steps=2, scale=1.5)
+    model = random_snn(3, [4], [2], rng, time_steps=2, scale=1.5)
     _, _, aux = snn_batch_forward(model, rng.random((3, 5, 3)), 2, "direct", seed=0)
     with pytest.raises(ValidationError, match=r"\(3, 5, 2\)"):
         tick_trace(model, aux["stats"])
@@ -56,7 +58,7 @@ def test_schedule_laws(n, T):
 
 def test_pipelined_equivalence_and_conservation():
     rng = np.random.default_rng(0)
-    model = random_spiking_lstm(3, [4, 3], [2], rng, time_steps=4, scale=1.5)
+    model = random_snn(3, [4, 3], [2], rng, time_steps=4, scale=1.5)
     seq = rng.random((6, 3))
     logits_seq, _, ops = snn_forward(model, seq, rng_seed=11)
     logits_pipe, trace = simulate_pipelined(model, seq, rng_seed=11)
@@ -80,8 +82,8 @@ def test_engine_matches_per_step_oracles(plan, n_layers, T, encoding, n, seed, d
     rng = np.random.default_rng(seed)
     feats = int(rng.integers(1, 4))
     hidden = [int(h) for h in rng.integers(2, 5, n_layers)]
-    model = random_spiking_lstm(feats, hidden, [3], rng, plan=ConversionPlan(plan),
-                                time_steps=T, encoding=encoding, scale=2.0)
+    model = random_snn(feats, hidden, [3], rng, plan=ConversionPlan(plan),
+                       time_steps=T, encoding=encoding, scale=2.0)
     for cell in model.cells:
         for gate in ("f", "i", "o"):  # open the gates so most examples spike
             cell.weights.b[gate] += 3.0

@@ -9,13 +9,12 @@ from spikelstm.energy import LayerSpikeStats
 from spikelstm.errors import MultiplierAuditError, NumericalFault, ValidationError
 from spikelstm.lstm import AnnLSTM, ann_batch_forward
 import spikelstm.snn as snn_module
-from spikelstm.snn import (CellStepState, ConversionPlan, SpikingLSTMCell,
-                           default_gate_params, random_spiking_lstm, snn_batch_forward,
-                           snn_cell_step, snn_forward)
+from spikelstm.snn import (CellStepState, ConversionPlan, SpikingLSTM, SpikingLSTMCell,
+                           default_gate_params, snn_batch_forward, snn_cell_step, snn_forward)
 from spikelstm.train import cast_parameters, model_parameters, set_parameters
 from spikelstm.verify import per_step_reference
 
-from conftest import one_unit_cell, zero_weights
+from conftest import one_unit_cell, random_snn, zero_weights
 
 CFG = HardActConfig()
 
@@ -46,6 +45,18 @@ def test_cell_rejects_mismatched_gate_params():
     params = default_gate_params(ConversionPlan("g"), CFG, 1)
     with pytest.raises(ValidationError):
         SpikingLSTMCell(weights=zero_weights(1, 1), gate_params=params, plan=plan, act=CFG)
+
+
+@pytest.mark.parametrize("plan, act, name", [("g", CFG, "plan"),
+                                             ("i", HardActConfig(v_sig=2.0), "act")])
+def test_model_rejects_layers_that_differ_in_plan_or_act(plan, act, name):
+    """A checkpoint stores one plan and one act, so every layer must share
+    layer 0's."""
+    ann = AnnLSTM.random(2, [3, 3], [2], np.random.default_rng(0))
+    base = convert(ann, T=2)
+    other = convert(AnnLSTM(ann.layers, ann.head, act), T=2, plan=ConversionPlan(plan))
+    with pytest.raises(ValidationError, match=f"layer 1: {name} differs from layer 0's"):
+        SpikingLSTM(cells=[base.cells[0], other.cells[1]], head=base.head, time_steps=2)
 
 
 def test_zero_input_with_converted_defaults_spikes_on_second_step():
@@ -100,7 +111,7 @@ def test_multi_bit_input_rejected_when_spikes_required():
 
 def test_forward_single_step_composes_cell():
     rng = np.random.default_rng(2)
-    model = random_spiking_lstm(2, [3], [2], rng, time_steps=1, scale=1.0)
+    model = random_snn(2, [3], [2], rng, time_steps=1, scale=1.0)
     seq = rng.random((1, 2))
     logits, stats, ops = snn_forward(model, seq)
     cell = model.cells[0]
@@ -111,7 +122,7 @@ def test_forward_single_step_composes_cell():
 
 def test_forward_poisson_determinism():
     rng = np.random.default_rng(4)
-    model = random_spiking_lstm(3, [4], [3], rng, time_steps=3, encoding="poisson", scale=2.0)
+    model = random_snn(3, [4], [3], rng, time_steps=3, encoding="poisson", scale=2.0)
     seq = rng.random((5, 3))
     a = snn_forward(model, seq, rng_seed=42)
     b = snn_forward(model, seq, rng_seed=42)
@@ -124,8 +135,8 @@ def test_forward_poisson_determinism():
 def test_hidden_alphabet_is_ternary():
     rng = np.random.default_rng(8)
     for plan in ("i", "g"):
-        model = random_spiking_lstm(3, [4, 3], [2], rng, plan=ConversionPlan(plan),
-                                    time_steps=4, scale=1.5)
+        model = random_snn(3, [4, 3], [2], rng, plan=ConversionPlan(plan),
+                           time_steps=4, scale=1.5)
         seq = rng.random((6, 3))
         # second layer consumes first-layer spikes: alphabet enforced in-step
         logits, stats, ops = snn_forward(model, seq)
@@ -149,7 +160,7 @@ def test_large_t_rates_converge_to_ann_gates():
 
 def test_forward_stats_geometry():
     rng = np.random.default_rng(9)
-    model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, scale=1.5)
+    model = random_snn(2, [3], [2], rng, time_steps=2, scale=1.5)
     seq = rng.random((4, 2))
     _, stats, ops = snn_forward(model, seq)
     assert stats.shape == (1, 4, 2)
@@ -164,8 +175,8 @@ def test_forward_stats_geometry():
 def test_batch_stats_split_into_per_sample_stats(encoding):
     """Sample b's share of a batched run's counts equals sample b run alone."""
     rng = np.random.default_rng(12)
-    model = random_spiking_lstm(3, [5, 4], [2], rng, plan=ConversionPlan("g"), time_steps=3,
-                                encoding=encoding, scale=2.0)
+    model = random_snn(3, [5, 4], [2], rng, plan=ConversionPlan("g"), time_steps=3,
+                       encoding=encoding, scale=2.0)
     for cell in model.cells:
         cell.weights.b["o"] += 3.0
     X = rng.random((9, 6, 3))
@@ -185,8 +196,8 @@ def test_batched_logits_equal_streamed_ones(plan, encoding):
     bit, whatever the batch size."""
     for dtype, head in itertools.product((np.float64, np.float32), ([3], [6, 3])):
         rng = np.random.default_rng(17)
-        model = random_spiking_lstm(4, [23, 11], head, rng, plan=ConversionPlan(plan),
-                                    time_steps=3, encoding=encoding, scale=1.5)
+        model = random_snn(4, [23, 11], head, rng, plan=ConversionPlan(plan),
+                           time_steps=3, encoding=encoding, scale=1.5)
         for cell in model.cells:
             for gate in ("f", "i", "o"):
                 cell.weights.b[gate] += 1.0
@@ -203,8 +214,8 @@ def _orders_model(encoding):
     """Two layers wide enough that a batch of under a hundred exceeds the
     wavefront budget, with open f/i/o gates so both layers spike."""
     rng = np.random.default_rng(13)
-    model = random_spiking_lstm(3, [64, 48], [3], rng, plan=ConversionPlan("g"), time_steps=4,
-                                encoding=encoding, scale=0.5)
+    model = random_snn(3, [64, 48], [3], rng, plan=ConversionPlan("g"), time_steps=4,
+                       encoding=encoding, scale=0.5)
     for cell in model.cells:
         for gate in ("f", "i", "o"):
             cell.weights.b[gate] += 3.0
@@ -267,8 +278,8 @@ def test_packed_block_matches_the_per_step_oracle_in_every_mode(monkeypatch, pla
     does not model: the four runs give the same logits and per-(n, tau)
     counts, and taped and untaped runs the same SpikeStats."""
     rng = np.random.default_rng(16)
-    model = random_spiking_lstm(3, [37, 21], [3], rng, plan=ConversionPlan(plan), time_steps=3,
-                                encoding=encoding, scale=1.5)
+    model = random_snn(3, [37, 21], [3], rng, plan=ConversionPlan(plan), time_steps=3,
+                       encoding=encoding, scale=1.5)
     for cell in model.cells:
         for gate in ("f", "i", "o"):
             cell.weights.b[gate] += 1.0
@@ -309,8 +320,8 @@ def test_packed_parameters_are_never_stale():
     rng = np.random.default_rng(18)
 
     def build():
-        return random_spiking_lstm(3, [9, 5], [3], np.random.default_rng(19),
-                                   plan=ConversionPlan("i"), time_steps=3, scale=1.0)
+        return random_snn(3, [9, 5], [3], np.random.default_rng(19),
+                          plan=ConversionPlan("i"), time_steps=3, scale=1.0)
 
     def forward(model, dtype=np.float64):
         logits, _, aux = snn_batch_forward(model, X.astype(dtype), 3, "direct", seed=2)
@@ -340,7 +351,7 @@ def test_packed_parameters_are_never_stale():
 
 def test_forward_rejects_non_finite_membrane(monkeypatch):
     rng = np.random.default_rng(10)
-    model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, scale=1.0)
+    model = random_snn(2, [3], [2], rng, time_steps=2, scale=1.0)
     model.cells[0].gate_params["o"].step_bias = np.array([0.0, np.inf, 0.0])
     seq = rng.random((3, 2))
     for budget in (snn_module.WAVEFRONT_BUDGET, 0):  # by anti-diagonals, then in element order
@@ -351,7 +362,7 @@ def test_forward_rejects_non_finite_membrane(monkeypatch):
 
 def test_forward_rejects_multi_bit_spike_input(monkeypatch):
     rng = np.random.default_rng(11)
-    model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, encoding="poisson")
+    model = random_snn(2, [3], [2], rng, time_steps=2, encoding="poisson")
     monkeypatch.setattr(snn_module, "encode_sequence",
                         lambda X, T, *args: np.full(X.shape[:2] + (T,) + X.shape[2:], 0.5))
     seq = rng.random((3, 2))
@@ -387,8 +398,8 @@ def test_chunked_runs_equal_the_unsplit_run_entry_for_entry(monkeypatch, dtype, 
     batch, n_elements, T, feats = 12, 4, 3, 7
     X = rng.random((batch, n_elements, feats))
     for width in (3, 10, 33, 60):
-        model = random_spiking_lstm(feats, [width, width], [3], rng, plan=ConversionPlan(plan),
-                                    time_steps=T, encoding=encoding, scale=1.5)
+        model = random_snn(feats, [width, width], [3], rng, plan=ConversionPlan(plan),
+                           time_steps=T, encoding=encoding, scale=1.5)
         for cell in model.cells:
             for gate in ("f", "i", "o"):
                 cell.weights.b[gate] += 3.0
@@ -432,8 +443,8 @@ def test_oracle_cell_equals_the_batch_tape_on_membranes_and_cell_values(plan, en
     c_out and h_out its Cp and Hp rows, bit for bit."""
     rng = np.random.default_rng(40 + (plan == "i") + 2 * (encoding == "poisson"))
     T = 3
-    model = random_spiking_lstm(5, [33, 10], [3], rng, plan=ConversionPlan(plan), time_steps=T,
-                                encoding=encoding, scale=1.5)
+    model = random_snn(5, [33, 10], [3], rng, plan=ConversionPlan(plan), time_steps=T,
+                       encoding=encoding, scale=1.5)
     for cell in model.cells:
         for gate in ("f", "i", "o"):
             cell.weights.b[gate] += 1.0

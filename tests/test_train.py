@@ -9,13 +9,13 @@ from spikelstm.convert import convert
 from spikelstm.data import synthetic_task
 from spikelstm.errors import TrainingDiverged, ValidationError
 from spikelstm.lstm import AnnLSTM, ClassifierHead, ann_batch_forward
-from spikelstm.snn import ConversionPlan, SpikingLSTMCell, default_gate_params, random_spiking_lstm
+from spikelstm.snn import ConversionPlan, SpikingLSTMCell, default_gate_params
 from spikelstm.train import (Adam, TrainConfig, TrainMask, ann_backward, cast_parameters,
                              clip_global_norm, evaluate, fit, model_parameters, snn_backward,
                              snn_batch_forward, softmax_cross_entropy)
 from spikelstm.verify import check_ann_gradients, check_snn_gradients
 
-from conftest import zero_weights
+from conftest import random_snn, zero_weights
 
 
 def _worst_rel_err(result) -> float:
@@ -46,8 +46,8 @@ def test_zero_weight_softmax_symmetry():
 
 def test_gamma_zero_kills_spiking_gradients_but_not_head():
     rng = np.random.default_rng(0)
-    model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, scale=1.0,
-                                surrogate_gamma=0.0)
+    model = random_snn(2, [3], [2], rng, time_steps=2, scale=1.0,
+                       surrogate_gamma=0.0)
     X = rng.uniform(0, 1, (3, 4, 2))
     y = np.array([0, 1, 0])
     _, grads = snn_backward(model, (X, y))
@@ -64,8 +64,8 @@ def test_train_forward_matches_streaming_inference():
     for encoding in ("direct", "poisson"):
         for analog_gate in ("i", "g"):
             rng = np.random.default_rng(5)
-            model = random_spiking_lstm(3, [6, 5], [2], rng, plan=ConversionPlan(analog_gate),
-                                        time_steps=3, encoding=encoding, scale=2.0)
+            model = random_snn(3, [6, 5], [2], rng, plan=ConversionPlan(analog_gate),
+                               time_steps=3, encoding=encoding, scale=2.0)
             for cell in model.cells:  # open f/i/o so the top layer spikes
                 for gate in ("f", "i", "o"):
                     cell.weights.b[gate] += 4.0
@@ -83,8 +83,8 @@ def test_poisson_evaluate_is_chunk_invariant(monkeypatch):
     from spikelstm.snn import snn_forward
 
     rng = np.random.default_rng(6)
-    model = random_spiking_lstm(4, [5], [3], rng, plan=ConversionPlan("g"), time_steps=4,
-                                encoding="poisson", scale=1.5)
+    model = random_snn(4, [5], [3], rng, plan=ConversionPlan("g"), time_steps=4,
+                       encoding="poisson", scale=1.5)
     X = rng.random((40, 6, 4))
     y = rng.integers(0, 3, 40)
     monkeypatch.setattr(train, "EVAL_CHUNK", 256)
@@ -102,7 +102,7 @@ def test_poisson_evaluate_is_chunk_invariant(monkeypatch):
 
 def test_leak_mask_contract():
     rng = np.random.default_rng(1)
-    model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, scale=1.5)
+    model = random_snn(2, [3], [2], rng, time_steps=2, scale=1.5)
     X = rng.uniform(0, 1, (4, 3, 2))
     y = np.array([0, 1, 0, 1])
     params = model_parameters(model)
@@ -127,7 +127,7 @@ def test_leak_mask_contract():
 
 def test_masked_params_bit_invariant_over_many_steps():
     rng = np.random.default_rng(2)
-    model = random_spiking_lstm(2, [3], [2], rng, time_steps=2, scale=1.0)
+    model = random_snn(2, [3], [2], rng, time_steps=2, scale=1.0)
     X = rng.uniform(0, 1, (4, 3, 2))
     y = np.array([1, 0, 1, 0])
     params = model_parameters(model)
@@ -167,7 +167,7 @@ def test_piecewise_constant_landscape_still_yields_surrogate_gradient():
     cell = SpikingLSTMCell(weights=w, gate_params=default_gate_params(plan, HardActConfig(), 1, shift=False),
                            plan=plan)
     head = ClassifierHead([[np.array([[2.0], [-2.0]]), np.zeros(2)]])
-    model = SpikingLSTM(cells=[cell], head=head, plan=plan, time_steps=1)
+    model = SpikingLSTM(cells=[cell], head=head, time_steps=1)
     X = np.full((1, 1, 1), 1.0)
     y = np.array([0])
     loss0, grads = snn_backward(model, (X, y))
@@ -275,8 +275,8 @@ def test_f32_run_makes_no_f64_array(relaxed):
     the encoded input and every tape array of the SNN (A_analog included),
     the ANN's caches, and both backwards' gradients."""
     rng = np.random.default_rng(22)
-    snn = random_spiking_lstm(3, [5, 4], [3], rng, plan=ConversionPlan("i"), time_steps=2,
-                              scale=1.0)
+    snn = random_snn(3, [5, 4], [3], rng, plan=ConversionPlan("i"), time_steps=2,
+                     scale=1.0)
     ann = AnnLSTM.random(3, [5, 4], [3], rng, scale=0.5)
     for model in (snn, ann):
         cast_parameters(model, np.float32)
