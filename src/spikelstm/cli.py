@@ -257,7 +257,6 @@ def cmd_train_snn(args) -> int:
     train, val, _ = build_dataset(cfg["dataset"])
     T = _typed(snn_cfg, "time_steps", int, "snn", 2)
     encoding = _typed(snn_cfg, "encoding", str, "snn", "direct")
-    gamma = _typed(snn_cfg, "surrogate_gamma", float, "snn", 0.3)
     init_ckpt = _typed(snn_cfg, "init_checkpoint", str, "snn")
     # no pre-trained model: the conversion of a random ANN (no-pretraining start)
     model = (checkpoint.load_model(_resolve(init_ckpt)) if init_ckpt else
@@ -266,8 +265,14 @@ def cmd_train_snn(args) -> int:
         model = convert_model(model, T=T, plan=ConversionPlan(
             _typed(snn_cfg, "analog_gate", str, "snn", "i")),
             shift=_typed(snn_cfg, "shift", bool, "snn", True),
-            surrogate_gamma=gamma, encoding=encoding)
-    else:  # rebuilt, so the new T and encoding are validated
+            surrogate_gamma=_typed(snn_cfg, "surrogate_gamma", float, "snn", 0.3),
+            encoding=encoding)
+    else:
+        for key in ("analog_gate", "shift", "surrogate_gamma"):  # the checkpoint's own
+            if snn_cfg.get(key) is not None:
+                raise ConfigError(f"snn.{key}: applies only when converting an ANN, "
+                                  f"and {init_ckpt} holds a spiking model")
+        # rebuilt, so the new T and encoding are validated
         model = dataclasses.replace(model, time_steps=T, encoding=encoding)
     tc = build_train_config(cfg.get("train", {}), seed, mask)
     return _fit(args.command, model, train, val, tc, cfg["out_dir"])

@@ -22,7 +22,8 @@ class DimensionMismatch(SpikeLstmError):
 
 
 class NumericalFault(SpikeLstmError):
-    """A non-finite value appeared where finite arithmetic is required."""
+    """A non-finite value appeared where finite arithmetic is required, or
+    a training step left a parameter outside its domain."""
 
 
 class MultiplierAuditError(SpikeLstmError):

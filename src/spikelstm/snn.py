@@ -16,13 +16,15 @@ counts; snn_forward is it at B=1. It walks the (n, tau) lattice by whole
 anti-diagonals, the pipeline schedule, while the state in flight is small,
 else cell by cell in element order, with one block body on gates packed
 gate-major: one projection call per operand and one LIF bank for f, o and
-the spiking one of i/g. snn_cell_step is the per-step reference cell that
-the oracle in `verify` runs.
+the spiking one of i/g. Without tapes it runs a large batch through all
+layers one tile of rows at a time, so its hidden lattices are bounded by
+LATTICE_BUDGET, not by the batch. snn_cell_step is the per-step reference
+cell that the oracle in `verify` runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -206,6 +208,13 @@ def snn_cell_step(cell: SpikingLSTMCell, state: CellStepState, x_in, h_in, c_in,
 # stacks spill the 2 MiB L2 (0.75-0.97x at B=256), so cells run one at a
 # time in element order. The two cross over between 8k and 64k elements.
 WAVEFRONT_BUDGET = 16_384
+
+# An untaped forward runs its batch through every layer one tile of rows at a
+# time, max(1, LATTICE_BUDGET // (N*T*max H)) rows, so a layer's hidden
+# lattice stays near this many elements (16 MiB at f64) whatever the batch.
+# Rows do not interact (README: Batch invariance), so a tile moves no bit.
+# Smaller tiles measured slower for less memory (36 rows at B=256: 0.89x).
+LATTICE_BUDGET = 2 ** 21
 
 
 class _GatePack:
@@ -414,6 +423,14 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     return H, stats
 
 
+def _concatenate_stats(parts) -> LayerSpikeStats:
+    """One layer's LayerSpikeStats of consecutive tiles as one batch's."""
+    return replace(parts[0], **{name: np.concatenate([getattr(p, name) for p in parts])
+                                for name in ("input_nnz", "hidden_nnz")},
+                   gate_spikes={g: np.concatenate([p.gate_spikes[g] for p in parts])
+                                for g in parts[0].gate_spikes})
+
+
 def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
                       seed: int, relaxed: bool = False, want_tapes: bool = False,
                       first_index: int = 0):
@@ -425,8 +442,10 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     made, and encoded by encode_sequence, sample b as sample
     first_index + b of the evaluated set. relaxed=True replaces every hard
     spike by its triangle-ramp relaxation (same code path otherwise).
-    With want_tapes every layer records what snn_backward reads; without,
-    only each layer's hidden spikes are kept. Returns (logits,
+    With want_tapes every layer records what snn_backward reads, over the
+    whole batch; without, the batch runs through every layer in tiles of
+    rows (LATTICE_BUDGET), keeping only the current tile's hidden spikes,
+    and the head runs once on the tiles' readouts. Returns (logits,
     tapes_or_none, aux); aux holds the head cache, the encoded input and
     the SpikeStats: per-sample, per-(n, t) counts of the batch.
 
@@ -443,16 +462,26 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     encoded = encode_sequence(X, T, encoding, seed, first_index)
     if encoding != "direct":
         _assert_spikes("encoded input", encoded, ternary=True)
-    tapes, layer_stats = [], []
-    x_feed = encoded  # [B, N, T, F]
-    for li, cell in enumerate(model.cells):
-        tape = _SnnLayerTape(cell, batch, n_elements, T, X.dtype) if want_tapes else None
-        H, stats = _layer_forward(cell, x_feed, relaxed, tape,
-                                  input_analog=(li == 0 and encoding == "direct"))
-        tapes.append(tape)
-        layer_stats.append(stats)
-        x_feed = np.moveaxis(H, 2, 0)  # [B, N, T, H]
-    hbar = H[n_elements - 1].mean(axis=0)  # [B, H]
+    # the backward reads the whole tape, so a taped run is one tile
+    tile = batch if want_tapes else max(
+        1, LATTICE_BUDGET // (n_elements * T * max(model.hidden_dims)))
+    tiles = []  # per tile: its readout [b, H] and its LayerSpikeStats
+    for lo in range(0, batch, tile):
+        tapes, layer_stats = [], []
+        x_feed = encoded[lo:lo + tile]  # [b, N, T, F]
+        for li, cell in enumerate(model.cells):
+            tape = _SnnLayerTape(cell, batch, n_elements, T, X.dtype) if want_tapes else None
+            H, stats = _layer_forward(cell, x_feed, relaxed, tape,
+                                      input_analog=(li == 0 and encoding == "direct"))
+            tapes.append(tape)
+            layer_stats.append(stats)
+            x_feed = np.moveaxis(H, 2, 0)  # [b, N, T, H]
+        tiles.append((H[n_elements - 1].mean(axis=0), layer_stats))
+    if len(tiles) == 1:
+        hbar, layer_stats = tiles[0]
+    else:
+        hbar = np.concatenate([readout for readout, _ in tiles])
+        layer_stats = [_concatenate_stats(parts) for parts in zip(*(s for _, s in tiles))]
     logits, head_cache = model.head.forward_cached(hbar)
     aux = {"head_cache": head_cache, "encoded": encoded,
            "stats": SpikeStats(layers=layer_stats, encoding=encoding)}

@@ -42,6 +42,7 @@ from .snn import SpikingLSTM, snn_batch_forward
 GradientBundle = dict
 
 LIF_FIELDS = ("leak", "threshold_pos", "threshold_neg", "step_bias", "mem_init")
+LIF_SIGNS = {"leak": 1, "threshold_pos": 1, "threshold_neg": -1}  # LIFGateParams's domain
 EVAL_CHUNK = 256  # samples per batched forward when evaluating a set
 
 
@@ -462,8 +463,10 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
 
     train_set / val_set: (X [count, N, F], y [count]) pairs. Writes
     metrics.csv, manifest.json and a best-validation checkpoint under
-    out_dir when given. Non-finite loss restores the best parameters and
-    raises TrainingDiverged. Fully seed-deterministic.
+    out_dir when given. A non-finite loss, or an optimizer step that leaves
+    a leak or threshold outside the domain LIFGateParams accepts, restores
+    the best parameters and raises TrainingDiverged, so every checkpoint
+    written loads. Fully seed-deterministic.
     """
     X_train, y_train = train_set
     X_val, y_val = val_set
@@ -473,6 +476,8 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
 
     params = model_parameters(model)
     trainable = [k for k in params if config.mask.allows(k)]
+    signs = {k: LIF_SIGNS[k.rsplit(".", 1)[1]] for k in trainable
+             if k.rsplit(".", 1)[1] in LIF_SIGNS}  # trained leaks and thresholds
     opt = Adam(config.lr)
     rng = np.random.default_rng(config.seed)
     is_snn = isinstance(model, SpikingLSTM)
@@ -498,6 +503,7 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
                     loss, grads = ann_backward(model, batch)
                 clip_global_norm(grads, config.grad_clip)
                 opt.step(params, grads, trainable)
+                _check_lif_domain(params, signs)
                 epoch_loss += loss * len(idx)
                 seen += len(idx)
             k = min(X_train.shape[0], 2048)  # fixed subsample keeps epoch cost bounded
@@ -519,13 +525,25 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
         _write_artifacts(model, config, history, best, out_dir,
                          (X_train, y_train), diverged=str(fault))
         raise TrainingDiverged(
-            f"training diverged ({fault}); restored epoch-{best['epoch']} checkpoint",
+            f"training diverged ({fault}); restored the "
+            + (f"epoch-{best['epoch']}" if best["epoch"] >= 0 else "initial") + " parameters",
             history=history) from fault
 
     set_parameters(model, best["params"])
     cast_parameters(model, np.float64)
     _write_artifacts(model, config, history, best, out_dir, (X_train, y_train))
     return model, history
+
+
+def _check_lif_domain(params: dict, signs: dict) -> None:
+    """Raise NumericalFault naming the first parameter of signs (name ->
+    the sign it must keep) that an optimizer step moved out of its domain
+    (or to NaN)."""
+    for name, sign in signs.items():
+        ok = sign * params[name] > 0
+        if not ok.all():
+            raise NumericalFault(f"an optimizer step left {name} at {params[name][~ok].flat[0]}; "
+                                 f"it must be {'>' if sign > 0 else '<'} 0")
 
 
 def _write_artifacts(model, config, history, best, out_dir, train_data, diverged=None):

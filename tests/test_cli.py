@@ -173,6 +173,23 @@ def test_train_snn_validates_time_steps_of_a_spiking_checkpoint(tmp_path, capsys
     assert "time_steps must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("analog_gate", "g"), ("shift", False),
+                                        ("surrogate_gamma", 0.9)])
+def test_train_snn_rejects_conversion_keys_with_a_spiking_checkpoint(tmp_path, capsys,
+                                                                     key, value):
+    """A spiking checkpoint carries its own plan, shift and gamma: a config
+    that sets one exits 2 naming the key, before any training."""
+    ckpt = str(tmp_path / "snn.ckpt")
+    checkpoint.save_model(random_snn(6, [4], [3], np.random.default_rng(0)), ckpt)
+    cfg = write_json(tmp_path / "cfg.json", {
+        "config_version": 1, "dataset": DATASET, "out_dir": str(tmp_path / "run"),
+        "snn": {"init_checkpoint": ckpt, "time_steps": 2, key: value}})
+    assert main(["train-snn", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"snn.{key}" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_pipeline_sim_reports_paper_tick_counts(tmp_path, capsys):
     trace_path = str(tmp_path / "trace.csv")
     assert main(["pipeline-sim", "--n", "5", "--t", "3", "--trace-out", trace_path]) == 0

@@ -1,17 +1,19 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spikelstm.activations import HardActConfig
 from spikelstm.convert import convert
-from spikelstm.energy import LayerSpikeStats
+from spikelstm.energy import LayerSpikeStats, count_ops_snn
 from spikelstm.errors import MultiplierAuditError, NumericalFault, ValidationError
 from spikelstm.lstm import AnnLSTM, ann_batch_forward
 import spikelstm.snn as snn_module
 from spikelstm.snn import (CellStepState, ConversionPlan, SpikingLSTM, SpikingLSTMCell,
                            default_gate_params, snn_batch_forward, snn_cell_step, snn_forward)
-from spikelstm.train import cast_parameters, model_parameters, set_parameters
+from spikelstm.train import cast_parameters, evaluate, model_parameters, set_parameters
 from spikelstm.verify import per_step_reference
 
 from conftest import one_unit_cell, random_snn, zero_weights
@@ -471,3 +473,91 @@ def test_oracle_cell_equals_the_batch_tape_on_membranes_and_cell_values(plan, en
                         np.testing.assert_array_equal(c[t], tape.Cp[n + 1, t, b])
                         np.testing.assert_array_equal(h[t], tape.Hp[n + 1, t, b])
                 below = tape.H[:, :, b]
+
+
+def _bits(value):
+    """value with every array as (dtype, shape, bytes), recursively, so
+    that == compares bit for bit."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _tiled(monkeypatch, model, X, rows):
+    """Untaped forwards from now on run X in tiles of `rows` rows."""
+    budget = rows * X.shape[1] * model.time_steps * max(model.hidden_dims)
+    monkeypatch.setattr(snn_module, "LATTICE_BUDGET", budget)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("encoding", ["direct", "poisson"])
+def test_tiles_change_no_bit(monkeypatch, dtype, encoding):
+    """An untaped batch of 7 from first_index 5, in tiles of 1, of 3 + 3 + 1
+    and as one tile, by anti-diagonals and in element order: the logits,
+    SpikeStats, head cache, count_ops_snn and evaluate's triple are the
+    same bits, and equal a taped run's, which stays one tile."""
+    model = _orders_model(encoding)
+    cast_parameters(model, dtype)
+    T = model.time_steps
+    rng = np.random.default_rng(44)
+    X = rng.random((7, 5, 3)).astype(dtype)
+    y = rng.integers(0, 3, 7)
+    layer_forward, batches = snn_module._layer_forward, []
+
+    def spy(cell, x_feed, *args, **kwargs):
+        batches.append(x_feed.shape[0])
+        return layer_forward(cell, x_feed, *args, **kwargs)
+
+    monkeypatch.setattr(snn_module, "_layer_forward", spy)
+    runs = {}
+    tiles = {1: [1] * 7, 3: [3, 3, 1], 7: [7]}
+    for (rows, split), walk in itertools.product(tiles.items(),
+                                                 (snn_module.WAVEFRONT_BUDGET, 0)):
+        monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", walk)
+        _tiled(monkeypatch, model, X, rows)
+        for want_tapes in (False, True):
+            batches.clear()
+            logits, _, aux = snn_batch_forward(model, X, T, encoding, seed=6,
+                                               want_tapes=want_tapes, first_index=5)
+            assert batches == [b for b in ([7] if want_tapes else split) for _ in model.cells]
+            assert logits.dtype == dtype
+            assert aux["stats"].layers[-1].hidden_nnz_total > 0
+            runs[rows, walk, want_tapes] = _bits(
+                [logits, aux["stats"], aux["head_cache"], count_ops_snn(aux["stats"], model)])
+        runs[rows, walk, "evaluate"] = evaluate(model, X, y, seed=6)
+    first = runs[7, snn_module.WAVEFRONT_BUDGET, False]
+    for (rows, walk, kind), run in runs.items():
+        assert run == (runs[7, snn_module.WAVEFRONT_BUDGET, "evaluate"]
+                       if kind == "evaluate" else first), (rows, walk, kind)
+
+
+def test_untaped_forward_memory_does_not_grow_with_the_batch(monkeypatch):
+    """With tiles of 8 rows, an untaped forward of 32 rows peaks (by
+    tracemalloc) within half of one tile's hidden lattice of an 8-row
+    forward's peak plus the 24 more rows' encoded input; the rest of the
+    growth is the [B, N, T] spike counts. An untiled forward grows by about
+    15 lattices here."""
+    rng = np.random.default_rng(45)
+    n_elements, T, rows, hidden, feats = 10, 4, 8, 64, 2
+    model = random_snn(feats, [hidden, hidden], [3], rng, time_steps=T, scale=0.5)
+    X = rng.random((4 * rows, n_elements, feats))
+    _tiled(monkeypatch, model, X, rows)
+
+    def peak(batch):
+        snn_batch_forward(model, X[:batch], T, "direct", seed=0)  # warm the caches
+        tracemalloc.start()
+        try:
+            snn_batch_forward(model, X[:batch], T, "direct", seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    lattice = (n_elements + 1) * T * rows * hidden * X.itemsize
+    encoded = 3 * rows * n_elements * T * feats * X.itemsize
+    assert peak(4 * rows) - peak(rows) < encoded + lattice // 2

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from spikelstm import checkpoint
 from spikelstm.convert import convert
 from spikelstm.data import synthetic_task
 from spikelstm.errors import TrainingDiverged, ValidationError
@@ -249,6 +250,26 @@ def test_fit_divergence_aborts_with_last_good_state(tmp_path):
     # metrics/manifest still written, marked diverged
     manifest = json.loads((tmp_path / "div" / "manifest.json").read_text())
     assert "diverged" in manifest
+
+
+def test_fit_ends_when_a_step_leaves_the_lif_domain(tmp_path):
+    """At lr 1.0 Adam drives a trained leak below 0 within the first epoch:
+    fit ends as TrainingDiverged naming the parameter, restores the initial
+    parameters and writes a checkpoint that loads."""
+    ds = synthetic_task("planted-pattern", 84, seed=0)
+    model = random_snn(6, [4], [3], np.random.default_rng(0), scale=0.3)
+    initial = {k: v.copy() for k, v in model_parameters(model).items()}
+    cfg = TrainConfig(epochs=3, batch_size=16, lr=1.0, seed=0,
+                      mask=TrainMask(threshold=True, leak=True))
+    with pytest.raises(TrainingDiverged, match=r"left cells\.0\.lif\.\w\.leak at -.*> 0"):
+        fit(model, (ds.sequences[:64], ds.labels[:64]), (ds.sequences[64:], ds.labels[64:]),
+            cfg, out_dir=str(tmp_path / "run"))
+    for name, value in model_parameters(model).items():
+        np.testing.assert_array_equal(value, initial[name])
+    loaded = checkpoint.load_model(str(tmp_path / "run" / "model.ckpt"))
+    assert "diverged" in json.loads((tmp_path / "run" / "manifest.json").read_text())
+    for name, value in model_parameters(loaded).items():
+        np.testing.assert_array_equal(value, initial[name])
 
 
 def test_fit_f32_precision_flag():
