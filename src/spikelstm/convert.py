@@ -46,8 +46,9 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
 
     ANN gate values (and the cell-output tanh under 'c') come from
     ann_batch_forward; SNN values are per-element spike rates of the
-    spiking gates and time-averaged values of the analog gate, from the
-    taped snn_batch_forward; both run over chunks of EVAL_CHUNK probes.
+    spiking gates and time-averaged values of the analog gate, replayed
+    from the tapes of snn_batch_forward; both run over chunks of
+    EVAL_CHUNK probes.
 
     Returns a list of rows: {"layer": idx, "gate": name, "mae": float}.
     """
@@ -66,9 +67,11 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
         for li, (cache, tape) in enumerate(zip(ann_caches["layers"], tapes)):
             cell = snn_model.cells[li]
             ann_gates = dict(zip(REPORT_GATES, (np.stack(v) for v in zip(*cache["gates"]))))
-            snn_values = {g: tape.S_pos[g] - tape.S_neg[g] if g in tape.S_neg else tape.S_pos[g]
+            replayed = tape.replay()  # the whole lattice in one pass
+            S_pos, S_neg = replayed["S_pos"], replayed["S_neg"]
+            snn_values = {g: S_pos[g] - S_neg[g] if g in S_neg else S_pos[g]
                           for g in cell.plan.spiking_gates}
-            snn_values[cell.plan.analog_gate] = tape.A_analog
+            snn_values[cell.plan.analog_gate] = replayed["A_analog"]
             for a in REPORT_GATES:
                 rate = snn_values[a].mean(axis=1)  # [N, P, H]
                 sums.setdefault((li, a), []).append(np.abs(ann_gates[a] - rate).sum())

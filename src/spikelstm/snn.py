@@ -16,10 +16,13 @@ counts; snn_forward is it at B=1. It walks the (n, tau) lattice by whole
 anti-diagonals, the pipeline schedule, while the state in flight is small,
 else cell by cell in element order, with one block body on gates packed
 gate-major: one projection call per operand and one LIF bank for f, o and
-the spiking one of i/g. Without tapes it runs a large batch through all
-layers one tile of rows at a time, so its hidden lattices are bounded by
-LATTICE_BUDGET, not by the batch. snn_cell_step is the per-step reference
-cell that the oracle in `verify` runs.
+the spiking one of i/g. A taped run records per layer only what cannot be
+recomputed bit for bit (the membranes, the analog pre-activation, H and
+C); the tape replays the spikes, the membranes entering each step and the
+analog activation on demand. Without tapes it runs a large batch through
+all layers one tile of rows at a time, so its hidden lattices are bounded
+by LATTICE_BUDGET, not by the batch. snn_cell_step is the per-step
+reference cell that the oracle in `verify` runs.
 """
 
 from __future__ import annotations
@@ -207,6 +210,8 @@ def snn_cell_step(cell: SpikingLSTMCell, state: CellStepState, x_in, h_in, c_in,
 # large [B, H] arrays the calls are already amortised and a diagonal's
 # stacks spill the 2 MiB L2 (0.75-0.97x at B=256), so cells run one at a
 # time in element order. The two cross over between 8k and 64k elements.
+# The backward replays its tape in passes over as many elements as keep
+# the same per-gate size within this bound (_SnnLayerTape.replay_backwards).
 WAVEFRONT_BUDGET = 16_384
 
 # An untaped forward runs its batch through every layer one tile of rows at a
@@ -226,6 +231,7 @@ class _GatePack:
 
     def __init__(self, cell: SpikingLSTMCell):
         plan, w, hidden, dtype = cell.plan, cell.weights, cell.hidden_dim, cell.weights.dtype
+        self.bank_gates, self.hidden, self.dtype = plan.bank_gates, hidden, dtype
         order = plan.bank_gates + (plan.analog_gate,)
         self.w_x, self.w_h = w.projections(order)
         self.b = np.array([w.b[a] for a in order], dtype)[:, None, None]
@@ -253,29 +259,29 @@ class _GatePack:
 
 
 class _SnnLayerTape:
-    """Forward recordings of one spiking layer over the (n, t) lattice.
+    """Forward recordings of one spiking layer over the (n, t) lattice:
+    only what the backward cannot replay bit for bit.
 
-    V, S_pos and Upre keep the LIF bank gate-major, [3, N, T, B, H] in the
-    order of plan.bank_gates, and the c neuron apart; their per-gate dicts
-    hold contiguous [N, T, B, H] views."""
+    V keeps the LIF bank gate-major, [3, N, T, B, H] in the order of
+    plan.bank_gates, and the c neuron apart; its per-gate dict holds
+    contiguous [N, T, B, H] views. P_analog is the analog gate's
+    pre-activation, Hp and Cp the hidden spikes and cell values behind one
+    zero element. The spikes, the membranes entering each step and the
+    analog activation are replayed from V and P_analog (replay,
+    replay_backwards) against the pack the forward ran with."""
 
-    def __init__(self, cell, batch, n_elements, T, dtype):
-        shape = (n_elements, T, batch, cell.hidden_dim)
-        self.lattices = {}  # what a block records: [3, N, T, B, H] or [N, T, B, H]
-        for name in ("V", "S_pos", "Upre"):  # Upre: the membrane entering step t
-            bank, c = np.zeros((3,) + shape, dtype=dtype), np.zeros(shape, dtype=dtype)
-            self.lattices.update({(name, "bank"): bank, (name, "c"): c})
-            setattr(self, name, {**dict(zip(cell.plan.bank_gates, bank)), "c": c})
-        # the negative spike components of the ternary neurons
-        self.S_neg = {g: np.zeros(shape, dtype=dtype) for g in ("g", "c") if g in cell.gate_params}
-        self.lattices.update({("S_neg", g): a for g, a in self.S_neg.items()})
-        self.P_analog = np.zeros(shape, dtype=dtype)
-        self.A_analog = np.zeros(shape, dtype=dtype)  # the analog gate's activation
-        self.lattices.update({("P_analog", None): self.P_analog,
-                              ("A_analog", None): self.A_analog})
+    def __init__(self, pack: _GatePack, relaxed: bool, batch, n_elements, T):
+        shape = (n_elements, T, batch, pack.hidden)
+        self.pack, self.relaxed = pack, relaxed
+        bank, c = np.empty((3,) + shape, pack.dtype), np.empty(shape, pack.dtype)
+        self.V = {**dict(zip(pack.bank_gates, bank)), "c": c}
+        self.P_analog = np.empty(shape, pack.dtype)
+        # what a block records: [3, N, T, B, H] or [N, T, B, H]
+        self.lattices = {("V", "bank"): bank, ("V", "c"): c, ("P_analog", None): self.P_analog}
         # H and C behind one zero element: row n of Hp/Cp is element n - 1
-        self.Hp = np.zeros((n_elements + 1,) + shape[1:], dtype=dtype)
-        self.Cp = np.zeros_like(self.Hp)
+        self.Hp = np.empty((n_elements + 1,) + shape[1:], pack.dtype)
+        self.Cp = np.empty_like(self.Hp)
+        self.Hp[0] = self.Cp[0] = 0.0
         self.H = self.Hp[1:]
 
     def rows(self) -> dict:
@@ -283,6 +289,62 @@ class _SnnLayerTape:
         cell (n, t)."""
         return {key: a.reshape(a.shape[:-4] + (-1,) + a.shape[-2:])
                 for key, a in self.lattices.items()}
+
+    def replay(self, elements: slice = slice(None)) -> dict:
+        """What the forward computed from V and P_analog and did not record,
+        for the cells of a slice of elements, by the forward's own
+        operations: the spike components S_pos and, of the ternary neurons,
+        S_neg; Upre, the membrane entering each step (mem_init at t = 0,
+        else the soft-reset membrane of step t - 1); and A_analog, the
+        analog gate's activation. S_pos, S_neg and Upre map gates to arrays
+        shaped as V[gate][elements]; so is A_analog."""
+        pack, relaxed = self.pack, self.relaxed
+        V, V_c = self.lattices["V", "bank"][:, elements], self.V["c"][elements]
+
+        def per_cell(a):  # a [..., 1, 1, H] parameter stack, broadcast over [n, t, b]
+            return a[..., None, :, :, :]
+
+        th_pos, gamma = per_cell(pack.th_pos), per_cell(pack.gamma)
+        s_pos = spike(V, th_pos, gamma, relaxed)
+        U = np.empty_like(V)  # the step-t membranes, step t - 1's post-reset ones
+        U[:, :, 0] = pack.mem_init[0]
+        post = U[:, :, 1:]
+        np.multiply(th_pos, s_pos[:, :, :-1], out=post)
+        np.subtract(V[:, :, :-1], post, out=post)
+        S_neg = {}
+        if pack.th_neg is not None:
+            th_neg = per_cell(pack.th_neg)
+            S_neg["g"] = spike(V[2], th_neg, gamma[2], relaxed)
+            post[2] -= th_neg * S_neg["g"][:, :-1]
+        _, th_c, _, gamma_c = pack.c
+        th_c = per_cell(th_c)
+        s_c = spike(V_c, th_c, gamma_c, relaxed)
+        c_pos, S_neg["c"] = s_c
+        U_c = np.empty_like(V_c)
+        U_c[:, 0] = pack.mem_init[1]
+        c_reset = th_c * s_c[:, :, :-1]
+        U_c[:, 1:] = V_c[:, :-1] - c_reset[0] - c_reset[1]
+        gates = pack.bank_gates
+        return {"S_pos": {**dict(zip(gates, s_pos)), "c": c_pos}, "S_neg": S_neg,
+                "Upre": {**dict(zip(gates, U)), "c": U_c},
+                "A_analog": (hard_sigmoid if pack.analog_i else hard_tanh)(
+                    self.P_analog[elements], pack.act)}
+
+    def replay_backwards(self):
+        """(n, element n's replay as [T, B, H] arrays) from the last element
+        to the first. One replay pass covers as many elements as keep
+        T*B*H per gate within WAVEFRONT_BUDGET: a small lattice in one
+        pass, a large one a few elements at a time, so its temporaries stay
+        in cache."""
+        n_elements = self.H.shape[0]
+        span = max(1, WAVEFRONT_BUDGET // self.H[0].size)
+        for hi in range(n_elements, 0, -span):
+            lo = max(0, hi - span)
+            block = self.replay(slice(lo, hi))
+            for n in range(hi - 1, lo - 1, -1):
+                yield n, {name: {g: a[n - lo] for g, a in value.items()}
+                          if isinstance(value, dict) else value[n - lo]
+                          for name, value in block.items()}
 
 
 def _cell_block(pack, x, h_in, c_in, c_out, U, tally, relaxed, tape_rows, cells):
@@ -322,12 +384,8 @@ def _cell_block(pack, x, h_in, c_in, c_out, U, tally, relaxed, tape_rows, cells)
     c_pos, c_neg = s_c = spike(V_c, th_c, gamma, relaxed)
     tally[1] += c_pos
     tally[1] += c_neg
-    if tape_rows is not None:
-        record = {("Upre", "bank"): U[0], ("V", "bank"): V, ("S_pos", "bank"): s_pos,
-                  ("Upre", "c"): U[1], ("V", "c"): V_c, ("S_pos", "c"): c_pos,
-                  ("S_neg", "c"): c_neg, ("P_analog", None): P[3], ("A_analog", None): analog}
-        if pack.th_neg is not None:
-            record["S_neg", "g"] = s_neg
+    if tape_rows is not None:  # the rest replays from these (_SnnLayerTape.replay)
+        record = {("V", "bank"): V, ("V", "c"): V_c, ("P_analog", None): P[3]}
         for key, value in record.items():
             tape_rows[key][..., cells, :, :] = value
     U[0] = u_bank
@@ -345,9 +403,9 @@ def _diagonal_rows(start, count, step):
 
 
 def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
-                   tape: _SnnLayerTape | None, input_analog: bool):
-    """Run one spiking layer over x_feed [B, N, T, F]; fills the tape (when
-    given) and returns its hidden spikes [N, T, B, H] and LayerSpikeStats.
+                   want_tape: bool, input_analog: bool):
+    """Run one spiking layer over x_feed [B, N, T, F]; returns its hidden
+    spikes [N, T, B, H], LayerSpikeStats and its tape (or None).
 
     Walks the (n, t) lattice in blocks of cells that share one body: whole
     anti-diagonals n + t = k in ascending t when T*B*H fits
@@ -363,6 +421,7 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     hidden = cell.hidden_dim
     wavefront = T * batch * hidden <= WAVEFRONT_BUDGET
     pack = _GatePack(cell)
+    tape = _SnnLayerTape(pack, relaxed, batch, n_elements, T) if want_tape else None
     bank_gates = cell.plan.bank_gates
     # spike components summed over (n, t): the nonzero count of hard
     # spikes, at the cost of one add per component and block
@@ -420,7 +479,7 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
         hidden_nnz=np.moveaxis(np.count_nonzero(H, axis=-1), -1, 0),
         gate_spikes={g: per_gate[g].sum(axis=-1).astype(np.int64)
                      for g in cell.plan.spiking_gates})
-    return H, stats
+    return H, stats, tape
 
 
 def _concatenate_stats(parts) -> LayerSpikeStats:
@@ -442,8 +501,8 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     made, and encoded by encode_sequence, sample b as sample
     first_index + b of the evaluated set. relaxed=True replaces every hard
     spike by its triangle-ramp relaxation (same code path otherwise).
-    With want_tapes every layer records what snn_backward reads, over the
-    whole batch; without, the batch runs through every layer in tiles of
+    With want_tapes every layer records, over the whole batch, what
+    snn_backward cannot replay (_SnnLayerTape); without, the batch runs through every layer in tiles of
     rows (LATTICE_BUDGET), keeping only the current tile's hidden spikes,
     and the head runs once on the tiles' readouts. Returns (logits,
     tapes_or_none, aux); aux holds the head cache, the encoded input and
@@ -470,9 +529,8 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
         tapes, layer_stats = [], []
         x_feed = encoded[lo:lo + tile]  # [b, N, T, F]
         for li, cell in enumerate(model.cells):
-            tape = _SnnLayerTape(cell, batch, n_elements, T, X.dtype) if want_tapes else None
-            H, stats = _layer_forward(cell, x_feed, relaxed, tape,
-                                      input_analog=(li == 0 and encoding == "direct"))
+            H, stats, tape = _layer_forward(cell, x_feed, relaxed, want_tapes,
+                                            input_analog=(li == 0 and encoding == "direct"))
             tapes.append(tape)
             layer_stats.append(stats)
             x_feed = np.moveaxis(H, 2, 0)  # [b, N, T, H]

@@ -11,7 +11,10 @@ jointly over weights, thresholds, leaks, per-step biases and membrane
 initializations. The spike Heaviside's derivative is replaced by the
 triangular surrogate (neuron.spike_partials); ternary neurons use the sum
 of the two triangles centred at the two thresholds. The soft-reset path
-carries gradient by default.
+carries gradient by default. The tape holds the membranes, the analog
+pre-activation, H and C; the backward replays each element's spikes,
+entering membranes and analog activation from it (tape.replay_backwards),
+in passes small enough that the temporaries stay in cache.
 
 The hard and relaxed SNN modes share one backward; `relaxed=True` switches
 the forward to the triangle-ramp relaxation of every spike (whose exact
@@ -257,15 +260,16 @@ def ann_backward(model: AnnLSTM, batch):
 # ---------------------------------------------------------------------------
 # SNN engine
 
-def _emitted(tape, gate, n, t):
-    """The spike value a neuron emitted at (n, t): ternary ones store it as
-    two components."""
-    s_pos = tape.S_pos[gate][n, t]
-    return s_pos - tape.S_neg[gate][n, t] if gate in tape.S_neg else s_pos
+def _emitted(replayed, gate, t):
+    """The spike value a neuron emitted at step t of a replayed element:
+    ternary ones replay it as two components."""
+    s_pos = replayed["S_pos"][gate][t]
+    return s_pos - replayed["S_neg"][gate][t] if gate in replayed["S_neg"] else s_pos
 
 
-def _lif_backward(cell, gate, tape, n, t, ds, dUpost, grads, prefix, relaxed):
-    """Backward of one LIF neuron's step at (n, t).
+def _lif_backward(cell, gate, V, replayed, t, ds, dUpost, grads, prefix, relaxed):
+    """Backward of one LIF neuron's step t of an element: V is its taped
+    membrane at that step, replayed the element's tape.replay.
 
     ds is the gradient into the spike value it emitted, dUpost[gate] the
     gradient into its post-reset membrane (advanced here to the previous
@@ -275,18 +279,18 @@ def _lif_backward(cell, gate, tape, n, t, ds, dUpost, grads, prefix, relaxed):
     p = cell.gate_params[gate]
     leak, th_p, th_n, gamma = p.leak, p.threshold_pos, p.threshold_neg, p.surrogate_gamma
     D = dUpost[gate]
-    V = tape.V[gate][n, t]
+    S_pos, S_neg, Upre = (replayed[name].get(gate) for name in ("S_pos", "S_neg", "Upre"))
     key = f"{prefix}.lif.{gate}"
     ds_pos = ds - D * th_p
     dpv, dpt = spike_partials(V, th_p, gamma, relaxed)
     dV = D + ds_pos * dpv
-    grads[f"{key}.threshold_pos"] += (ds_pos * dpt - D * tape.S_pos[gate][n, t]).sum(axis=0)
+    grads[f"{key}.threshold_pos"] += (ds_pos * dpt - D * S_pos[t]).sum(axis=0)
     if th_n is not None:
         ds_neg = -ds - D * th_n
         dnv, dnt = spike_partials(V, th_n, gamma, relaxed)
         dV = dV + ds_neg * dnv
-        grads[f"{key}.threshold_neg"] += (ds_neg * dnt - D * tape.S_neg[gate][n, t]).sum(axis=0)
-    grads[f"{key}.leak"] += (dV * tape.Upre[gate][n, t]).sum(axis=0)
+        grads[f"{key}.threshold_neg"] += (ds_neg * dnt - D * S_neg[t]).sum(axis=0)
+    grads[f"{key}.leak"] += (dV * Upre[t]).sum(axis=0)
     grads[f"{key}.step_bias"] += dV.sum(axis=0)
     dUpost[gate] = leak * dV
     if t == 0:
@@ -340,24 +344,24 @@ def snn_backward(model: SpikingLSTM, batch, seed: int = 0, relaxed: bool = False
 
         dH_next = np.zeros_like(tape.H[0])  # [T, B, H]
         dC_next = np.zeros_like(dH_next)
-        for n in range(n_elements - 1, -1, -1):
+        for n, replayed in tape.replay_backwards():  # element n's spikes, Upre, A_analog
             dH_prev = np.zeros_like(dH_next)
             dC_prev = np.zeros_like(dC_next)
             dUpost = {g: np.zeros_like(dH_next[0]) for g in cell.gate_params}
             for t in range(T - 1, -1, -1):
                 dh = dH_seed[n, t] + dH_next[t]
-                ds = {"o": dh * _emitted(tape, "c", n, t)}
-                dV_c = _lif_backward(cell, "c", tape, n, t, dh * tape.S_pos["o"][n, t],
-                                     dUpost, grads, gp, relaxed)
+                ds = {"o": dh * _emitted(replayed, "c", t)}
+                dV_c = _lif_backward(cell, "c", tape.V["c"][n, t], replayed, t,
+                                     dh * replayed["S_pos"]["o"][t], dUpost, grads, gp, relaxed)
                 # --- cell combine ---
                 dc_total = dC_next[t] + dV_c
                 ds["f"] = dc_total * tape.Cp[n, t]  # c of element n - 1
-                dC_prev[t] += dc_total * tape.S_pos["f"][n, t]
-                ds[spiking_ig] = dc_total * tape.A_analog[n, t]
-                dA = dc_total * _emitted(tape, spiking_ig, n, t)
+                dC_prev[t] += dc_total * replayed["S_pos"]["f"][t]
+                ds[spiking_ig] = dc_total * replayed["A_analog"][t]
+                dA = dc_total * _emitted(replayed, spiking_ig, t)
                 # --- spiking gates, then the analog one ---
-                dP = {gate: _lif_backward(cell, gate, tape, n, t, ds[gate], dUpost, grads,
-                                          gp, relaxed)
+                dP = {gate: _lif_backward(cell, gate, tape.V[gate][n, t], replayed, t, ds[gate],
+                                          dUpost, grads, gp, relaxed)
                       for gate in ("f", "o", spiking_ig)}
                 dP[analog] = dA * analog_grad(tape.P_analog[n, t], cell.act)
                 # --- projections ---
@@ -465,13 +469,15 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
     metrics.csv, manifest.json and a best-validation checkpoint under
     out_dir when given. A non-finite loss, or an optimizer step that leaves
     a leak or threshold outside the domain LIFGateParams accepts, restores
-    the best parameters and raises TrainingDiverged, so every checkpoint
-    written loads. Fully seed-deterministic.
+    the best parameters (the caller's own before a first epoch ends) and
+    raises TrainingDiverged, so every checkpoint written loads. Either way
+    the model ends at f64. Fully seed-deterministic.
     """
     X_train, y_train = train_set
     X_val, y_val = val_set
     if 0 in (X_train.shape[0], X_val.shape[0]):
         raise ValidationError("training and validation sets must be non-empty")
+    initial = snapshot_parameters(model)  # the caller's values, before the cast
     cast_parameters(model, np.float32 if config.precision == "f32" else np.float64)
 
     params = model_parameters(model)
@@ -483,7 +489,7 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
     is_snn = isinstance(model, SpikingLSTM)
 
     history = []
-    best = {"val_accuracy": -1.0, "params": snapshot_parameters(model), "epoch": -1}
+    best = {"val_accuracy": -1.0, "params": initial, "epoch": -1}
     start = time.time()
     try:
         for epoch in range(config.epochs):
@@ -522,6 +528,7 @@ def fit(model, train_set, val_set, config: TrainConfig, out_dir=None):
                         "epoch": epoch}
     except NumericalFault as fault:
         set_parameters(model, best["params"])
+        cast_parameters(model, np.float64)
         _write_artifacts(model, config, history, best, out_dir,
                          (X_train, y_train), diverged=str(fault))
         raise TrainingDiverged(

@@ -32,6 +32,18 @@ def random_snn(input_dim, hidden_dims, head_dims, rng, time_steps=2, scale=0.1, 
     return convert(ann, T=time_steps, **convert_args)
 
 
+def flat_replay(replayed: dict) -> dict:
+    """A tape.replay() result by (name, gate), A_analog under gate None."""
+    return {(name, g): a for name, value in replayed.items()
+            for g, a in (value.items() if isinstance(value, dict) else [(None, value)])}
+
+
+def tape_arrays(tape) -> dict:
+    """A taped layer's recorded lattices (a bank under gate "bank") and its
+    whole-lattice replay, by (name, gate)."""
+    return {**tape.lattices, **flat_replay(tape.replay())}
+
+
 @pytest.fixture(scope="session")
 def planted_splits():
     ds = synthetic_task("planted-pattern", 600, seed=1, noise=0.5)

@@ -16,7 +16,7 @@ from spikelstm.snn import (CellStepState, ConversionPlan, SpikingLSTM, SpikingLS
 from spikelstm.train import cast_parameters, evaluate, model_parameters, set_parameters
 from spikelstm.verify import per_step_reference
 
-from conftest import one_unit_cell, random_snn, zero_weights
+from conftest import flat_replay, one_unit_cell, random_snn, tape_arrays, zero_weights
 
 CFG = HardActConfig()
 
@@ -155,7 +155,7 @@ def test_large_t_rates_converge_to_ann_gates():
     _, caches = ann_batch_forward(ann, x, want_caches=True)
     f, i, _, o, _ = caches["layers"][0]["gates"][0]
     _, tapes, _ = snn_batch_forward(snn, x, 256, "direct", 0, want_tapes=True)
-    rates = {gate: tapes[0].S_pos[gate][0].mean() for gate in ("f", "i", "o")}
+    rates = {gate: tapes[0].replay()["S_pos"][gate][0].mean() for gate in ("f", "i", "o")}
     for gate, ann_gate in (("f", f), ("i", i), ("o", o)):
         assert abs(ann_gate[0, 0] - rates[gate]) <= 2.0 / 256.0
 
@@ -388,14 +388,19 @@ def _assert_rows(full, part, lo, axis, what):
     assert rows.tobytes() == np.ascontiguousarray(part).tobytes(), what
 
 
+def _assert_bits(ours, theirs):
+    assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+    assert ours.tobytes() == theirs.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("plan", ["g", "i"])
 @pytest.mark.parametrize("encoding", ["direct", "poisson"])
 def test_chunked_runs_equal_the_unsplit_run_entry_for_entry(monkeypatch, dtype, plan, encoding):
     """A batch run in random chunks (a chunk of 1 included, each by
     anti-diagonals) against the unsplit run in element order, at widths 3,
-    10, 33 and 60: every SNN tape lattice, Hp, Cp and the logits, and every
-    ANN cache, logit and head input, byte for byte."""
+    10, 33 and 60: every SNN tape lattice and replayed array, Hp, Cp and the
+    logits, and every ANN cache, logit and head input, byte for byte."""
     rng = np.random.default_rng({"g": 30, "i": 31}[plan] + 2 * (encoding == "poisson"))
     batch, n_elements, T, feats = 12, 4, 3, 7
     X = rng.random((batch, n_elements, feats))
@@ -421,8 +426,9 @@ def test_chunked_runs_equal_the_unsplit_run_entry_for_entry(monkeypatch, dtype, 
                                                     want_tapes=True, first_index=lo)
             _assert_rows(logits, part, lo, 0, "SNN logits")
             for li, (tape, part_tape) in enumerate(zip(tapes, part_tapes)):
-                for key, lattice in tape.lattices.items():
-                    _assert_rows(lattice, part_tape.lattices[key], lo, -2, (width, li, key))
+                part_arrays = tape_arrays(part_tape)
+                for key, lattice in tape_arrays(tape).items():
+                    _assert_rows(lattice, part_arrays[key], lo, -2, (width, li, key))
                 _assert_rows(tape.Hp, part_tape.Hp, lo, -2, (width, li, "Hp"))
                 _assert_rows(tape.Cp, part_tape.Cp, lo, -2, (width, li, "Cp"))
             part, part_caches = ann_batch_forward(ann, X[lo:lo + size], want_caches=True)
@@ -439,10 +445,15 @@ def test_chunked_runs_equal_the_unsplit_run_entry_for_entry(monkeypatch, dtype, 
 
 @pytest.mark.parametrize("plan", ["g", "i"])
 @pytest.mark.parametrize("encoding", ["direct", "poisson"])
-def test_oracle_cell_equals_the_batch_tape_on_membranes_and_cell_values(plan, encoding):
+def test_oracle_cell_equals_the_batch_tape_on_membranes_and_cell_values(monkeypatch, plan,
+                                                                        encoding):
     """snn_cell_step run per sample against a B=7 taped batch, at f64 and
-    f32: the membranes entering each step equal the tape's Upre rows, and
-    c_out and h_out its Cp and Hp rows, bit for bit."""
+    f32: the membranes entering each step equal the tape's replayed Upre
+    rows, the spikes each neuron emits and the analog activation (its
+    record) the replayed S_pos - S_neg and A_analog rows, and c_out and
+    h_out the tape's Cp and Hp rows, bit for bit. A slice's replay, and
+    replay_backwards's elements (as snn_backward reads them: in passes of
+    one element, of three and of all four), are the whole replay's rows."""
     rng = np.random.default_rng(40 + (plan == "i") + 2 * (encoding == "poisson"))
     T = 3
     model = random_snn(5, [33, 10], [3], rng, plan=ConversionPlan(plan), time_steps=T,
@@ -457,22 +468,93 @@ def test_oracle_cell_equals_the_batch_tape_on_membranes_and_cell_values(plan, en
         cast_parameters(model, dtype)
         _, tapes, aux = snn_batch_forward(model, X, T, encoding, seed=2, want_tapes=True)
         assert aux["stats"].layers[-1].hidden_nnz_total > 0
+        replays = [tape.replay() for tape in tapes]
+        for tape, whole in zip(tapes, replays):
+            whole = flat_replay(whole)
+            for key, part in flat_replay(tape.replay(slice(1, 3))).items():
+                _assert_bits(part, whole[key][1:3])
+            for span in (1, 3, X.shape[1]):
+                monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", span * tape.H[0].size)
+                elements = list(tape.replay_backwards())
+                assert [n for n, _ in elements] == list(range(X.shape[1] - 1, -1, -1))
+                for n, replayed in elements:
+                    for key, part in flat_replay(replayed).items():
+                        _assert_bits(part, whole[key][n])
+            monkeypatch.undo()
         for b in range(len(X)):
             below = aux["encoded"][b]  # [N, T, F]
-            for li, (cell, tape) in enumerate(zip(model.cells, tapes)):
+            for li, (cell, tape, replayed) in enumerate(zip(model.cells, tapes, replays)):
+                S_pos, S_neg = replayed["S_pos"], replayed["S_neg"]
                 h = np.zeros((T, cell.hidden_dim), dtype)
                 c = np.zeros_like(h)
                 for n in range(len(below)):
                     state = CellStepState.fresh(cell)
                     for t in range(T):
                         for gate, neuron in state.membranes.items():
-                            np.testing.assert_array_equal(neuron.membrane,
-                                                          tape.Upre[gate][n, t, b])
+                            _assert_bits(neuron.membrane, replayed["Upre"][gate][n, t, b])
+                        record = {}
                         h[t], c[t] = snn_cell_step(cell, state, below[n, t], h[t], c[t],
-                                                   x_is_spikes=li > 0 or encoding != "direct")
+                                                   x_is_spikes=li > 0 or encoding != "direct",
+                                                   record=record)
+                        for gate in cell.plan.spiking_gates:
+                            emitted = S_pos[gate][n, t, b]
+                            if gate in S_neg:
+                                emitted = emitted - S_neg[gate][n, t, b]
+                            _assert_bits(record[gate], emitted)
+                        _assert_bits(record[cell.plan.analog_gate], replayed["A_analog"][n, t, b])
                         np.testing.assert_array_equal(c[t], tape.Cp[n + 1, t, b])
                         np.testing.assert_array_equal(h[t], tape.Hp[n + 1, t, b])
                 below = tape.H[:, :, b]
+
+
+@pytest.mark.parametrize("plan", ["g", "i"])
+def test_replay_reads_the_parameters_the_forward_ran_with(plan):
+    """Changing every leak, threshold, step bias, mem_init and gamma after a
+    taped forward, in place or by rebinding, leaves its replay unchanged;
+    a new forward's replay does change."""
+    rng = np.random.default_rng(47)
+    model = random_snn(3, [6, 5], [3], rng, plan=ConversionPlan(plan), time_steps=3, scale=1.5)
+    X = rng.random((4, 5, 3))
+    _, tapes, _ = snn_batch_forward(model, X, 3, "direct", seed=0, relaxed=True, want_tapes=True)
+    before = [_bits(tape.replay()) for tape in tapes]
+    for cell in model.cells:
+        for params in cell.gate_params.values():
+            params.leak *= 0.5
+            params.threshold_pos = 2.0 * params.threshold_pos
+            if params.is_ternary:
+                params.threshold_neg *= 0.5
+            params.step_bias += 0.25
+            params.mem_init = params.mem_init - 0.125
+            params.surrogate_gamma = 0.7
+    assert [_bits(tape.replay()) for tape in tapes] == before
+    _, fresh, _ = snn_batch_forward(model, X, 3, "direct", seed=0, relaxed=True, want_tapes=True)
+    assert [_bits(tape.replay()) for tape in fresh] != before
+
+
+@pytest.mark.parametrize("plan", ["g", "i"])
+def test_a_tape_holds_four_membrane_lattices_p_analog_hp_and_cp(plan):
+    """The arrays a taped layer holds besides its parameter pack, views
+    resolved to their base, add up to the bank's three V lattices, the c
+    neuron's, P_analog, and Hp and Cp, one zero element longer; and the
+    zero elements are zero."""
+    rng = np.random.default_rng(48)
+    batch, n_elements, T, feats = 5, 6, 3, 4
+    model = random_snn(feats, [7, 9], [3], rng, plan=ConversionPlan(plan), time_steps=T,
+                       scale=1.5)
+    X = rng.random((batch, n_elements, feats))
+    _, tapes, _ = snn_batch_forward(model, X, T, "direct", seed=0, want_tapes=True)
+    for cell, tape in zip(model.cells, tapes):
+        bases = {}
+        for value in vars(tape).values():
+            for a in (value.values() if isinstance(value, dict) else [value]):
+                if isinstance(a, np.ndarray):
+                    while a.base is not None:
+                        a = a.base
+                    bases[id(a)] = a
+        lattice = n_elements * T * batch * cell.hidden_dim * X.itemsize
+        assert sum(a.nbytes for a in bases.values()) == (
+            5 * lattice + 2 * (n_elements + 1) * lattice // n_elements)
+        assert not tape.Hp[0].any() and not tape.Cp[0].any()
 
 
 def _bits(value):

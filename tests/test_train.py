@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from spikelstm.train import (Adam, TrainConfig, TrainMask, ann_backward, cast_pa
                              snn_batch_forward, softmax_cross_entropy)
 from spikelstm.verify import check_ann_gradients, check_snn_gradients
 
-from conftest import random_snn, zero_weights
+from conftest import random_snn, tape_arrays, zero_weights
 
 
 def _worst_rel_err(result) -> float:
@@ -272,6 +273,22 @@ def test_fit_ends_when_a_step_leaves_the_lif_domain(tmp_path):
         np.testing.assert_array_equal(value, initial[name])
 
 
+def test_f32_fit_that_diverges_restores_the_callers_f64_parameters():
+    """An f32 fit that ends as TrainingDiverged before a first epoch ends
+    leaves the model as a finished run does, at f64, holding the caller's
+    own values, not their f32 roundings."""
+    ds = synthetic_task("planted-pattern", 84, seed=0)
+    model = random_snn(6, [4], [3], np.random.default_rng(0), scale=0.3)
+    initial = {k: v.copy() for k, v in model_parameters(model).items()}
+    cfg = TrainConfig(epochs=1, batch_size=16, lr=3.0, seed=0, precision="f32",
+                      mask=TrainMask(threshold=True, leak=True))
+    with pytest.raises(TrainingDiverged, match="restored the initial parameters"):
+        fit(model, (ds.sequences[:64], ds.labels[:64]), (ds.sequences[64:], ds.labels[64:]), cfg)
+    for name, value in model_parameters(model).items():
+        assert value.dtype == np.float64, name
+        np.testing.assert_array_equal(value, initial[name])
+
+
 def test_fit_f32_precision_flag():
     ds = synthetic_task("planted-pattern", 48, seed=0)
     model = AnnLSTM.random(6, [4], [3], np.random.default_rng(0), scale=0.3)
@@ -293,8 +310,8 @@ def _arrays(obj):
 @pytest.mark.parametrize("relaxed", [False, True])
 def test_f32_run_makes_no_f64_array(relaxed):
     """An f32 model on f64 input computes at f32 throughout: the logits,
-    the encoded input and every tape array of the SNN (A_analog included),
-    the ANN's caches, and both backwards' gradients."""
+    the encoded input, every tape array of the SNN and its replay (A_analog
+    included), the ANN's caches, and both backwards' gradients."""
     rng = np.random.default_rng(22)
     snn = random_snn(3, [5, 4], [3], rng, plan=ConversionPlan("i"), time_steps=2,
                      scale=1.0)
@@ -303,14 +320,36 @@ def test_f32_run_makes_no_f64_array(relaxed):
         cast_parameters(model, np.float32)
     X, y = rng.random((4, 3, 3)), np.array([0, 1, 2, 0])
     logits, tapes, aux = snn_batch_forward(snn, X, 2, "direct", 0, relaxed, want_tapes=True)
-    assert all(("A_analog", None) in tape.lattices for tape in tapes)
+    assert all(("A_analog", None) in tape_arrays(tape) for tape in tapes)
     arrays = [logits, aux["encoded"], *aux["head_cache"]]
-    arrays += [a for tape in tapes for a in [*tape.lattices.values(), tape.Hp, tape.Cp]]
+    arrays += [a for tape in tapes for a in [*tape_arrays(tape).values(), tape.Hp, tape.Cp]]
     arrays += _arrays(ann_batch_forward(ann, X, want_caches=True))
     for loss, grads in (snn_backward(snn, (X, y), relaxed=relaxed), ann_backward(ann, (X, y))):
         assert np.isfinite(loss)
         arrays += grads.values()
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+
+def test_snn_backward_memory_stays_under_twelve_lattices_per_layer():
+    """One snn_backward call of a 2-layer model peaks (by tracemalloc)
+    below 12 [N, T, B, H] lattices per layer. Its tapes hold 7.1 per layer
+    here (V of four neurons, P_analog, Hp and Cp) and replay the rest two
+    elements at a time (T*B*H = 8192); a tape that also records the
+    spikes, Upre and the analog activation holds 18.1 on its own."""
+    rng = np.random.default_rng(46)
+    batch, n_elements, T, hidden, feats = 32, 16, 4, 64, 3
+    model = random_snn(feats, [hidden, hidden], [3], rng, plan=ConversionPlan("i"),
+                       time_steps=T, scale=0.5)
+    X, y = rng.random((batch, n_elements, feats)), rng.integers(0, 3, batch)
+    snn_backward(model, (X, y))  # warm the caches
+    tracemalloc.start()
+    try:
+        snn_backward(model, (X, y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lattice = n_elements * T * batch * hidden * X.itemsize
+    assert peak < 12 * 2 * lattice
 
 
 def test_finetune_beats_conversion_only(planted_splits):
