@@ -48,7 +48,12 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
     ann_batch_forward; SNN values are per-element spike rates of the
     spiking gates and time-averaged values of the analog gate, replayed
     from the tapes of snn_batch_forward; both run over chunks of
-    EVAL_CHUNK probes.
+    EVAL_CHUNK probes. A layer's tape replays its spikes and analog
+    activation (no Upre) in passes of tape.replay_span() elements, as
+    snn_backward does, so the replay holds a few cache-sized chunks, not
+    lattices. Each pass's means over T go into one [N, P, H] array per
+    gate, and each (layer, gate) then takes one sum of absolute errors, as
+    over a whole-lattice replay: the passes move no bit.
 
     Returns a list of rows: {"layer": idx, "gate": name, "mae": float}.
     """
@@ -65,16 +70,22 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
         _, tapes, _ = snn_batch_forward(snn_model, xb, T, snn_model.encoding, rng_seed,
                                         want_tapes=True, first_index=lo)
         for li, (cache, tape) in enumerate(zip(ann_caches["layers"], tapes)):
-            cell = snn_model.cells[li]
+            plan = snn_model.cells[li].plan
             ann_gates = dict(zip(REPORT_GATES, (np.stack(v) for v in zip(*cache["gates"]))))
-            replayed = tape.replay()  # the whole lattice in one pass
-            S_pos, S_neg = replayed["S_pos"], replayed["S_neg"]
-            snn_values = {g: S_pos[g] - S_neg[g] if g in S_neg else S_pos[g]
-                          for g in cell.plan.spiking_gates}
-            snn_values[cell.plan.analog_gate] = replayed["A_analog"]
+            n_elements, _, n_probes, hidden = tape.H.shape
+            rates = {a: np.empty((n_elements, n_probes, hidden), tape.H.dtype)
+                     for a in REPORT_GATES}
+            span = tape.replay_span()
+            for first in range(0, n_elements, span):
+                elements = slice(first, first + span)
+                replayed = tape.replay(elements)
+                S_pos, S_neg = replayed["S_pos"], replayed["S_neg"]
+                for g in plan.spiking_gates:  # the spikes each neuron emits
+                    emitted = S_pos[g] - S_neg[g] if g in S_neg else S_pos[g]
+                    rates[g][elements] = emitted.mean(axis=1)  # [n, P, H]
+                rates[plan.analog_gate][elements] = replayed["A_analog"].mean(axis=1)
             for a in REPORT_GATES:
-                rate = snn_values[a].mean(axis=1)  # [N, P, H]
-                sums.setdefault((li, a), []).append(np.abs(ann_gates[a] - rate).sum())
+                sums.setdefault((li, a), []).append(np.abs(ann_gates[a] - rates[a]).sum())
     # a mean is its sum over the count, so one chunk gives mean()'s bits
     return [{"layer": li, "gate": a,
              "mae": float(sum(parts) / (X.shape[0] * X.shape[1] * snn_model.hidden_dims[li]))}

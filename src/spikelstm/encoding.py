@@ -7,6 +7,13 @@ import numpy as np
 from .errors import ValidationError
 
 
+def check_poisson_range(x: np.ndarray) -> None:
+    """Raise ValidationError unless every value of x is in [0, 1], the
+    spike probabilities poisson encoding draws with."""
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise ValidationError("poisson encoding requires values in [0, 1]")
+
+
 def encode_sequence(sequence: np.ndarray, T: int, encoding: str, rng_seed: int = 0,
                     first_index: int = 0) -> np.ndarray:
     """Encode an [N, F] sequence to [N, T, F] step inputs, or a [B, N, F]
@@ -31,8 +38,7 @@ def encode_sequence(sequence: np.ndarray, T: int, encoding: str, rng_seed: int =
     if encoding == "direct":
         out = np.broadcast_to(steps, batch.shape[:2] + (T,) + batch.shape[2:]).copy()
     elif encoding == "poisson":
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise ValidationError("poisson encoding requires values in [0, 1]")
+        check_poisson_range(x)
         out = np.empty(batch.shape[:2] + (T,) + batch.shape[2:], dtype=x.dtype)
         for b in range(batch.shape[0]):
             rng = np.random.default_rng(np.random.SeedSequence([rng_seed, first_index + b]))

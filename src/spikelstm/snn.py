@@ -19,10 +19,13 @@ gate-major: one projection call per operand and one LIF bank for f, o and
 the spiking one of i/g. A taped run records per layer only what cannot be
 recomputed bit for bit (the membranes, the analog pre-activation, H and
 C); the tape replays the spikes, the membranes entering each step and the
-analog activation on demand. Without tapes it runs a large batch through
-all layers one tile of rows at a time, so its hidden lattices are bounded
-by LATTICE_BUDGET, not by the batch. snn_cell_step is the per-step
-reference cell that the oracle in `verify` runs.
+analog activation on demand, and only a taped run returns its encoded
+input. Without tapes it encodes and runs a large batch through all layers
+one tile of rows at a time, so at its peak it holds one tile's encoded
+input, a layer's input lattice and its own (two hidden lattices of a
+tile in a multi-layer model), bounded by LATTICE_BUDGET, not by the
+batch. snn_cell_step is the per-step reference cell that the oracle in
+`verify` runs.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .activations import HardActConfig, hard_sigmoid, hard_tanh
-from .encoding import encode_sequence
+from .encoding import check_poisson_range, encode_sequence
 from .energy import LayerSpikeStats, SpikeStats, count_ops_snn
 from .errors import DimensionMismatch, MultiplierAuditError, ValidationError
 from .lstm import GATES, ClassifierHead, LSTMWeights
@@ -210,8 +213,9 @@ def snn_cell_step(cell: SpikingLSTMCell, state: CellStepState, x_in, h_in, c_in,
 # large [B, H] arrays the calls are already amortised and a diagonal's
 # stacks spill the 2 MiB L2 (0.75-0.97x at B=256), so cells run one at a
 # time in element order. The two cross over between 8k and 64k elements.
-# The backward replays its tape in passes over as many elements as keep
-# the same per-gate size within this bound (_SnnLayerTape.replay_backwards).
+# The backward and the conversion report replay a tape in passes over as
+# many elements as keep the same per-gate size within this bound
+# (_SnnLayerTape.replay_span).
 WAVEFRONT_BUDGET = 16_384
 
 # An untaped forward runs its batch through every layer one tile of rows at a
@@ -290,14 +294,15 @@ class _SnnLayerTape:
         return {key: a.reshape(a.shape[:-4] + (-1,) + a.shape[-2:])
                 for key, a in self.lattices.items()}
 
-    def replay(self, elements: slice = slice(None)) -> dict:
+    def replay(self, elements: slice = slice(None), upre: bool = False) -> dict:
         """What the forward computed from V and P_analog and did not record,
         for the cells of a slice of elements, by the forward's own
         operations: the spike components S_pos and, of the ternary neurons,
-        S_neg; Upre, the membrane entering each step (mem_init at t = 0,
-        else the soft-reset membrane of step t - 1); and A_analog, the
-        analog gate's activation. S_pos, S_neg and Upre map gates to arrays
-        shaped as V[gate][elements]; so is A_analog."""
+        S_neg; A_analog, the analog gate's activation; and, with upre,
+        Upre, the membrane entering each step (mem_init at t = 0, else the
+        soft-reset membrane of step t - 1), which only the backward reads.
+        S_pos, S_neg and Upre map gates to arrays shaped as
+        V[gate][elements]; so is A_analog."""
         pack, relaxed = self.pack, self.relaxed
         V, V_c = self.lattices["V", "bank"][:, elements], self.V["c"][elements]
 
@@ -306,41 +311,47 @@ class _SnnLayerTape:
 
         th_pos, gamma = per_cell(pack.th_pos), per_cell(pack.gamma)
         s_pos = spike(V, th_pos, gamma, relaxed)
-        U = np.empty_like(V)  # the step-t membranes, step t - 1's post-reset ones
-        U[:, :, 0] = pack.mem_init[0]
-        post = U[:, :, 1:]
-        np.multiply(th_pos, s_pos[:, :, :-1], out=post)
-        np.subtract(V[:, :, :-1], post, out=post)
         S_neg = {}
         if pack.th_neg is not None:
             th_neg = per_cell(pack.th_neg)
             S_neg["g"] = spike(V[2], th_neg, gamma[2], relaxed)
-            post[2] -= th_neg * S_neg["g"][:, :-1]
         _, th_c, _, gamma_c = pack.c
         th_c = per_cell(th_c)
         s_c = spike(V_c, th_c, gamma_c, relaxed)
         c_pos, S_neg["c"] = s_c
-        U_c = np.empty_like(V_c)
-        U_c[:, 0] = pack.mem_init[1]
-        c_reset = th_c * s_c[:, :, :-1]
-        U_c[:, 1:] = V_c[:, :-1] - c_reset[0] - c_reset[1]
         gates = pack.bank_gates
-        return {"S_pos": {**dict(zip(gates, s_pos)), "c": c_pos}, "S_neg": S_neg,
-                "Upre": {**dict(zip(gates, U)), "c": U_c},
-                "A_analog": (hard_sigmoid if pack.analog_i else hard_tanh)(
-                    self.P_analog[elements], pack.act)}
+        out = {"S_pos": {**dict(zip(gates, s_pos)), "c": c_pos}, "S_neg": S_neg,
+               "A_analog": (hard_sigmoid if pack.analog_i else hard_tanh)(
+                   self.P_analog[elements], pack.act)}
+        if upre:
+            U = np.empty_like(V)  # the step-t membranes, step t - 1's post-reset ones
+            U[:, :, 0] = pack.mem_init[0]
+            post = U[:, :, 1:]
+            np.multiply(th_pos, s_pos[:, :, :-1], out=post)
+            np.subtract(V[:, :, :-1], post, out=post)
+            if pack.th_neg is not None:
+                post[2] -= th_neg * S_neg["g"][:, :-1]
+            U_c = np.empty_like(V_c)
+            U_c[:, 0] = pack.mem_init[1]
+            c_reset = th_c * s_c[:, :, :-1]
+            U_c[:, 1:] = V_c[:, :-1] - c_reset[0] - c_reset[1]
+            out["Upre"] = {**dict(zip(gates, U)), "c": U_c}
+        return out
+
+    def replay_span(self) -> int:
+        """Elements per replay pass: as many as keep T*B*H per gate within
+        WAVEFRONT_BUDGET, so a pass's temporaries stay in cache."""
+        return max(1, WAVEFRONT_BUDGET // self.H[0].size)
 
     def replay_backwards(self):
         """(n, element n's replay as [T, B, H] arrays) from the last element
-        to the first. One replay pass covers as many elements as keep
-        T*B*H per gate within WAVEFRONT_BUDGET: a small lattice in one
-        pass, a large one a few elements at a time, so its temporaries stay
-        in cache."""
-        n_elements = self.H.shape[0]
-        span = max(1, WAVEFRONT_BUDGET // self.H[0].size)
+        to the first, with Upre. One replay pass covers replay_span()
+        elements: a small lattice in one pass, a large one a few elements
+        at a time."""
+        n_elements, span = self.H.shape[0], self.replay_span()
         for hi in range(n_elements, 0, -span):
             lo = max(0, hi - span)
-            block = self.replay(slice(lo, hi))
+            block = self.replay(slice(lo, hi), upre=True)
             for n in range(hi - 1, lo - 1, -1):
                 yield n, {name: {g: a[n - lo] for g, a in value.items()}
                           if isinstance(value, dict) else value[n - lo]
@@ -502,11 +513,15 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     first_index + b of the evaluated set. relaxed=True replaces every hard
     spike by its triangle-ramp relaxation (same code path otherwise).
     With want_tapes every layer records, over the whole batch, what
-    snn_backward cannot replay (_SnnLayerTape); without, the batch runs through every layer in tiles of
-    rows (LATTICE_BUDGET), keeping only the current tile's hidden spikes,
-    and the head runs once on the tiles' readouts. Returns (logits,
-    tapes_or_none, aux); aux holds the head cache, the encoded input and
-    the SpikeStats: per-sample, per-(n, t) counts of the batch.
+    snn_backward cannot replay (_SnnLayerTape). Without, the batch runs
+    through every layer in tiles of rows (LATTICE_BUDGET), each tile
+    encoded on its own, and the head runs once on the tiles' readouts: at
+    its peak such a run holds one tile's encoded input, a layer's input
+    lattice and its own, so only the readouts and spike counts grow with
+    the batch. A poisson batch's value range is checked once, before the
+    first tile. Returns (logits, tapes_or_none, aux); aux holds the head
+    cache and the SpikeStats (per-sample, per-(n, t) counts of the batch)
+    and, of a taped run only, the encoded input that snn_backward reads.
 
     Raises NumericalFault on a non-finite membrane and, on hard spikes,
     MultiplierAuditError when a tensor that must carry spikes is not
@@ -517,17 +532,19 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
         raise ValidationError(f"input must be non-empty [B, N, F], got shape {X.shape}")
     if X.shape[2] != model.input_dim:
         raise DimensionMismatch(f"input has {X.shape[2]} features, model wants {model.input_dim}")
+    if encoding == "poisson":  # a malformed batch fails before any tile runs
+        check_poisson_range(X)
     batch, n_elements, _ = X.shape
-    encoded = encode_sequence(X, T, encoding, seed, first_index)
-    if encoding != "direct":
-        _assert_spikes("encoded input", encoded, ternary=True)
     # the backward reads the whole tape, so a taped run is one tile
     tile = batch if want_tapes else max(
         1, LATTICE_BUDGET // (n_elements * T * max(model.hidden_dims)))
     tiles = []  # per tile: its readout [b, H] and its LayerSpikeStats
     for lo in range(0, batch, tile):
         tapes, layer_stats = [], []
-        x_feed = encoded[lo:lo + tile]  # [b, N, T, F]
+        # sample lo + b's encoding depends only on its index, so a tile moves no bit
+        x_feed = encoded = encode_sequence(X[lo:lo + tile], T, encoding, seed, first_index + lo)
+        if encoding != "direct":
+            _assert_spikes("encoded input", encoded, ternary=True)
         for li, cell in enumerate(model.cells):
             H, stats, tape = _layer_forward(cell, x_feed, relaxed, want_tapes,
                                             input_analog=(li == 0 and encoding == "direct"))
@@ -535,14 +552,16 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
             layer_stats.append(stats)
             x_feed = np.moveaxis(H, 2, 0)  # [b, N, T, H]
         tiles.append((H[n_elements - 1].mean(axis=0), layer_stats))
+        del H, x_feed  # else alive while the next tile's first layer allocates its own
     if len(tiles) == 1:
         hbar, layer_stats = tiles[0]
     else:
         hbar = np.concatenate([readout for readout, _ in tiles])
         layer_stats = [_concatenate_stats(parts) for parts in zip(*(s for _, s in tiles))]
     logits, head_cache = model.head.forward_cached(hbar)
-    aux = {"head_cache": head_cache, "encoded": encoded,
-           "stats": SpikeStats(layers=layer_stats, encoding=encoding)}
+    aux = {"head_cache": head_cache, "stats": SpikeStats(layers=layer_stats, encoding=encoding)}
+    if want_tapes:
+        aux["encoded"] = encoded
     return logits, (tapes if want_tapes else None), aux
 
 

@@ -40,8 +40,8 @@ def flat_replay(replayed: dict) -> dict:
 
 def tape_arrays(tape) -> dict:
     """A taped layer's recorded lattices (a bank under gate "bank") and its
-    whole-lattice replay, by (name, gate)."""
-    return {**tape.lattices, **flat_replay(tape.replay())}
+    whole-lattice replay with Upre, by (name, gate)."""
+    return {**tape.lattices, **flat_replay(tape.replay(upre=True))}
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from spikelstm.convert import convert, conversion_error_report
 from spikelstm.errors import ValidationError
 from spikelstm.lstm import AnnLSTM, ClassifierHead
+import spikelstm.snn as snn_module
 from spikelstm.snn import ConversionPlan
 from spikelstm.train import model_parameters
 
@@ -131,3 +133,40 @@ def test_error_report_chunked_matches_one_batch(monkeypatch, encoding):
     assert all(r["mae"] > 0 for r in one_batch)
     for ours, theirs in zip(chunked, one_batch):
         assert ours["mae"] == pytest.approx(theirs["mae"], rel=1e-12)
+
+
+@pytest.mark.parametrize("plan", ["g", "i"])
+def test_error_report_replay_passes_move_no_bit(monkeypatch, plan):
+    """A report whose tapes replay their 7 elements in one pass, in passes
+    of one element and in passes of three (3 + 3 + 1) gives the same MAE
+    bits."""
+    rng = np.random.default_rng(5)
+    ann = AnnLSTM.random(3, [5, 4], [2], rng, scale=1.5)
+    snn = convert(ann, T=3, plan=ConversionPlan(plan))
+    probes = rng.random((6, 7, 3))
+    runs = []
+    for span in (7, 1, 3):
+        monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", span * 3 * 6 * 5)
+        runs.append(conversion_error_report(ann, snn, probes, T=3, rng_seed=1))
+    assert all(r["mae"] > 0 for r in runs[0])
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_error_report_memory_falls_with_the_tape():
+    """At 64 probes (N 28, T 4, H 64, one layer) a report peaks (by
+    tracemalloc) below 16 [N, T, P, H] lattices: the tape's 7.2, the ANN's
+    caches and the per-gate rates, and a replay of one element at a time.
+    Replaying the whole lattice with Upre peaks at about 25."""
+    rng = np.random.default_rng(6)
+    n_elements, T, probes, hidden = 28, 4, 64, 64
+    ann = AnnLSTM.random(3, [hidden], [3], rng, scale=0.5)
+    snn = convert(ann, T=T)
+    X = rng.random((probes, n_elements, 3))
+    conversion_error_report(ann, snn, X, T=T)  # warm the caches
+    tracemalloc.start()
+    try:
+        conversion_error_report(ann, snn, X, T=T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n_elements * T * probes * hidden * X.itemsize

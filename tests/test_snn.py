@@ -7,6 +7,7 @@ import pytest
 
 from spikelstm.activations import HardActConfig
 from spikelstm.convert import convert
+from spikelstm.encoding import encode_sequence
 from spikelstm.energy import LayerSpikeStats, count_ops_snn
 from spikelstm.errors import MultiplierAuditError, NumericalFault, ValidationError
 from spikelstm.lstm import AnnLSTM, ann_batch_forward
@@ -468,10 +469,10 @@ def test_oracle_cell_equals_the_batch_tape_on_membranes_and_cell_values(monkeypa
         cast_parameters(model, dtype)
         _, tapes, aux = snn_batch_forward(model, X, T, encoding, seed=2, want_tapes=True)
         assert aux["stats"].layers[-1].hidden_nnz_total > 0
-        replays = [tape.replay() for tape in tapes]
+        replays = [tape.replay(upre=True) for tape in tapes]
         for tape, whole in zip(tapes, replays):
             whole = flat_replay(whole)
-            for key, part in flat_replay(tape.replay(slice(1, 3))).items():
+            for key, part in flat_replay(tape.replay(slice(1, 3), upre=True)).items():
                 _assert_bits(part, whole[key][1:3])
             for span in (1, 3, X.shape[1]):
                 monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", span * tape.H[0].size)
@@ -516,7 +517,7 @@ def test_replay_reads_the_parameters_the_forward_ran_with(plan):
     model = random_snn(3, [6, 5], [3], rng, plan=ConversionPlan(plan), time_steps=3, scale=1.5)
     X = rng.random((4, 5, 3))
     _, tapes, _ = snn_batch_forward(model, X, 3, "direct", seed=0, relaxed=True, want_tapes=True)
-    before = [_bits(tape.replay()) for tape in tapes]
+    before = [_bits(tape.replay(upre=True)) for tape in tapes]
     for cell in model.cells:
         for params in cell.gate_params.values():
             params.leak *= 0.5
@@ -526,9 +527,9 @@ def test_replay_reads_the_parameters_the_forward_ran_with(plan):
             params.step_bias += 0.25
             params.mem_init = params.mem_init - 0.125
             params.surrogate_gamma = 0.7
-    assert [_bits(tape.replay()) for tape in tapes] == before
+    assert [_bits(tape.replay(upre=True)) for tape in tapes] == before
     _, fresh, _ = snn_batch_forward(model, X, 3, "direct", seed=0, relaxed=True, want_tapes=True)
-    assert [_bits(tape.replay()) for tape in fresh] != before
+    assert [_bits(tape.replay(upre=True)) for tape in fresh] != before
 
 
 @pytest.mark.parametrize("plan", ["g", "i"])
@@ -609,6 +610,10 @@ def test_tiles_change_no_bit(monkeypatch, dtype, encoding):
                                                want_tapes=want_tapes, first_index=5)
             assert batches == [b for b in ([7] if want_tapes else split) for _ in model.cells]
             assert logits.dtype == dtype
+            if want_tapes:  # the encoded input only of a taped run, which is one tile
+                _assert_bits(aux["encoded"], encode_sequence(X, T, encoding, 6, 5))
+            else:
+                assert "encoded" not in aux
             assert aux["stats"].layers[-1].hidden_nnz_total > 0
             runs[rows, walk, want_tapes] = _bits(
                 [logits, aux["stats"], aux["head_cache"], count_ops_snn(aux["stats"], model)])
@@ -619,27 +624,71 @@ def test_tiles_change_no_bit(monkeypatch, dtype, encoding):
                        if kind == "evaluate" else first), (rows, walk, kind)
 
 
+def _forward_peak(model, X, T):
+    """tracemalloc's peak over an untaped direct forward of X, after one
+    run that warms the caches."""
+    snn_batch_forward(model, X, T, "direct", seed=0)
+    tracemalloc.start()
+    try:
+        snn_batch_forward(model, X, T, "direct", seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_untaped_forward_memory_does_not_grow_with_the_batch(monkeypatch):
     """With tiles of 8 rows, an untaped forward of 32 rows peaks (by
     tracemalloc) within half of one tile's hidden lattice of an 8-row
-    forward's peak plus the 24 more rows' encoded input; the rest of the
-    growth is the [B, N, T] spike counts. An untiled forward grows by about
-    15 lattices here."""
+    forward's peak; the growth is the [B, N, T] spike counts. An untiled
+    forward grows by about 15 lattices here."""
     rng = np.random.default_rng(45)
     n_elements, T, rows, hidden, feats = 10, 4, 8, 64, 2
     model = random_snn(feats, [hidden, hidden], [3], rng, time_steps=T, scale=0.5)
     X = rng.random((4 * rows, n_elements, feats))
     _tiled(monkeypatch, model, X, rows)
-
-    def peak(batch):
-        snn_batch_forward(model, X[:batch], T, "direct", seed=0)  # warm the caches
-        tracemalloc.start()
-        try:
-            snn_batch_forward(model, X[:batch], T, "direct", seed=0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     lattice = (n_elements + 1) * T * rows * hidden * X.itemsize
-    encoded = 3 * rows * n_elements * T * feats * X.itemsize
-    assert peak(4 * rows) - peak(rows) < encoded + lattice // 2
+    assert _forward_peak(model, X, T) - _forward_peak(model, X[:rows], T) < lattice // 2
+
+
+def test_untaped_forward_holds_one_tile_in_flight(monkeypatch):
+    """A one-layer forward in 4 tiles peaks (by tracemalloc) within half a
+    hidden lattice of its one-tile peak: no tile's lattice or encoded input
+    outlives the tile. Keeping the previous tile's lattice while the next
+    one's is made, with the whole batch encoded up front, adds one lattice
+    and three tiles of input (of 32 features here)."""
+    rng = np.random.default_rng(49)
+    n_elements, T, rows, hidden, feats = 10, 4, 8, 64, 32
+    model = random_snn(feats, [hidden], [3], rng, time_steps=T, scale=0.5)
+    X = rng.random((4 * rows, n_elements, feats))
+    _tiled(monkeypatch, model, X, rows)
+    lattice = (n_elements + 1) * T * rows * hidden * X.itemsize
+    assert _forward_peak(model, X, T) - _forward_peak(model, X[:rows], T) < lattice // 2
+
+
+def test_poisson_range_is_checked_before_any_tile_runs(monkeypatch):
+    """A poisson batch whose last row leaves [0, 1] raises ValidationError,
+    in tiles of one row, before any layer runs."""
+    rng = np.random.default_rng(50)
+    model = random_snn(3, [4], [2], rng, time_steps=2, encoding="poisson")
+    X = rng.random((5, 4, 3))
+    X[-1, -1, -1] = 1.5
+    _tiled(monkeypatch, model, X, 1)
+    calls = []
+    monkeypatch.setattr(snn_module, "_layer_forward", lambda *args, **kwargs: calls.append(1))
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        snn_batch_forward(model, X, 2, "poisson", seed=0)
+    assert not calls
+
+
+@pytest.mark.parametrize("plan", ["g", "i"])
+def test_replay_makes_upre_only_when_asked(plan):
+    """replay() leaves Upre out; with upre=True it adds it, and every other
+    array is the same bits."""
+    rng = np.random.default_rng(51)
+    model = random_snn(3, [5], [2], rng, plan=ConversionPlan(plan), time_steps=3, scale=1.5)
+    _, tapes, _ = snn_batch_forward(model, rng.random((4, 5, 3)), 3, "direct", seed=0,
+                                    want_tapes=True)
+    lean, full = tapes[0].replay(slice(1, 4)), tapes[0].replay(slice(1, 4), upre=True)
+    assert "Upre" not in lean and set(full["Upre"]) == set(model.cells[0].gate_params)
+    del full["Upre"]
+    assert _bits(lean) == _bits(full)
