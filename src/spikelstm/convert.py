@@ -51,9 +51,10 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
     EVAL_CHUNK probes. A layer's tape replays its spikes and analog
     activation (no Upre) in passes of tape.replay_span() elements, as
     snn_backward does, so the replay holds a few cache-sized chunks, not
-    lattices. Each pass's means over T go into one [N, P, H] array per
-    gate, and each (layer, gate) then takes one sum of absolute errors, as
-    over a whole-lattice replay: the passes move no bit.
+    lattices. Each pass takes one mean over T of the bank's emitted spikes
+    (slot 2 less S_neg), the c neuron's and the analog activation into one
+    [5, N, P, H] rate array, and each (layer, gate) then takes one sum of
+    absolute errors, as over a whole-lattice replay: no bit moves.
 
     Returns a list of rows: {"layer": idx, "gate": name, "mae": float}.
     """
@@ -73,17 +74,17 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
             plan = snn_model.cells[li].plan
             ann_gates = dict(zip(REPORT_GATES, (np.stack(v) for v in zip(*cache["gates"]))))
             n_elements, _, n_probes, hidden = tape.H.shape
-            rates = {a: np.empty((n_elements, n_probes, hidden), tape.H.dtype)
-                     for a in REPORT_GATES}
+            rates = np.empty((5, n_elements, n_probes, hidden), tape.H.dtype)
             span = tape.replay_span()
             for first in range(0, n_elements, span):
                 elements = slice(first, first + span)
-                replayed = tape.replay(elements)
-                S_pos, S_neg = replayed["S_pos"], replayed["S_neg"]
-                for g in plan.spiking_gates:  # the spikes each neuron emits
-                    emitted = S_pos[g] - S_neg[g] if g in S_neg else S_pos[g]
-                    rates[g][elements] = emitted.mean(axis=1)  # [n, P, H]
-                rates[plan.analog_gate][elements] = replayed["A_analog"].mean(axis=1)
+                r = tape.replay(elements)
+                if "S_neg" in r:  # the spikes each neuron emits
+                    r["S_pos"][2] -= r["S_neg"]
+                c_pos, c_neg = r["S_c"]
+                emitted = np.concatenate([r["S_pos"], (c_pos - c_neg)[None], r["A_analog"][None]])
+                rates[:, elements] = emitted.mean(axis=2)  # [5, n, P, H]
+            rates = dict(zip(plan.bank_gates + ("c", plan.analog_gate), rates))
             for a in REPORT_GATES:
                 sums.setdefault((li, a), []).append(np.abs(ann_gates[a] - rates[a]).sum())
     # a mean is its sum over the count, so one chunk gives mean()'s bits

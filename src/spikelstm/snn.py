@@ -266,22 +266,22 @@ class _SnnLayerTape:
     """Forward recordings of one spiking layer over the (n, t) lattice:
     only what the backward cannot replay bit for bit.
 
-    V keeps the LIF bank gate-major, [3, N, T, B, H] in the order of
-    plan.bank_gates, and the c neuron apart; its per-gate dict holds
-    contiguous [N, T, B, H] views. P_analog is the analog gate's
-    pre-activation, Hp and Cp the hidden spikes and cell values behind one
-    zero element. The spikes, the membranes entering each step and the
-    analog activation are replayed from V and P_analog (replay,
-    replay_backwards) against the pack the forward ran with."""
+    V is the LIF bank's membranes as the forward computes them, gate-major
+    [3, N, T, B, H] in the order of plan.bank_gates, and V_c the c
+    neuron's, [N, T, B, H]. P_analog is the analog gate's pre-activation,
+    Hp and Cp the hidden spikes and cell values behind one zero element.
+    The spikes, the membranes entering each step and the analog activation
+    are replayed from V, V_c and P_analog (replay, replay_backwards)
+    against the pack the forward ran with."""
 
     def __init__(self, pack: _GatePack, relaxed: bool, batch, n_elements, T):
         shape = (n_elements, T, batch, pack.hidden)
         self.pack, self.relaxed = pack, relaxed
-        bank, c = np.empty((3,) + shape, pack.dtype), np.empty(shape, pack.dtype)
-        self.V = {**dict(zip(pack.bank_gates, bank)), "c": c}
+        self.V, self.V_c = np.empty((3,) + shape, pack.dtype), np.empty(shape, pack.dtype)
         self.P_analog = np.empty(shape, pack.dtype)
         # what a block records: [3, N, T, B, H] or [N, T, B, H]
-        self.lattices = {("V", "bank"): bank, ("V", "c"): c, ("P_analog", None): self.P_analog}
+        self.lattices = {("V", "bank"): self.V, ("V", "c"): self.V_c,
+                         ("P_analog", None): self.P_analog}
         # H and C behind one zero element: row n of Hp/Cp is element n - 1
         self.Hp = np.empty((n_elements + 1,) + shape[1:], pack.dtype)
         self.Cp = np.empty_like(self.Hp)
@@ -295,47 +295,45 @@ class _SnnLayerTape:
                 for key, a in self.lattices.items()}
 
     def replay(self, elements: slice = slice(None), upre: bool = False) -> dict:
-        """What the forward computed from V and P_analog and did not record,
-        for the cells of a slice of elements, by the forward's own
-        operations: the spike components S_pos and, of the ternary neurons,
-        S_neg; A_analog, the analog gate's activation; and, with upre,
-        Upre, the membrane entering each step (mem_init at t = 0, else the
-        soft-reset membrane of step t - 1), which only the backward reads.
-        S_pos, S_neg and Upre map gates to arrays shaped as
-        V[gate][elements]; so is A_analog."""
+        """What the forward computed from V, V_c and P_analog and did not
+        record, for the cells of a slice of elements, by the forward's own
+        operations and in its layout, each array's axis -4 the element:
+        S_pos, the bank's spikes, [3, n, T, B, H] in plan.bank_gates order;
+        S_neg, its ternary slot 2's negative component, when g spikes; S_c,
+        the c neuron's (positive, negative) pair, [2, n, T, B, H]; A_analog,
+        the analog gate's activation; and, with upre, which only the
+        backward asks for, Upre and Upre_c, the bank's and the c neuron's
+        membranes entering each step (mem_init at t = 0, else the
+        soft-reset membrane of step t - 1)."""
         pack, relaxed = self.pack, self.relaxed
-        V, V_c = self.lattices["V", "bank"][:, elements], self.V["c"][elements]
+        V, V_c = self.V[:, elements], self.V_c[elements]
 
         def per_cell(a):  # a [..., 1, 1, H] parameter stack, broadcast over [n, t, b]
             return a[..., None, :, :, :]
 
         th_pos, gamma = per_cell(pack.th_pos), per_cell(pack.gamma)
-        s_pos = spike(V, th_pos, gamma, relaxed)
-        S_neg = {}
+        out = {"S_pos": spike(V, th_pos, gamma, relaxed)}
         if pack.th_neg is not None:
             th_neg = per_cell(pack.th_neg)
-            S_neg["g"] = spike(V[2], th_neg, gamma[2], relaxed)
+            out["S_neg"] = spike(V[2], th_neg, gamma[2], relaxed)
         _, th_c, _, gamma_c = pack.c
         th_c = per_cell(th_c)
-        s_c = spike(V_c, th_c, gamma_c, relaxed)
-        c_pos, S_neg["c"] = s_c
-        gates = pack.bank_gates
-        out = {"S_pos": {**dict(zip(gates, s_pos)), "c": c_pos}, "S_neg": S_neg,
-               "A_analog": (hard_sigmoid if pack.analog_i else hard_tanh)(
-                   self.P_analog[elements], pack.act)}
+        out["S_c"] = spike(V_c, th_c, gamma_c, relaxed)
+        out["A_analog"] = (hard_sigmoid if pack.analog_i else hard_tanh)(
+            self.P_analog[elements], pack.act)
         if upre:
             U = np.empty_like(V)  # the step-t membranes, step t - 1's post-reset ones
             U[:, :, 0] = pack.mem_init[0]
             post = U[:, :, 1:]
-            np.multiply(th_pos, s_pos[:, :, :-1], out=post)
+            np.multiply(th_pos, out["S_pos"][:, :, :-1], out=post)
             np.subtract(V[:, :, :-1], post, out=post)
             if pack.th_neg is not None:
-                post[2] -= th_neg * S_neg["g"][:, :-1]
+                post[2] -= th_neg * out["S_neg"][:, :-1]
             U_c = np.empty_like(V_c)
             U_c[:, 0] = pack.mem_init[1]
-            c_reset = th_c * s_c[:, :, :-1]
+            c_reset = th_c * out["S_c"][:, :, :-1]
             U_c[:, 1:] = V_c[:, :-1] - c_reset[0] - c_reset[1]
-            out["Upre"] = {**dict(zip(gates, U)), "c": U_c}
+            out["Upre"], out["Upre_c"] = U, U_c
         return out
 
     def replay_span(self) -> int:
@@ -344,18 +342,16 @@ class _SnnLayerTape:
         return max(1, WAVEFRONT_BUDGET // self.H[0].size)
 
     def replay_backwards(self):
-        """(n, element n's replay as [T, B, H] arrays) from the last element
-        to the first, with Upre. One replay pass covers replay_span()
-        elements: a small lattice in one pass, a large one a few elements
-        at a time."""
+        """(n, element n's replay with Upre, each array a view with the
+        element axis dropped) from the last element to the first. One
+        replay pass covers replay_span() elements: a small lattice in one
+        pass, a large one a few elements at a time."""
         n_elements, span = self.H.shape[0], self.replay_span()
         for hi in range(n_elements, 0, -span):
             lo = max(0, hi - span)
             block = self.replay(slice(lo, hi), upre=True)
             for n in range(hi - 1, lo - 1, -1):
-                yield n, {name: {g: a[n - lo] for g, a in value.items()}
-                          if isinstance(value, dict) else value[n - lo]
-                          for name, value in block.items()}
+                yield n, {name: a[..., n - lo, :, :, :] for name, a in block.items()}
 
 
 def _cell_block(pack, x, h_in, c_in, c_out, U, tally, relaxed, tape_rows, cells):

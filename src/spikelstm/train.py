@@ -14,7 +14,9 @@ of the two triangles centred at the two thresholds. The soft-reset path
 carries gradient by default. The tape holds the membranes, the analog
 pre-activation, H and C; the backward replays each element's spikes,
 entering membranes and analog activation from it (tape.replay_backwards),
-in passes small enough that the temporaries stay in cache.
+in passes small enough that the temporaries stay in cache, and reads them
+in the forward's layout: per cell, one LIF backward for the [3, B, H] bank
+and one for the c neuron, in descending (n, t).
 
 The hard and relaxed SNN modes share one backward; `relaxed=True` switches
 the forward to the triangle-ramp relaxation of every spike (whose exact
@@ -174,15 +176,15 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, dlogits / batch
 
 
-def _head_backward(head, caches, dlogits, grads, prefix="head"):
+def _head_backward(head, caches, dlogits, grads):
     d = dlogits
     for k in range(len(head.weights) - 1, -1, -1):
         W, _ = head.weights[k]
         inp = caches[k]
         if k > 0:
             inp = np.maximum(inp, 0.0)
-        grads[f"{prefix}.{k}.W"] += d.T @ inp
-        grads[f"{prefix}.{k}.b"] += d.sum(axis=0)
+        grads[f"head.{k}.W"] += d.T @ inp
+        grads[f"head.{k}.b"] += d.sum(axis=0)
         d = d @ W
         if k > 0:
             d = d * (caches[k] > 0.0)
@@ -260,42 +262,30 @@ def ann_backward(model: AnnLSTM, batch):
 # ---------------------------------------------------------------------------
 # SNN engine
 
-def _emitted(replayed, gate, t):
-    """The spike value a neuron emitted at step t of a replayed element:
-    ternary ones replay it as two components."""
-    s_pos = replayed["S_pos"][gate][t]
-    return s_pos - replayed["S_neg"][gate][t] if gate in replayed["S_neg"] else s_pos
-
-
-def _lif_backward(cell, gate, V, replayed, t, ds, dUpost, grads, prefix, relaxed):
-    """Backward of one LIF neuron's step t of an element: V is its taped
-    membrane at that step, replayed the element's tape.replay.
-
-    ds is the gradient into the spike value it emitted, dUpost[gate] the
-    gradient into its post-reset membrane (advanced here to the previous
-    step). Accumulates the neuron's LIF gradients and returns dL/dV, which
-    is also the gradient into the neuron's drive.
-    """
-    p = cell.gate_params[gate]
-    leak, th_p, th_n, gamma = p.leak, p.threshold_pos, p.threshold_neg, p.surrogate_gamma
-    D = dUpost[gate]
-    S_pos, S_neg, Upre = (replayed[name].get(gate) for name in ("S_pos", "S_neg", "Upre"))
-    key = f"{prefix}.lif.{gate}"
+def _lif_backward(params, V, s_pos, s_neg, upre, ds, D, grads, first, relaxed):
+    """Backward of one step of a [slots, B, H] LIF bank: f/o/spiking-i|g,
+    or the c neuron as one slot. params are the forward's (leak, th_pos,
+    th_neg, gamma); th_neg, when set, and s_neg [B, H] are the last slot's
+    ternary component. ds and D are the gradients into the emitted spikes
+    and the post-reset membranes. Adds into grads, a [len(LIF_FIELDS),
+    slots, H] buffer (mem_init at the `first` step only), and returns dL/dV,
+    also the gradient into the drive, and the previous step's D."""
+    leak, th_p, th_n, gamma = params
     ds_pos = ds - D * th_p
     dpv, dpt = spike_partials(V, th_p, gamma, relaxed)
     dV = D + ds_pos * dpv
-    grads[f"{key}.threshold_pos"] += (ds_pos * dpt - D * S_pos[t]).sum(axis=0)
+    grads[1] += (ds_pos * dpt - D * s_pos).sum(axis=-2)
     if th_n is not None:
-        ds_neg = -ds - D * th_n
-        dnv, dnt = spike_partials(V, th_n, gamma, relaxed)
-        dV = dV + ds_neg * dnv
-        grads[f"{key}.threshold_neg"] += (ds_neg * dnt - D * S_neg[t]).sum(axis=0)
-    grads[f"{key}.leak"] += (dV * Upre[t]).sum(axis=0)
-    grads[f"{key}.step_bias"] += dV.sum(axis=0)
-    dUpost[gate] = leak * dV
-    if t == 0:
-        grads[f"{key}.mem_init"] += dUpost[gate].sum(axis=0)
-    return dV
+        ds_neg = -ds[-1] - D[-1] * th_n
+        dnv, dnt = spike_partials(V[-1], th_n, gamma[-1], relaxed)
+        dV[-1] += ds_neg * dnv
+        grads[2, -1] += (ds_neg * dnt - D[-1] * s_neg).sum(axis=0)
+    grads[0] += (dV * upre).sum(axis=-2)
+    grads[3] += dV.sum(axis=-2)
+    D = leak * dV
+    if first:
+        grads[4] += D.sum(axis=-2)
+    return dV, D
 
 
 def snn_relaxed_loss(model: SpikingLSTM, batch, seed: int) -> float:
@@ -331,45 +321,55 @@ def snn_backward(model: SpikingLSTM, batch, seed: int = 0, relaxed: bool = False
     dH_seed[n_elements - 1, :] = dhbar / T
 
     for li in range(top, -1, -1):
-        cell = model.cells[li]
-        tape = tapes[li]
-        analog = cell.plan.analog_gate
-        spiking_ig = "g" if analog == "i" else "i"
-        analog_grad = hard_sigmoid_grad if analog == "i" else hard_tanh_grad
-        w = cell.weights
+        cell, tape = model.cells[li], tapes[li]
+        pack = tape.pack
+        analog_grad = hard_sigmoid_grad if pack.analog_i else hard_tanh_grad
         gp = f"cells.{li}"
         want_dx = li > 0
         dX_out = np.zeros_like(tapes[li - 1].H) if want_dx else None
         x_feed = aux["encoded"] if li == 0 else np.moveaxis(tapes[li - 1].H, 2, 0)
+        # the bank's and the c neuron's (leak, th_pos, th_neg, gamma) as
+        # [slots, 1, H] stacks; th_neg and gamma[-1] act on the last slot
+        leak_c, th_c, _, gamma_c = pack.c
+        bank = (pack.leak[:, 0], pack.th_pos[:, 0],
+                None if pack.th_neg is None else pack.th_neg[0], pack.gamma[:, 0])
+        c = (leak_c, th_c[0], th_c[1, 0], np.full((1, 1, 1), gamma_c, pack.dtype))
+        # the LIF gradients, [field, slot, H]: the bank's slots, then c's
+        lif = np.zeros((len(LIF_FIELDS), 4, pack.hidden), pack.dtype)
 
-        dH_next = np.zeros_like(tape.H[0])  # [T, B, H]
-        dC_next = np.zeros_like(dH_next)
-        for n, replayed in tape.replay_backwards():  # element n's spikes, Upre, A_analog
-            dH_prev = np.zeros_like(dH_next)
-            dC_prev = np.zeros_like(dC_next)
-            dUpost = {g: np.zeros_like(dH_next[0]) for g in cell.gate_params}
+        dH_next, dC_next = np.zeros_like(tape.H[0]), np.zeros_like(tape.H[0])  # [T, B, H]
+        ds = np.empty((3,) + dH_next.shape[1:], pack.dtype)  # into the bank's emitted spikes
+        for n, r in tape.replay_backwards():  # element n's spikes, Upre, A_analog
+            dH_prev, dC_prev = np.zeros_like(dH_next), np.zeros_like(dC_next)
+            D, D_c = np.zeros_like(ds), np.zeros_like(ds[:1])  # into post-reset membranes
+            S_pos, S_neg, S_c = r["S_pos"], r.get("S_neg"), r["S_c"]
             for t in range(T - 1, -1, -1):
                 dh = dH_seed[n, t] + dH_next[t]
-                ds = {"o": dh * _emitted(replayed, "c", t)}
-                dV_c = _lif_backward(cell, "c", tape.V["c"][n, t], replayed, t,
-                                     dh * replayed["S_pos"]["o"][t], dUpost, grads, gp, relaxed)
+                np.multiply(dh, S_c[0, t] - S_c[1, t], out=ds[1])  # o
+                dV_c, D_c = _lif_backward(c, tape.V_c[n, t, None], S_c[:1, t], S_c[1, t],
+                                          r["Upre_c"][t, None], dh * S_pos[1:2, t], D_c,
+                                          lif[:, 3:], t == 0, relaxed)
                 # --- cell combine ---
-                dc_total = dC_next[t] + dV_c
-                ds["f"] = dc_total * tape.Cp[n, t]  # c of element n - 1
-                dC_prev[t] += dc_total * replayed["S_pos"]["f"][t]
-                ds[spiking_ig] = dc_total * replayed["A_analog"][t]
-                dA = dc_total * _emitted(replayed, spiking_ig, t)
-                # --- spiking gates, then the analog one ---
-                dP = {gate: _lif_backward(cell, gate, tape.V[gate][n, t], replayed, t, ds[gate],
-                                          dUpost, grads, gp, relaxed)
-                      for gate in ("f", "o", spiking_ig)}
-                dP[analog] = dA * analog_grad(tape.P_analog[n, t], cell.act)
+                dc_total = dC_next[t] + dV_c[0]
+                np.multiply(dc_total, tape.Cp[n, t], out=ds[0])  # f, by c of element n - 1
+                dC_prev[t] += dc_total * S_pos[0, t]
+                np.multiply(dc_total, r["A_analog"][t], out=ds[2])  # the spiking one of i/g
+                dA = dc_total * (S_pos[2, t] if S_neg is None else S_pos[2, t] - S_neg[t])
+                # --- the spiking bank, then the analog gate ---
+                dV, D = _lif_backward(bank, tape.V[:, n, t], S_pos[:, t],
+                                      None if S_neg is None else S_neg[t], r["Upre"][:, t], ds,
+                                      D, lif[:, :3], t == 0, relaxed)
+                dP = dict(zip(pack.bank_gates, dV))
+                dP[cell.plan.analog_gate] = dA * analog_grad(tape.P_analog[n, t], cell.act)
                 # --- projections ---
-                _projection_backward(w, dP, x_feed[:, n, t], tape.Hp[n, t], grads, gp,
+                _projection_backward(cell.weights, dP, x_feed[:, n, t], tape.Hp[n, t], grads, gp,
                                      dH_prev[t] if n > 0 else None,
                                      dX_out[n, t] if want_dx else None)
-            dH_next = dH_prev
-            dC_next = dC_prev
+            dH_next, dC_next = dH_prev, dC_prev
+        for gate, by_field in zip(pack.bank_gates + ("c",), lif.swapaxes(0, 1)):
+            for name, value in zip(LIF_FIELDS, by_field):  # threshold_neg: ternary ones only
+                if f"{gp}.lif.{gate}.{name}" in grads:
+                    grads[f"{gp}.lif.{gate}.{name}"] += value
         if want_dx:
             dH_seed = dX_out
     return float(loss), grads

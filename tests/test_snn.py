@@ -156,7 +156,8 @@ def test_large_t_rates_converge_to_ann_gates():
     _, caches = ann_batch_forward(ann, x, want_caches=True)
     f, i, _, o, _ = caches["layers"][0]["gates"][0]
     _, tapes, _ = snn_batch_forward(snn, x, 256, "direct", 0, want_tapes=True)
-    rates = {gate: tapes[0].replay()["S_pos"][gate][0].mean() for gate in ("f", "i", "o")}
+    replayed = flat_replay(tapes[0].replay(), snn.plan.bank_gates)
+    rates = {gate: replayed["S_pos", gate][0].mean() for gate in ("f", "i", "o")}
     for gate, ann_gate in (("f", f), ("i", i), ("o", o)):
         assert abs(ann_gate[0, 0] - rates[gate]) <= 2.0 / 256.0
 
@@ -471,38 +472,40 @@ def test_oracle_cell_equals_the_batch_tape_on_membranes_and_cell_values(monkeypa
         assert aux["stats"].layers[-1].hidden_nnz_total > 0
         replays = [tape.replay(upre=True) for tape in tapes]
         for tape, whole in zip(tapes, replays):
-            whole = flat_replay(whole)
-            for key, part in flat_replay(tape.replay(slice(1, 3), upre=True)).items():
+            gates = tape.pack.bank_gates
+            whole = flat_replay(whole, gates)
+            for key, part in flat_replay(tape.replay(slice(1, 3), upre=True), gates).items():
                 _assert_bits(part, whole[key][1:3])
             for span in (1, 3, X.shape[1]):
                 monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", span * tape.H[0].size)
                 elements = list(tape.replay_backwards())
                 assert [n for n, _ in elements] == list(range(X.shape[1] - 1, -1, -1))
                 for n, replayed in elements:
-                    for key, part in flat_replay(replayed).items():
+                    for key, part in flat_replay(replayed, gates).items():
                         _assert_bits(part, whole[key][n])
             monkeypatch.undo()
         for b in range(len(X)):
             below = aux["encoded"][b]  # [N, T, F]
             for li, (cell, tape, replayed) in enumerate(zip(model.cells, tapes, replays)):
-                S_pos, S_neg = replayed["S_pos"], replayed["S_neg"]
+                replayed = flat_replay(replayed, cell.plan.bank_gates)
                 h = np.zeros((T, cell.hidden_dim), dtype)
                 c = np.zeros_like(h)
                 for n in range(len(below)):
                     state = CellStepState.fresh(cell)
                     for t in range(T):
                         for gate, neuron in state.membranes.items():
-                            _assert_bits(neuron.membrane, replayed["Upre"][gate][n, t, b])
+                            _assert_bits(neuron.membrane, replayed["Upre", gate][n, t, b])
                         record = {}
                         h[t], c[t] = snn_cell_step(cell, state, below[n, t], h[t], c[t],
                                                    x_is_spikes=li > 0 or encoding != "direct",
                                                    record=record)
                         for gate in cell.plan.spiking_gates:
-                            emitted = S_pos[gate][n, t, b]
-                            if gate in S_neg:
-                                emitted = emitted - S_neg[gate][n, t, b]
+                            emitted = replayed["S_pos", gate][n, t, b]
+                            if ("S_neg", gate) in replayed:
+                                emitted = emitted - replayed["S_neg", gate][n, t, b]
                             _assert_bits(record[gate], emitted)
-                        _assert_bits(record[cell.plan.analog_gate], replayed["A_analog"][n, t, b])
+                        _assert_bits(record[cell.plan.analog_gate],
+                                     replayed["A_analog", None][n, t, b])
                         np.testing.assert_array_equal(c[t], tape.Cp[n + 1, t, b])
                         np.testing.assert_array_equal(h[t], tape.Hp[n + 1, t, b])
                 below = tape.H[:, :, b]
@@ -689,6 +692,8 @@ def test_replay_makes_upre_only_when_asked(plan):
     _, tapes, _ = snn_batch_forward(model, rng.random((4, 5, 3)), 3, "direct", seed=0,
                                     want_tapes=True)
     lean, full = tapes[0].replay(slice(1, 4)), tapes[0].replay(slice(1, 4), upre=True)
-    assert "Upre" not in lean and set(full["Upre"]) == set(model.cells[0].gate_params)
-    del full["Upre"]
+    upre = {gate for name, gate in flat_replay(full, model.plan.bank_gates) if name == "Upre"}
+    assert "Upre" not in lean and "Upre_c" not in lean
+    assert upre == set(model.cells[0].gate_params)
+    del full["Upre"], full["Upre_c"]
     assert _bits(lean) == _bits(full)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spikelstm import checkpoint
+from spikelstm import snn as snn_module
 from spikelstm.convert import convert
 from spikelstm.data import synthetic_task
 from spikelstm.errors import TrainingDiverged, ValidationError
@@ -328,6 +329,36 @@ def test_f32_run_makes_no_f64_array(relaxed):
         assert np.isfinite(loss)
         arrays += grads.values()
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("plan", ["g", "i"])
+def test_snn_backward_is_bit_identical_across_replay_passes(monkeypatch, plan, relaxed):
+    """A 2-layer snn_backward whose tapes replay 1 element per pass, 3 per
+    pass (3 + 3 + 1) or all 7 in one pass gives the same loss and every
+    gradient bit for bit. Every gradient is nonzero somewhere, but for
+    the relaxed negative thresholds, whose partial vanishes where the
+    membranes stay above them."""
+    rng = np.random.default_rng(52 + (plan == "i"))
+    batch, n_elements, T, hidden = 4, 7, 3, 5
+    model = random_snn(3, [hidden, hidden], [3], rng, plan=ConversionPlan(plan),
+                       time_steps=T, scale=1.5)
+    for cell in model.cells:
+        for gate in ("f", "i", "o"):
+            cell.weights.b[gate] += 1.0
+        for params in cell.gate_params.values():
+            params.leak = params.leak * rng.uniform(0.8, 1.2, params.leak.shape)
+        c = cell.gate_params["c"]  # a c neuron that spikes
+        c.threshold_pos, c.threshold_neg = 0.3 * c.threshold_pos, 0.3 * c.threshold_neg
+    X, y = rng.random((batch, n_elements, 3)), rng.integers(0, 3, batch)
+    runs = []
+    for span in (1, 3, n_elements):
+        monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", span * T * batch * hidden)
+        loss, grads = snn_backward(model, (X, y), seed=4, relaxed=relaxed)
+        runs.append((loss, {k: (v.dtype, v.shape, v.tobytes()) for k, v in grads.items()}))
+    assert all(np.any(g) for k, g in grads.items()
+               if not (relaxed and k.endswith(".threshold_neg")))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_snn_backward_memory_stays_under_twelve_lattices_per_layer():
