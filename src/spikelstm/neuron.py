@@ -206,20 +206,29 @@ def spike(V, theta, gamma, relaxed):
     return (x > 1.0).astype(V.dtype)
 
 
+def _triangle(V, theta):
+    """max(0, 1 - |V/theta - 1|), which integrates to |theta| in V."""
+    return np.maximum(0.0, 1.0 - np.abs(V / theta - 1.0))
+
+
+def spike_slope(V, theta, gamma):
+    """The V-partial of spike(V, theta, gamma, relaxed) in either mode:
+    (gamma/theta) * tri on the triangle, the surrogate when hard."""
+    return (gamma / theta) * _triangle(V, theta)
+
+
 def spike_partials(V, theta, gamma, relaxed):
     """V- and theta-partials of spike(V, theta, gamma, relaxed).
 
-    Both rest on the triangle max(0, 1 - |V/theta - 1|), which integrates
-    to |theta| in V. Hard: the triangular surrogate (gamma/theta) * tri as
-    V-partial and the conventional -(gamma/theta) * tri as theta-partial.
-    Relaxed: the exact partials of gamma * ramp(V/theta).
+    The V-partial is spike_slope. Hard, the theta-partial is its exact
+    negation, the conventional -(gamma/theta) * tri. Relaxed: the exact
+    partials of gamma * ramp(V/theta).
     """
-    tri = np.maximum(0.0, 1.0 - np.abs(V / theta - 1.0))
-    if relaxed:
-        dsdth = -(gamma * V / (theta * theta)) * tri
-    else:
-        dsdth = -(gamma / theta) * tri
-    return (gamma / theta) * tri, dsdth
+    if not relaxed:
+        dsdv = spike_slope(V, theta, gamma)
+        return dsdv, -dsdv
+    tri = _triangle(V, theta)
+    return (gamma / theta) * tri, -(gamma * V / (theta * theta)) * tri
 
 
 def optimal_shift(v_th: float, T: int) -> float:

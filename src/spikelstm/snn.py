@@ -24,8 +24,10 @@ input. Without tapes it encodes and runs a large batch through all layers
 one tile of rows at a time, so at its peak it holds one tile's encoded
 input, a layer's input lattice and its own (two hidden lattices of a
 tile in a multi-layer model), bounded by LATTICE_BUDGET, not by the
-batch. snn_cell_step is the per-step reference cell that the oracle in
-`verify` runs.
+batch; in a layer that walks cell by cell its hard hidden spikes are then
+int8, one byte each, and each block's are checked to narrow exactly.
+snn_cell_step is the per-step reference cell that the oracle in `verify`
+runs.
 """
 
 from __future__ import annotations
@@ -158,7 +160,11 @@ class SpikingLSTM:
 
 
 def _assert_spikes(name: str, values: np.ndarray, ternary: bool) -> None:
-    ok = np.isin(values, SPIKE_ALPHABET if ternary else (0.0, 1.0))
+    alphabet = SPIKE_ALPHABET if ternary else (0.0, 1.0)
+    # an int8 lattice by its bounds: exact, and cheaper than np.isin on int8
+    if values.dtype == np.int8 and alphabet[0] <= values.min() and values.max() <= 1:
+        return
+    ok = np.isin(values, alphabet)
     if not ok.all():
         raise MultiplierAuditError(
             f"{name} carries multi-bit values where a spike tensor is required "
@@ -213,17 +219,25 @@ def snn_cell_step(cell: SpikingLSTMCell, state: CellStepState, x_in, h_in, c_in,
 # large [B, H] arrays the calls are already amortised and a diagonal's
 # stacks spill the 2 MiB L2 (0.75-0.97x at B=256), so cells run one at a
 # time in element order. The two cross over between 8k and 64k elements.
-# The backward and the conversion report replay a tape in passes over as
-# many elements as keep the same per-gate size within this bound
-# (_SnnLayerTape.replay_span).
+# The backward and the conversion report replay a tape, and a layer counts
+# its hidden spikes, in passes over as many elements as keep the same
+# per-gate size within this bound (_span).
 WAVEFRONT_BUDGET = 16_384
 
 # An untaped forward runs its batch through every layer one tile of rows at a
 # time, max(1, LATTICE_BUDGET // (N*T*max H)) rows, so a layer's hidden
-# lattice stays near this many elements (16 MiB at f64) whatever the batch.
+# lattice stays near this many elements whatever the batch: 2 MiB as the
+# int8 of hard spikes walked cell by cell, 16 MiB at f64.
 # Rows do not interact (README: Batch invariance), so a tile moves no bit.
 # Smaller tiles measured slower for less memory (36 rows at B=256: 0.89x).
 LATTICE_BUDGET = 2 ** 21
+
+
+def _span(lattice) -> int:
+    """Elements per pass over an [N, T, B, H] lattice: as many as keep
+    T*B*H per gate within WAVEFRONT_BUDGET, so a pass's temporaries stay in
+    cache."""
+    return max(1, WAVEFRONT_BUDGET // lattice[0].size)
 
 
 class _GatePack:
@@ -337,9 +351,8 @@ class _SnnLayerTape:
         return out
 
     def replay_span(self) -> int:
-        """Elements per replay pass: as many as keep T*B*H per gate within
-        WAVEFRONT_BUDGET, so a pass's temporaries stay in cache."""
-        return max(1, WAVEFRONT_BUDGET // self.H[0].size)
+        """Elements per replay pass (_span)."""
+        return _span(self.H)
 
     def replay_backwards(self):
         """(n, element n's replay with Upre, each array a view with the
@@ -412,7 +425,10 @@ def _diagonal_rows(start, count, step):
 def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
                    want_tape: bool, input_analog: bool):
     """Run one spiking layer over x_feed [B, N, T, F]; returns its hidden
-    spikes [N, T, B, H], LayerSpikeStats and its tape (or None).
+    spikes [N, T, B, H], LayerSpikeStats and its tape (or None). Untaped
+    hard spikes walked cell by cell are int8, each block's stored exactly
+    (a multi-bit value raises MultiplierAuditError); the rest keep the
+    dtype.
 
     Walks the (n, t) lattice in blocks of cells that share one body: whole
     anti-diagonals n + t = k in ascending t when T*B*H fits
@@ -427,6 +443,10 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     dtype = cell.weights.dtype
     hidden = cell.hidden_dim
     wavefront = T * batch * hidden <= WAVEFRONT_BUDGET
+    # untaped hard spikes as int8, where the state is large enough to walk
+    # cell by cell; a block's exact-store check (~4 us) would cost the small
+    # blocks of a B=1 stream ~4% for no memory to speak of
+    narrow = not (relaxed or want_tape or wavefront)
     pack = _GatePack(cell)
     tape = _SnnLayerTape(pack, relaxed, batch, n_elements, T) if want_tape else None
     bank_gates = cell.plan.bank_gates
@@ -441,7 +461,7 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
         Hp, Cp = (a.reshape(-1, batch, hidden) for a in (tape.Hp, tape.Cp))
     else:
         tape_rows = None
-        Hp = np.zeros(((n_elements + 1) * T, batch, hidden), dtype=dtype)
+        Hp = np.zeros(((n_elements + 1) * T, batch, hidden), dtype=np.int8 if narrow else dtype)
         c_step = np.zeros((T, batch, hidden), dtype=dtype)  # c of the last element at each t
     if wavefront:
         # membranes entering step t, at row t; row 0 is mem_init
@@ -463,9 +483,12 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
             U = [m[..., steps, :, :] for m in M]
         elif t0 == 0:
             U = list(pack.mem_init)
-        Hp[ahead] = _cell_block(pack, x_rows[:, cells].swapaxes(0, 1), Hp[cells], c_in, c_out,
-                                U, [s[..., steps, :, :] for s in tally] if wavefront else tally,
-                                relaxed, tape_rows, cells)
+        h = _cell_block(pack, x_rows[:, cells].swapaxes(0, 1), Hp[cells], c_in, c_out,
+                        U, [s[..., steps, :, :] for s in tally] if wavefront else tally,
+                        relaxed, tape_rows, cells)
+        Hp[ahead] = h
+        if narrow and np.count_nonzero(Hp[ahead] != h):  # int8 truncated a multi-bit value
+            _assert_spikes("hidden output", h, ternary=True)
         if wavefront:
             for m, u in zip(M, U):
                 m[..., t0 + 1:t1 + 2, :, :] = u
@@ -480,10 +503,13 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
         _assert_spikes("hidden output", H, ternary=True)
     input_nnz = (np.zeros((batch, n_elements, T), dtype=np.int64) if input_analog
                  else np.count_nonzero(x_feed, axis=-1))
+    span = _span(H)  # count_nonzero's bool copy is one pass's, not the lattice's
+    hidden_nnz = np.concatenate([np.count_nonzero(H[n:n + span], axis=-1)
+                                 for n in range(0, n_elements, span)])
     per_gate = {**dict(zip(bank_gates, spikes[0])), "c": spikes[1]}
     stats = LayerSpikeStats(
         units=hidden, fan_in=cell.input_dim, input_analog=input_analog, input_nnz=input_nnz,
-        hidden_nnz=np.moveaxis(np.count_nonzero(H, axis=-1), -1, 0),
+        hidden_nnz=np.moveaxis(hidden_nnz, -1, 0),
         gate_spikes={g: per_gate[g].sum(axis=-1).astype(np.int64)
                      for g in cell.plan.spiking_gates})
     return H, stats, tape
@@ -505,19 +531,21 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     share.
 
     X is cast to the model's dtype, at which every array of the run is
-    made, and encoded by encode_sequence, sample b as sample
-    first_index + b of the evaluated set. relaxed=True replaces every hard
-    spike by its triangle-ramp relaxation (same code path otherwise).
-    With want_tapes every layer records, over the whole batch, what
-    snn_backward cannot replay (_SnnLayerTape). Without, the batch runs
-    through every layer in tiles of rows (LATTICE_BUDGET), each tile
-    encoded on its own, and the head runs once on the tiles' readouts: at
-    its peak such a run holds one tile's encoded input, a layer's input
-    lattice and its own, so only the readouts and spike counts grow with
-    the batch. A poisson batch's value range is checked once, before the
-    first tile. Returns (logits, tapes_or_none, aux); aux holds the head
-    cache and the SpikeStats (per-sample, per-(n, t) counts of the batch)
-    and, of a taped run only, the encoded input that snn_backward reads.
+    made but an untaped run's int8 hard spikes (_layer_forward), and
+    encoded by encode_sequence, sample b as sample first_index + b of the
+    evaluated set. relaxed=True replaces every hard spike by its
+    triangle-ramp relaxation (same code path otherwise). With want_tapes
+    every layer records, over the whole batch, what snn_backward cannot
+    replay (_SnnLayerTape). Without, the batch runs through every layer in
+    tiles of rows (LATTICE_BUDGET), each tile encoded on its own, and the
+    head runs once on the tiles' readouts: at its peak such a run holds one
+    tile's encoded input, a layer's input lattice and its own (int8 on hard
+    spikes in a large tile), so only the readouts and spike counts grow
+    with the batch. A poisson batch's value range is checked once, before
+    the first tile. Returns (logits, tapes_or_none, aux); aux holds the
+    head cache and the SpikeStats (per-sample, per-(n, t) counts of the
+    batch) and, of a taped run only, the encoded input that snn_backward
+    reads.
 
     Raises NumericalFault on a non-finite membrane and, on hard spikes,
     MultiplierAuditError when a tensor that must carry spikes is not
@@ -547,7 +575,11 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
             tapes.append(tape)
             layer_stats.append(stats)
             x_feed = np.moveaxis(H, 2, 0)  # [b, N, T, H]
-        tiles.append((H[n_elements - 1].mean(axis=0), layer_stats))
+        # the mean over T at the model's dtype (int8's would be f64). Its sum
+        # starts at add's identity, +0.0, so the -0.0 that a taped lattice
+        # holds where o is silent and c fires negative reads out as the 0
+        # of an int8 one: taped and untaped readouts are one bit pattern.
+        tiles.append((H[n_elements - 1].mean(axis=0, dtype=model.dtype), layer_stats))
         del H, x_feed  # else alive while the next tile's first layer allocates its own
     if len(tiles) == 1:
         hbar, layer_stats = tiles[0]

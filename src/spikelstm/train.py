@@ -39,7 +39,7 @@ import numpy as np
 from .activations import hard_sigmoid_grad, hard_tanh_grad
 from .errors import NumericalFault, TrainingDiverged, ValidationError
 from .lstm import GATES, AnnLSTM, ann_batch_forward
-from .neuron import spike_partials
+from .neuron import spike_partials, spike_slope
 from .snn import SpikingLSTM, snn_batch_forward
 
 # A GradientBundle is a dict param-name -> gradient array, shapes matching
@@ -262,6 +262,21 @@ def ann_backward(model: AnnLSTM, batch):
 # ---------------------------------------------------------------------------
 # SNN engine
 
+def _spike_backward(V, theta, gamma, ds, reset, grad, relaxed):
+    """Backward of one spike component against threshold theta: adds the
+    theta-gradient, ds * dspike/dtheta less `reset` (the soft reset's
+    D * spikes), summed over the batch axis -2, into grad and returns
+    ds * dspike/dV, dL/dV's share. Hard, the theta-partial is exactly minus
+    the V-partial (spike_partials), so one product serves both."""
+    if relaxed:
+        dsdv, dsdth = spike_partials(V, theta, gamma, relaxed)
+        grad += (ds * dsdth - reset).sum(axis=-2)
+        return ds * dsdv
+    p = ds * spike_slope(V, theta, gamma)
+    grad -= (p + reset).sum(axis=-2)
+    return p
+
+
 def _lif_backward(params, V, s_pos, s_neg, upre, ds, D, grads, first, relaxed):
     """Backward of one step of a [slots, B, H] LIF bank: f/o/spiking-i|g,
     or the c neuron as one slot. params are the forward's (leak, th_pos,
@@ -272,14 +287,11 @@ def _lif_backward(params, V, s_pos, s_neg, upre, ds, D, grads, first, relaxed):
     also the gradient into the drive, and the previous step's D."""
     leak, th_p, th_n, gamma = params
     ds_pos = ds - D * th_p
-    dpv, dpt = spike_partials(V, th_p, gamma, relaxed)
-    dV = D + ds_pos * dpv
-    grads[1] += (ds_pos * dpt - D * s_pos).sum(axis=-2)
+    dV = D + _spike_backward(V, th_p, gamma, ds_pos, D * s_pos, grads[1], relaxed)
     if th_n is not None:
         ds_neg = -ds[-1] - D[-1] * th_n
-        dnv, dnt = spike_partials(V[-1], th_n, gamma[-1], relaxed)
-        dV[-1] += ds_neg * dnv
-        grads[2, -1] += (ds_neg * dnt - D[-1] * s_neg).sum(axis=0)
+        dV[-1] += _spike_backward(V[-1], th_n, gamma[-1], ds_neg, D[-1] * s_neg, grads[2, -1],
+                                  relaxed)
     grads[0] += (dV * upre).sum(axis=-2)
     grads[3] += dV.sum(axis=-2)
     D = leak * dV

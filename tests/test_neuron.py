@@ -7,8 +7,8 @@ from spikelstm.activations import HardActConfig
 from spikelstm.errors import NumericalFault, ValidationError
 from spikelstm.neuron import (NEVER, LIFGateParams, NeuronState, if_avg_sigmoid, if_avg_tanh,
                               lif_avg_sigmoid, lif_first_spike_time, optimal_shift,
-                              run_constant_drive, spike, spike_partials, step_sigmoid_neuron,
-                              step_tanh_neuron)
+                              run_constant_drive, spike, spike_partials, spike_slope,
+                              step_sigmoid_neuron, step_tanh_neuron)
 
 CFG = HardActConfig()
 
@@ -152,6 +152,21 @@ def test_surrogate_grad_examples():
     # the negative threshold's component falls as V rises
     assert dsdv(-2.0, -2.0) == pytest.approx(-0.15)
     assert dsdv(0.5, -2.0) == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_hard_theta_partial_is_the_negated_slope(dtype):
+    """Hard, the theta-partial is minus spike_slope and keeps the bits of
+    the conventional -(gamma/theta) * tri, at both threshold signs."""
+    rng = np.random.default_rng(0)
+    V = rng.uniform(-5, 5, (64, 7)).astype(dtype)
+    for theta in (rng.uniform(0.5, 3, 7), rng.uniform(-3, -0.5, 7)):
+        theta, gamma = theta.astype(dtype), dtype(0.3)
+        tri = np.maximum(0.0, 1.0 - np.abs(V / theta - 1.0))
+        dsdv, dsdth = spike_partials(V, theta, gamma, False)
+        assert dsdv.tobytes() == spike_slope(V, theta, gamma).tobytes()
+        assert dsdth.tobytes() == (-(gamma / theta) * tri).tobytes()
+        assert dsdth.dtype == dtype and dsdv.any()
 
 
 def test_engines_and_oracle_share_one_spike_rule():

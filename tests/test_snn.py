@@ -10,7 +10,7 @@ from spikelstm.convert import convert
 from spikelstm.encoding import encode_sequence
 from spikelstm.energy import LayerSpikeStats, count_ops_snn
 from spikelstm.errors import MultiplierAuditError, NumericalFault, ValidationError
-from spikelstm.lstm import AnnLSTM, ann_batch_forward
+from spikelstm.lstm import GATES, AnnLSTM, ann_batch_forward
 import spikelstm.snn as snn_module
 from spikelstm.snn import (CellStepState, ConversionPlan, SpikingLSTM, SpikingLSTMCell,
                            default_gate_params, snn_batch_forward, snn_cell_step, snn_forward)
@@ -666,6 +666,84 @@ def test_untaped_forward_holds_one_tile_in_flight(monkeypatch):
     _tiled(monkeypatch, model, X, rows)
     lattice = (n_elements + 1) * T * rows * hidden * X.itemsize
     assert _forward_peak(model, X, T) - _forward_peak(model, X[:rows], T) < lattice // 2
+
+
+def test_untaped_forward_keeps_hidden_spikes_at_one_byte(monkeypatch):
+    """A one-layer, one-tile untaped forward peaks (by tracemalloc), less
+    its encoded input, below a quarter of one f64 hidden lattice: its hard
+    hidden spikes are int8, an eighth, and are counted in cache-sized
+    passes. An f64 lattice alone is four quarters."""
+    rng = np.random.default_rng(53)
+    n_elements, T, rows, hidden, feats = 96, 8, 40, 64, 2
+    model = random_snn(feats, [hidden], [3], rng, time_steps=T, scale=0.5)
+    X = rng.random((rows, n_elements, feats))
+    _tiled(monkeypatch, model, X, rows)
+    encoded = encode_sequence(X, T, "direct", 0, 0).nbytes
+    lattice = (n_elements + 1) * T * rows * hidden * X.itemsize
+    assert _forward_peak(model, X, T) - encoded < lattice // 4
+
+
+def _negative_zero_model(dtype):
+    """A one-layer model whose unit 0 has a silent o gate and a c neuron
+    that fires negative at every step, so its hidden output o * (c+ - c-)
+    is -0.0 throughout; the other units are a random conversion's."""
+    rng = np.random.default_rng(54)
+    model = random_snn(3, [4], [3], rng, time_steps=3, scale=1.0)
+    w = model.cells[0].weights
+    for gate in GATES:
+        w.w_x[gate][0] = w.w_h[gate][0] = 0.0
+        w.b[gate][0] = 50.0 if gate == "i" else -50.0  # i = 1, g spikes -1, f and o silent
+    c = model.cells[0].gate_params["c"]
+    c.threshold_neg[0], c.mem_init[0] = -0.1, 0.0  # the drive of -1 crosses it at every step
+    cast_parameters(model, dtype)
+    return model
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_negative_zero_hidden_spikes_read_out_as_in_the_tape(monkeypatch, dtype):
+    """A hidden output of -0.0 (silent o, negative c spike), which an f64
+    tape holds and an int8 lattice cannot: the untaped logits, head cache
+    and SpikeStats equal the taped run's bit for bit, under both walks and
+    in tiles of 1 row and of the batch."""
+    model = _negative_zero_model(dtype)
+    T = model.time_steps
+    X = np.random.default_rng(55).random((3, 4, 3)).astype(dtype)
+    _, tapes, _ = snn_batch_forward(model, X, T, "direct", seed=0, want_tapes=True)
+    last = tapes[0].H[-1, :, :, 0]
+    assert not last.any() and np.signbit(last).all()
+    for walk, rows in itertools.product((snn_module.WAVEFRONT_BUDGET, 0), (1, 3)):
+        monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", walk)
+        _tiled(monkeypatch, model, X, rows)
+        runs = []
+        for want_tapes in (False, True):
+            logits, _, aux = snn_batch_forward(model, X, T, "direct", seed=0,
+                                               want_tapes=want_tapes)
+            runs.append(_bits([logits, aux["head_cache"], aux["stats"]]))
+        assert runs[0] == runs[1], (walk, rows)
+
+
+def test_forward_rejects_multi_bit_hidden_output(monkeypatch):
+    """When the c neuron's spikes are halved, a hard run's hidden output
+    o * (c+ - c-) carries +-0.5: taped and untaped runs raise
+    MultiplierAuditError naming it, under both walks and in tiles of 1 row
+    and of the batch, although an int8 store would truncate 0.5 to 0."""
+    rng = np.random.default_rng(56)
+    model = _orders_model("direct")
+    X = rng.random((3, 5, 3))
+    real_spike = snn_module.spike
+
+    def halved_c(V, theta, gamma, relaxed):  # the c pair is the one [2, 1, 1, H] threshold
+        s = real_spike(V, theta, gamma, relaxed)
+        return s * 0.5 if np.shape(theta)[0] == 2 else s
+
+    monkeypatch.setattr(snn_module, "spike", halved_c)
+    for walk, rows in itertools.product((snn_module.WAVEFRONT_BUDGET, 0), (1, 3)):
+        monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", walk)
+        _tiled(monkeypatch, model, X, rows)
+        for want_tapes in (False, True):
+            with pytest.raises(MultiplierAuditError, match=r"^hidden output .*0\.5"):
+                snn_batch_forward(model, X, model.time_steps, "direct", seed=0,
+                                  want_tapes=want_tapes)
 
 
 def test_poisson_range_is_checked_before_any_tile_runs(monkeypatch):
