@@ -31,7 +31,7 @@ import numpy as np
 from .activations import HardActConfig
 from .errors import CheckpointFormatError
 from .lstm import GATES, AnnLSTM, ClassifierHead, LSTMWeights
-from .neuron import LIFGateParams
+from .neuron import LIF_FIELDS, LIFGateParams
 from .snn import ConversionPlan, SpikingLSTM, SpikingLSTMCell
 
 MAGIC = b"SLSTM1"
@@ -86,13 +86,10 @@ def save_model(model, path: str) -> None:
             for cell in model.cells:
                 for gate in cell.plan.spiking_gates:
                     p = cell.gate_params[gate]
-                    h = cell.hidden_dim
-                    fh.write(_f64_block(np.broadcast_to(np.asarray(p.leak, float), (h,))))
-                    fh.write(_f64_block(np.broadcast_to(np.asarray(p.threshold_pos, float), (h,))))
-                    if p.threshold_neg is not None:
-                        fh.write(_f64_block(np.broadcast_to(np.asarray(p.threshold_neg, float), (h,))))
-                    fh.write(_f64_block(np.broadcast_to(np.asarray(p.step_bias, float), (h,))))
-                    fh.write(_f64_block(np.broadcast_to(np.asarray(p.mem_init, float), (h,))))
+                    for value in (getattr(p, name) for name in LIF_FIELDS):
+                        if value is not None:  # threshold_neg: ternary gates only
+                            fh.write(_f64_block(np.broadcast_to(np.asarray(value, float),
+                                                                (cell.hidden_dim,))))
                     fh.write(struct.pack("<d", p.surrogate_gamma))
 
 
@@ -135,17 +132,11 @@ def load_model(path: str):
                 h = w.hidden_dim
                 gate_params = {}
                 for gate in plan.spiking_gates:
-                    leak = _read_f64(fh, (h,), f"lif.{gate}.leak")
-                    th_pos = _read_f64(fh, (h,), f"lif.{gate}.threshold_pos")
-                    th_neg = None
-                    if gate in ("g", "c"):
-                        th_neg = _read_f64(fh, (h,), f"lif.{gate}.threshold_neg")
-                    step_bias = _read_f64(fh, (h,), f"lif.{gate}.step_bias")
-                    mem_init = _read_f64(fh, (h,), f"lif.{gate}.mem_init")
+                    fields = {name: _read_f64(fh, (h,), f"lif.{gate}.{name}")
+                              for name in LIF_FIELDS
+                              if name != "threshold_neg" or gate in ("g", "c")}
                     gamma = struct.unpack("<d", _read(fh, 8, f"lif.{gate}.gamma"))[0]
-                    gate_params[gate] = LIFGateParams(
-                        leak=leak, threshold_pos=th_pos, threshold_neg=th_neg,
-                        step_bias=step_bias, mem_init=mem_init, surrogate_gamma=gamma)
+                    gate_params[gate] = LIFGateParams(**fields, surrogate_gamma=gamma)
                 cells.append(SpikingLSTMCell(weights=w, gate_params=gate_params,
                                              plan=plan, act=act))
             model = SpikingLSTM(cells=cells, head=head, time_steps=time_steps,

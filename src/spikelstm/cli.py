@@ -27,7 +27,7 @@ from .errors import ConfigError, SpikeLstmError, ValidationError
 from .lstm import AnnLSTM
 from .pipeline import build_schedule, latency_report, tick_trace
 from .snn import ConversionPlan, snn_batch_forward, snn_forward
-from .train import EVAL_CHUNK, TrainConfig, TrainMask, evaluate, fit
+from .train import TrainConfig, TrainMask, evaluate, fit
 from .verify import per_step_reference, run_all
 
 DATA_ROOT_ENV = "SPIKELSTM_DATA_ROOT"
@@ -347,24 +347,21 @@ def cmd_energy_report(args) -> int:
     if isinstance(model, AnnLSTM):
         raise ValidationError("energy-report needs a spiking checkpoint (compare via "
                               "the report's nonspiking baseline)")
-    chunks, sparsity_rows = [], []  # chunks: each one's energy estimate and sample count
-    for lo in range(0, limit, EVAL_CHUNK):
-        xb = test.sequences[lo:min(lo + EVAL_CHUNK, limit)]
-        _, _, aux = snn_batch_forward(model, xb, model.time_steps, model.encoding, args.seed,
-                                      first_index=lo)
-        ops = count_ops_snn(aux["stats"], model)
-        audit_multiplier_free(ops)
-        chunks.append((estimate_energy(ops), len(xb)))
-        rates = [{g: v.tolist() for g, v in layer.items()} for layer in aux["stats"].gate_rates()]
-        sparsity_rows += [{"sample": lo + b, "layer": li, **{g: v[b] for g, v in layer.items()}}
-                          for b in range(len(xb)) for li, layer in enumerate(rates)]
+    _, _, aux = snn_batch_forward(model, test.sequences[:limit], model.time_steps,
+                                  model.encoding, args.seed)
+    ops = count_ops_snn(aux["stats"], model)
+    audit_multiplier_free(ops)
+    energy = estimate_energy(ops)
+    rates = [{g: v.tolist() for g, v in layer.items()} for layer in aux["stats"].gate_rates()]
+    sparsity_rows = [{"sample": b, "layer": li, **{g: v[b] for g, v in layer.items()}}
+                     for b in range(limit) for li, layer in enumerate(rates)]
 
-    def mean(pick):  # the per-sample averages summed in sample order
-        return sum(x for e, n in chunks for x in (np.broadcast_to(pick(e), n) / limit).tolist())
+    def mean(value):  # the per-sample averages summed in sample order
+        return sum((np.broadcast_to(value, limit) / limit).tolist())
 
-    totals = {part: {key: mean(lambda e: e[part][key]) for key in chunks[0][0][part]}
+    totals = {part: {key: mean(value) for key, value in energy[part].items()}
               for part in ("digital", "neuromorphic")}
-    totals["total_flops"] = mean(lambda e: e["total_flops"])
+    totals["total_flops"] = mean(energy["total_flops"])
     ann_equiv = AnnLSTM(layers=[c.weights for c in model.cells], head=model.head, act=model.act)
     ann_ops = count_ops_ann(ann_equiv, test.sequences.shape[1])
     ann_energy = estimate_energy(ann_ops)

@@ -39,6 +39,12 @@ class LayerSpikeStats:
     hidden_nnz: np.ndarray
     gate_spikes: dict
 
+    @classmethod
+    def zeros(cls, units, fan_in, input_analog, shape, gates) -> "LayerSpikeStats":
+        """Zero tallies of a run over shape (B, N, T) for the spiking gates."""
+        return cls(units, fan_in, input_analog, np.zeros(shape, np.int64),
+                   np.zeros(shape, np.int64), {g: np.zeros(shape[0], np.int64) for g in gates})
+
     @property
     def hidden_nnz_total(self) -> int:
         return int(self.hidden_nnz.sum())

@@ -29,6 +29,11 @@ NEVER = "never"
 # floor at representable integers is representation-dependent.
 TIE_EPS = 1e-9
 
+#: LIFGateParams's trainable fields, in checkpoint and parameter-name order
+LIF_FIELDS = ("leak", "threshold_pos", "threshold_neg", "step_bias", "mem_init")
+#: the sign each bounded field must keep (threshold_neg when present)
+LIF_SIGNS = {"leak": 1, "threshold_pos": 1, "threshold_neg": -1}
+
 
 @dataclass
 class LIFGateParams:
@@ -50,12 +55,10 @@ class LIFGateParams:
         if not np.isfinite(np.concatenate(list(values.values()))).all():
             name = next(name for name, v in values.items() if not np.isfinite(v).all())
             raise ValidationError(f"{name} must be finite")
-        if (values["leak"] <= 0).any():
-            raise ValidationError("leak must be > 0")
-        if (values["threshold_pos"] <= 0).any():
-            raise ValidationError("threshold_pos must be > 0")
-        if self.threshold_neg is not None and (values["threshold_neg"] >= 0).any():
-            raise ValidationError("threshold_neg must be < 0 when present")
+        for name, sign in LIF_SIGNS.items():
+            if name in values and (sign * values[name] <= 0).any():
+                raise ValidationError(f"{name} must be {'>' if sign > 0 else '<'} 0"
+                                      + (" when present" if sign < 0 else ""))
         # gamma 0 is allowed (it collapses the surrogate support, a useful
         # training diagnostic)
         if self.surrogate_gamma < 0:

@@ -32,7 +32,7 @@ runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -423,12 +423,13 @@ def _diagonal_rows(start, count, step):
 
 
 def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
-                   want_tape: bool, input_analog: bool):
-    """Run one spiking layer over x_feed [B, N, T, F]; returns its hidden
-    spikes [N, T, B, H], LayerSpikeStats and its tape (or None). Untaped
-    hard spikes walked cell by cell are int8, each block's stored exactly
-    (a multi-bit value raises MultiplierAuditError); the rest keep the
-    dtype.
+                   want_tape: bool, stats: LayerSpikeStats, rows: slice):
+    """Run one spiking layer over x_feed [b, N, T, F], the batch rows `rows`
+    of the layer's batch-wide stats, and write its spike counts there (the
+    input's unless stats.input_analog); returns its hidden spikes
+    [N, T, b, H] and its tape (or None). Untaped hard spikes walked cell by
+    cell are int8, each block's stored exactly (a multi-bit value raises
+    MultiplierAuditError); the rest keep the dtype.
 
     Walks the (n, t) lattice in blocks of cells that share one body: whole
     anti-diagonals n + t = k in ascending t when T*B*H fits
@@ -501,26 +502,17 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     H = Hp[T:].reshape(n_elements, T, batch, hidden)
     if not relaxed:
         _assert_spikes("hidden output", H, ternary=True)
-    input_nnz = (np.zeros((batch, n_elements, T), dtype=np.int64) if input_analog
-                 else np.count_nonzero(x_feed, axis=-1))
-    span = _span(H)  # count_nonzero's bool copy is one pass's, not the lattice's
-    hidden_nnz = np.concatenate([np.count_nonzero(H[n:n + span], axis=-1)
-                                 for n in range(0, n_elements, span)])
+    span = _span(H)  # count_nonzero's bool copies are one pass's, not the lattice's
+    for n in range(0, n_elements, span):
+        elements = slice(n, n + span)
+        stats.hidden_nnz[rows, elements] = np.moveaxis(
+            np.count_nonzero(H[elements], axis=-1), -1, 0)
+        if not stats.input_analog:
+            stats.input_nnz[rows, elements] = np.count_nonzero(x_feed[:, elements], axis=-1)
     per_gate = {**dict(zip(bank_gates, spikes[0])), "c": spikes[1]}
-    stats = LayerSpikeStats(
-        units=hidden, fan_in=cell.input_dim, input_analog=input_analog, input_nnz=input_nnz,
-        hidden_nnz=np.moveaxis(hidden_nnz, -1, 0),
-        gate_spikes={g: per_gate[g].sum(axis=-1).astype(np.int64)
-                     for g in cell.plan.spiking_gates})
-    return H, stats, tape
-
-
-def _concatenate_stats(parts) -> LayerSpikeStats:
-    """One layer's LayerSpikeStats of consecutive tiles as one batch's."""
-    return replace(parts[0], **{name: np.concatenate([getattr(p, name) for p in parts])
-                                for name in ("input_nnz", "hidden_nnz")},
-                   gate_spikes={g: np.concatenate([p.gate_spikes[g] for p in parts])
-                                for g in parts[0].gate_spikes})
+    for g, counts in stats.gate_spikes.items():
+        counts[rows] = per_gate[g].sum(axis=-1)  # the cast truncates, as astype does
+    return H, tape
 
 
 def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
@@ -537,15 +529,15 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     triangle-ramp relaxation (same code path otherwise). With want_tapes
     every layer records, over the whole batch, what snn_backward cannot
     replay (_SnnLayerTape). Without, the batch runs through every layer in
-    tiles of rows (LATTICE_BUDGET), each tile encoded on its own, and the
-    head runs once on the tiles' readouts: at its peak such a run holds one
-    tile's encoded input, a layer's input lattice and its own (int8 on hard
-    spikes in a large tile), so only the readouts and spike counts grow
-    with the batch. A poisson batch's value range is checked once, before
-    the first tile. Returns (logits, tapes_or_none, aux); aux holds the
-    head cache and the SpikeStats (per-sample, per-(n, t) counts of the
-    batch) and, of a taped run only, the encoded input that snn_backward
-    reads.
+    tiles of rows (LATTICE_BUDGET), each tile encoded on its own and
+    writing its rows of the batch-wide readout and spike counts, and the
+    head runs once: at its peak such a run holds one tile's encoded input,
+    a layer's input lattice and its own (int8 on hard spikes in a large
+    tile), so only the readout and spike counts grow with the batch. A
+    poisson batch's value range is checked once, before the first tile.
+    Returns (logits, tapes_or_none, aux); aux holds the head cache and the
+    SpikeStats (per-sample, per-(n, t) counts of the batch) and, of a taped
+    run only, the encoded input that snn_backward reads.
 
     Raises NumericalFault on a non-finite membrane and, on hard spikes,
     MultiplierAuditError when a tensor that must carry spikes is not
@@ -562,32 +554,29 @@ def snn_batch_forward(model: SpikingLSTM, X: np.ndarray, T: int, encoding: str,
     # the backward reads the whole tape, so a taped run is one tile
     tile = batch if want_tapes else max(
         1, LATTICE_BUDGET // (n_elements * T * max(model.hidden_dims)))
-    tiles = []  # per tile: its readout [b, H] and its LayerSpikeStats
+    stats = SpikeStats([LayerSpikeStats.zeros(cell.hidden_dim, cell.input_dim,
+                                              li == 0 and encoding == "direct",
+                                              (batch, n_elements, T), cell.plan.spiking_gates)
+                        for li, cell in enumerate(model.cells)], encoding)
+    hbar = np.empty((batch, model.cells[-1].hidden_dim), model.dtype)  # the readout
     for lo in range(0, batch, tile):
-        tapes, layer_stats = [], []
+        rows, tapes = slice(lo, lo + tile), []
         # sample lo + b's encoding depends only on its index, so a tile moves no bit
-        x_feed = encoded = encode_sequence(X[lo:lo + tile], T, encoding, seed, first_index + lo)
+        x_feed = encoded = encode_sequence(X[rows], T, encoding, seed, first_index + lo)
         if encoding != "direct":
             _assert_spikes("encoded input", encoded, ternary=True)
-        for li, cell in enumerate(model.cells):
-            H, stats, tape = _layer_forward(cell, x_feed, relaxed, want_tapes,
-                                            input_analog=(li == 0 and encoding == "direct"))
+        for cell, layer_stats in zip(model.cells, stats.layers):
+            H, tape = _layer_forward(cell, x_feed, relaxed, want_tapes, layer_stats, rows)
             tapes.append(tape)
-            layer_stats.append(stats)
             x_feed = np.moveaxis(H, 2, 0)  # [b, N, T, H]
         # the mean over T at the model's dtype (int8's would be f64). Its sum
         # starts at add's identity, +0.0, so the -0.0 that a taped lattice
         # holds where o is silent and c fires negative reads out as the 0
         # of an int8 one: taped and untaped readouts are one bit pattern.
-        tiles.append((H[n_elements - 1].mean(axis=0, dtype=model.dtype), layer_stats))
+        H[n_elements - 1].mean(axis=0, dtype=model.dtype, out=hbar[rows])
         del H, x_feed  # else alive while the next tile's first layer allocates its own
-    if len(tiles) == 1:
-        hbar, layer_stats = tiles[0]
-    else:
-        hbar = np.concatenate([readout for readout, _ in tiles])
-        layer_stats = [_concatenate_stats(parts) for parts in zip(*(s for _, s in tiles))]
     logits, head_cache = model.head.forward_cached(hbar)
-    aux = {"head_cache": head_cache, "stats": SpikeStats(layers=layer_stats, encoding=encoding)}
+    aux = {"head_cache": head_cache, "stats": stats}
     if want_tapes:
         aux["encoded"] = encoded
     return logits, (tapes if want_tapes else None), aux

@@ -39,15 +39,13 @@ import numpy as np
 from .activations import hard_sigmoid_grad, hard_tanh_grad
 from .errors import NumericalFault, TrainingDiverged, ValidationError
 from .lstm import GATES, AnnLSTM, ann_batch_forward
-from .neuron import spike_partials, spike_slope
+from .neuron import LIF_FIELDS, LIF_SIGNS, spike_partials, spike_slope
 from .snn import SpikingLSTM, snn_batch_forward
 
 # A GradientBundle is a dict param-name -> gradient array, shapes matching
 # model_parameters(model).
 GradientBundle = dict
 
-LIF_FIELDS = ("leak", "threshold_pos", "threshold_neg", "step_bias", "mem_init")
-LIF_SIGNS = {"leak": 1, "threshold_pos": 1, "threshold_neg": -1}  # LIFGateParams's domain
 EVAL_CHUNK = 256  # samples per batched forward when evaluating a set
 
 
@@ -99,54 +97,47 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # parameter access
 
-def model_parameters(model) -> dict:
-    """Ordered name -> array view of every trainable tensor."""
-    params = {}
+def _parameter_table(model) -> dict:
+    """Ordered name -> (holder, key) of every trainable tensor, the tensor
+    being holder[key]: an LSTMWeights dict, a head [W, b] pair or the vars()
+    of a LIFGateParams (its fields that are set)."""
     if isinstance(model, AnnLSTM):
-        prefix, layers = "layers", model.layers
-        cells = None
+        prefix, layers, cells = "layers", model.layers, []
     elif isinstance(model, SpikingLSTM):
-        prefix, layers = "cells", [c.weights for c in model.cells]
-        cells = model.cells
+        prefix, cells = "cells", model.cells
+        layers = [c.weights for c in cells]
     else:
         raise ValidationError(f"unknown model type {type(model).__name__}")
-    for li, w in enumerate(layers):
-        for a in GATES:
-            params[f"{prefix}.{li}.w_x.{a}"] = w.w_x[a]
-            params[f"{prefix}.{li}.w_h.{a}"] = w.w_h[a]
-            params[f"{prefix}.{li}.b.{a}"] = w.b[a]
-    if cells is not None:
-        for li, cell in enumerate(cells):
-            for gate, lif in sorted(cell.gate_params.items()):
-                for fieldname in LIF_FIELDS:
-                    value = getattr(lif, fieldname)
-                    if value is None:
-                        continue
-                    params[f"cells.{li}.lif.{gate}.{fieldname}"] = value
-    for k, (W, b) in enumerate(model.head.weights):
-        params[f"head.{k}.W"] = W
-        params[f"head.{k}.b"] = b
-    return params
+    table = {f"{prefix}.{li}.{kind}.{a}": (getattr(w, kind), a)
+             for li, w in enumerate(layers) for a in GATES for kind in ("w_x", "w_h", "b")}
+    table.update((f"cells.{li}.lif.{gate}.{name}", (vars(lif), name))
+                 for li, cell in enumerate(cells) for gate, lif in sorted(cell.gate_params.items())
+                 for name in LIF_FIELDS if getattr(lif, name) is not None)
+    table.update((f"head.{k}.{name}", (pair, j))
+                 for k, pair in enumerate(model.head.weights) for j, name in enumerate("Wb"))
+    return table
+
+
+def model_parameters(model) -> dict:
+    """Ordered name -> array view of every trainable tensor."""
+    return {name: holder[key] for name, (holder, key) in _parameter_table(model).items()}
 
 
 def set_parameters(model, new_values: dict) -> None:
-    """Rebind parameter arrays (used for dtype switches and snapshots)."""
-    if isinstance(model, AnnLSTM):
-        layers, cells, prefix = model.layers, None, "layers"
-    else:
-        layers, cells, prefix = [c.weights for c in model.cells], model.cells, "cells"
+    """Rebind parameter arrays (used for dtype switches and snapshots). Each
+    name must be one of model_parameters(model) and each value of its
+    shape, else ValidationError before anything is rebound."""
+    table = _parameter_table(model)
     for name, value in new_values.items():
-        parts = name.split(".")
-        if parts[0] in ("layers", "cells") and parts[2] != "lif":
-            w = layers[int(parts[1])]
-            getattr(w, parts[2])[parts[3]] = value
-        elif parts[0] == "cells":
-            lif = cells[int(parts[1])].gate_params[parts[3]]
-            setattr(lif, parts[4], value)
-        elif parts[0] == "head":
-            model.head.weights[int(parts[1])][0 if parts[2] == "W" else 1] = value
-        else:
+        if name not in table:
             raise ValidationError(f"unknown parameter name {name!r}")
+        holder, key = table[name]
+        if np.shape(value) != np.shape(holder[key]):
+            raise ValidationError(f"parameter {name} has shape {np.shape(holder[key])}, "
+                                  f"got {np.shape(value)}")
+    for name, value in new_values.items():
+        holder, key = table[name]
+        holder[key] = value
 
 
 def snapshot_parameters(model) -> dict:

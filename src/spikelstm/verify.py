@@ -278,10 +278,8 @@ def per_step_reference(model, sequence, T: int | None = None, rng_seed: int = 0,
     sequence = np.asarray(sequence, dtype=model.dtype)
     n_elements = sequence.shape[0]
     stats = SpikeStats(layers=[
-        LayerSpikeStats(c.hidden_dim, c.input_dim, li == 0 and encoding == "direct",
-                        np.zeros((1, n_elements, T), dtype=np.int64),
-                        np.zeros((1, n_elements, T), dtype=np.int64),
-                        {g: np.zeros(1, dtype=np.int64) for g in c.plan.spiking_gates})
+        LayerSpikeStats.zeros(c.hidden_dim, c.input_dim, li == 0 and encoding == "direct",
+                              (1, n_elements, T), c.plan.spiking_gates)
         for li, c in enumerate(model.cells)], encoding=encoding)
     trace = [dict(tick=k, active=0, accumulates=0, macs=0, comparisons=0, spikes=0)
              for k in range(1, n_elements + T)]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,57 @@ def test_converted_stack_round_trip_bit_exact(tmp_path, plan):
     _assert_params_bit_equal(model, loaded)
     save_model(loaded, tmp_path / "again.ckpt")
     assert (tmp_path / "snn.ckpt").read_bytes() == (tmp_path / "again.ckpt").read_bytes()
+
+
+def _documented_bytes(model) -> bytes:
+    """SLSTM1 bytes as the checkpoint module's docstring lays them out."""
+    def f64(arr):
+        return struct.pack(f"<{np.size(arr)}d", *np.ravel(arr))
+
+    snn = isinstance(model, SpikingLSTM)
+    layers = [c.weights for c in model.cells] if snn else model.layers
+    head, act = model.head.weights, model.act
+    out = b"SLSTM1" + struct.pack("<BBBB", 1, int(snn), int(snn and model.encoding == "poisson"),
+                                  int(snn and model.plan.analog_gate == "g"))
+    out += struct.pack("<III", model.time_steps if snn else 0, len(layers), layers[0].input_dim)
+    out += struct.pack(f"<{len(layers)}I", *(w.hidden_dim for w in layers))
+    out += struct.pack(f"<I{len(head)}I", len(head), *(W.shape[0] for W, _ in head))
+    out += struct.pack("<ddd", act.v_sig, act.v_tanh_pos, act.v_tanh_neg)
+    for w in layers:
+        for a in ("f", "i", "g", "o"):
+            out += f64(w.w_x[a]) + f64(w.w_h[a]) + f64(w.b[a])
+    for W, b in head:
+        out += f64(W) + f64(b)
+    for cell in model.cells if snn else []:
+        spiking = "g" if cell.plan.analog_gate == "i" else "i"
+        for gate in ("f", spiking, "o", "c"):
+            p = cell.gate_params[gate]
+            out += f64(p.leak) + f64(p.threshold_pos)
+            out += f64(p.threshold_neg) if gate in ("g", "c") else b""
+            out += f64(p.step_bias) + f64(p.mem_init) + struct.pack("<d", p.surrogate_gamma)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["ann", "snn-i", "snn-g"])
+def test_file_layout_is_the_documented_one(tmp_path, kind):
+    """save_model writes exactly the documented layout: an ANN with a
+    two-layer head, and a converted two-layer SNN under either plan whose
+    LIF fields differ per gate, field and unit."""
+    rng = np.random.default_rng(6)
+    act = HardActConfig(v_sig=3.0, v_tanh_pos=2.5, v_tanh_neg=-1.5)
+    model = AnnLSTM.random(3, [4, 5], [6, 2], rng, act=act, scale=0.9)
+    if kind != "ann":
+        model = convert(model, T=3, plan=ConversionPlan(kind[-1]), encoding="poisson",
+                        surrogate_gamma=0.4)
+        for cell in model.cells:
+            for p in cell.gate_params.values():
+                h = cell.hidden_dim
+                p.leak, p.threshold_pos = rng.uniform(0.5, 1.0, h), rng.uniform(1.0, 2.0, h)
+                p.step_bias, p.mem_init = rng.normal(size=h), rng.normal(size=h)
+                if p.threshold_neg is not None:
+                    p.threshold_neg = -rng.uniform(1.0, 2.0, h)
+    save_model(model, tmp_path / "model.ckpt")
+    assert (tmp_path / "model.ckpt").read_bytes() == _documented_bytes(model)
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -250,13 +250,15 @@ def _energy_report_reference(model, test, limit, seed):
 
 
 @pytest.mark.parametrize("encoding", ["direct", "poisson"])
-def test_batched_energy_report_matches_streamed_reference(tmp_path, capsys, encoding):
-    """energy-report runs the engine over chunks; its JSON and sparsity CSV
-    equal a per-sample B=1 reference on a test split larger than a chunk."""
+def test_batched_energy_report_matches_streamed_reference(tmp_path, capsys, monkeypatch,
+                                                          encoding):
+    """energy-report runs the engine once over the whole split, here in
+    tiles of 100 rows; its JSON and sparsity CSV equal a per-sample B=1
+    reference."""
+    from spikelstm import snn as snn_module
     from spikelstm.cli import build_dataset
     from spikelstm.data import SequenceDataset, save_feature_tensor
     from spikelstm.snn import ConversionPlan
-    from spikelstm.train import EVAL_CHUNK
 
     rng = np.random.default_rng(2)  # values in [0, 1], as poisson encoding needs
     save_feature_tensor(str(tmp_path / "set.seqf"), SequenceDataset(
@@ -264,7 +266,7 @@ def test_batched_energy_report_matches_streamed_reference(tmp_path, capsys, enco
     dataset = {"kind": "seqf", "path": str(tmp_path / "set.seqf"),
                "test_fraction": 0.5, "val_fraction": 0.1}
     _, _, test = build_dataset(dataset)
-    assert len(test) > EVAL_CHUNK
+    assert len(test) > 300
     model = random_snn(3, [5, 4], [3], np.random.default_rng(7),
                        plan=ConversionPlan("g"), time_steps=3, encoding=encoding,
                        scale=1.5)
@@ -275,6 +277,7 @@ def test_batched_energy_report_matches_streamed_reference(tmp_path, capsys, enco
     model = checkpoint.load_model(ckpt)
     ds_cfg = write_json(tmp_path / "ds.json", {"config_version": 1, "dataset": dataset})
     sparsity = str(tmp_path / "sparsity.csv")
+    monkeypatch.setattr(snn_module, "LATTICE_BUDGET", 100 * 6 * 3 * 5)  # N * T * max(H) a row
     assert main(["energy-report", "--ckpt", ckpt, "--dataset-config", ds_cfg, "--seed", "5",
                  "--limit", str(len(test)), "--sparsity-out", sparsity]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -353,15 +353,17 @@ def test_packed_parameters_are_never_stale():
     assert assert_fresh(model, np.float32).dtype == np.float32
 
 
-def test_forward_rejects_non_finite_membrane(monkeypatch):
+@pytest.mark.parametrize("gate", ["o", "c"])  # a bank neuron and the c neuron
+@pytest.mark.parametrize("walk", ["wavefront", "cells"])
+def test_forward_rejects_non_finite_membrane(monkeypatch, gate, walk):
     rng = np.random.default_rng(10)
     model = random_snn(2, [3], [2], rng, time_steps=2, scale=1.0)
-    model.cells[0].gate_params["o"].step_bias = np.array([0.0, np.inf, 0.0])
+    model.cells[0].gate_params[gate].step_bias = np.array([0.0, np.inf, 0.0])
     seq = rng.random((3, 2))
-    for budget in (snn_module.WAVEFRONT_BUDGET, 0):  # by anti-diagonals, then in element order
-        monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", budget)
-        with pytest.raises(NumericalFault, match="gate o, sample 0, unit 1$"):
-            snn_forward(model, seq)
+    if walk == "cells":  # in element order rather than by anti-diagonals
+        monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", 0)
+    with pytest.raises(NumericalFault, match=f"gate {gate}, sample 0, unit 1$"):
+        snn_forward(model, seq)
 
 
 def test_forward_rejects_multi_bit_spike_input(monkeypatch):

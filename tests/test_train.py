@@ -14,8 +14,8 @@ from spikelstm.errors import TrainingDiverged, ValidationError
 from spikelstm.lstm import AnnLSTM, ClassifierHead, ann_batch_forward
 from spikelstm.snn import ConversionPlan, SpikingLSTMCell, default_gate_params
 from spikelstm.train import (Adam, TrainConfig, TrainMask, ann_backward, cast_parameters,
-                             clip_global_norm, evaluate, fit, model_parameters, snn_backward,
-                             snn_batch_forward, softmax_cross_entropy)
+                             clip_global_norm, evaluate, fit, model_parameters, set_parameters,
+                             snn_backward, snn_batch_forward, softmax_cross_entropy)
 from spikelstm.verify import check_ann_gradients, check_snn_gradients
 
 from conftest import random_snn, tape_arrays, zero_weights
@@ -288,6 +288,28 @@ def test_f32_fit_that_diverges_restores_the_callers_f64_parameters():
     for name, value in model_parameters(model).items():
         assert value.dtype == np.float64, name
         np.testing.assert_array_equal(value, initial[name])
+
+
+@pytest.mark.parametrize("name, value", [
+    ("cells.0.w_x.q", np.zeros((3, 2))),  # a fifth gate
+    ("cells.0.lif.f.threshold_neg", -np.ones(3)),  # would make the sigmoid f gate ternary
+    ("layers.0.b.f", np.zeros(3)),  # an ANN's name
+    ("cells.0.b.f", np.zeros(4)),  # the wrong shape
+])
+def test_set_parameters_rejects_what_the_model_lacks(name, value):
+    """A name the model has no tensor under, or a value of another shape,
+    raises ValidationError naming it, and no tensor is rebound, not even
+    the valid one given before it."""
+    model = random_snn(2, [3], [2], np.random.default_rng(12), scale=1.0)
+    before = model_parameters(model)
+    snapshot = {k: v.copy() for k, v in before.items()}
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        set_parameters(model, {"head.0.b": np.ones(2), name: value})
+    after = model_parameters(model)
+    assert after.keys() == before.keys()
+    for k, v in after.items():
+        assert v is before[k] and np.array_equal(v, snapshot[k]), k
+    assert model.cells[0].gate_params["f"].threshold_neg is None
 
 
 def test_fit_f32_precision_flag():
