@@ -1,0 +1,4 @@
+"""`python -m spikelstm`: the command line of cli.main."""
+from .cli import main
+
+raise SystemExit(main())

@@ -88,8 +88,7 @@ def save_model(model, path: str) -> None:
                     p = cell.gate_params[gate]
                     for value in (getattr(p, name) for name in LIF_FIELDS):
                         if value is not None:  # threshold_neg: ternary gates only
-                            fh.write(_f64_block(np.broadcast_to(np.asarray(value, float),
-                                                                (cell.hidden_dim,))))
+                            fh.write(_f64_block(value))
                     fh.write(struct.pack("<d", p.surrogate_gamma))
 
 

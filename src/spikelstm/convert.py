@@ -51,10 +51,11 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
     EVAL_CHUNK probes. A layer's tape replays its spikes and analog
     activation (no Upre) in passes of tape.replay_span() elements, as
     snn_backward does, so the replay holds a few cache-sized chunks, not
-    lattices. Each pass takes one mean over T of the bank's emitted spikes
-    (slot 2 less S_neg), the c neuron's and the analog activation into one
-    [5, N, P, H] rate array, and each (layer, gate) then takes one sum of
-    absolute errors, as over a whole-lattice replay: no bit moves.
+    lattices. Each pass takes the means over T of the four neurons' emitted
+    spikes (S_pos less S_neg on the ternary slots) and of the analog
+    activation into one [5, N, P, H] rate array, and each (layer, gate) then
+    takes one sum of absolute errors, as over a whole-lattice replay: no bit
+    moves.
 
     Returns a list of rows: {"layer": idx, "gate": name, "mae": float}.
     """
@@ -79,12 +80,11 @@ def conversion_error_report(ann_model: AnnLSTM, snn_model: SpikingLSTM,
             for first in range(0, n_elements, span):
                 elements = slice(first, first + span)
                 r = tape.replay(elements)
-                if "S_neg" in r:  # the spikes each neuron emits
-                    r["S_pos"][2] -= r["S_neg"]
-                c_pos, c_neg = r["S_c"]
-                emitted = np.concatenate([r["S_pos"], (c_pos - c_neg)[None], r["A_analog"][None]])
-                rates[:, elements] = emitted.mean(axis=2)  # [5, n, P, H]
-            rates = dict(zip(plan.bank_gates + ("c", plan.analog_gate), rates))
+                emitted, S_neg = r["S_pos"], r["S_neg"]  # the spikes each neuron emits
+                emitted[-len(S_neg):] -= S_neg
+                emitted.mean(axis=2, out=rates[:4, elements])  # [4, n, P, H]
+                r["A_analog"].mean(axis=1, out=rates[4, elements])
+            rates = dict(zip(plan.bank_gates + (plan.analog_gate,), rates))
             for a in REPORT_GATES:
                 sums.setdefault((li, a), []).append(np.abs(ann_gates[a] - rates[a]).sum())
     # a mean is its sum over the count, so one chunk gives mean()'s bits

@@ -196,9 +196,8 @@ def count_ops_snn(stats: SpikeStats, model) -> OpCountReport:
         h = s.units
         fanout = 4 * h
         recurrent_nnz = s.hidden_nnz[:, :-1].sum(axis=(1, 2))  # the last element's feed the head
-        leak_units = 0
-        for params in cell.gate_params.values():
-            leak_units += int(np.count_nonzero(np.broadcast_to(params.leak, (h,)) != 1.0))
+        leak_units = sum(int(np.count_nonzero(params.leak != 1.0))
+                         for params in cell.gate_params.values())
         layers.append(LayerOps(
             hidden=h, fan_in=s.fan_in,
             macs=direct_input_macs(cell) * n_elements if s.input_analog else 0,

@@ -15,19 +15,19 @@ snn_batch_forward is the one spiking forward and the one source of spike
 counts; snn_forward is it at B=1. It walks the (n, tau) lattice by whole
 anti-diagonals, the pipeline schedule, while the state in flight is small,
 else cell by cell in element order, with one block body on gates packed
-gate-major: one projection call per operand and one LIF bank for f, o and
-the spiking one of i/g. A taped run records per layer only what cannot be
-recomputed bit for bit (the membranes, the analog pre-activation, H and
-C); the tape replays the spikes, the membranes entering each step and the
-analog activation on demand, and only a taped run returns its encoded
-input. Without tapes it encodes and runs a large batch through all layers
-one tile of rows at a time, so at its peak it holds one tile's encoded
-input, a layer's input lattice and its own (two hidden lattices of a
-tile in a multi-layer model), bounded by LATTICE_BUDGET, not by the
-batch; in a layer that walks cell by cell its hard hidden spikes are then
-int8, one byte each, and each block's are checked to narrow exactly.
-snn_cell_step is the per-step reference cell that the oracle in `verify`
-runs.
+slot-major: one projection call per operand and every LIF quantity of the
+four spiking neurons (f, o, the spiking one of i/g and the c neuron) in one
+array. A taped run records per layer only what cannot be recomputed bit
+for bit (the membranes, the analog pre-activation, H and C); the tape
+replays the spikes, the membranes entering each step and the analog
+activation on demand, and only a taped run returns its encoded input.
+Without tapes it encodes and runs a large batch through all layers one
+tile of rows at a time, so at its peak it holds one tile's encoded input,
+a layer's input lattice and its own (two hidden lattices of a tile in a
+multi-layer model), bounded by LATTICE_BUDGET, not by the batch; in a
+layer that walks cell by cell its hard hidden spikes are then int8, one
+byte each, and each block's are checked to narrow exactly. snn_cell_step
+is the per-step reference cell that the oracle in `verify` runs.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .encoding import check_poisson_range, encode_sequence
 from .energy import LayerSpikeStats, SpikeStats, count_ops_snn
 from .errors import DimensionMismatch, MultiplierAuditError, ValidationError
 from .lstm import GATES, ClassifierHead, LSTMWeights
-from .neuron import (LIFGateParams, NeuronState, _check_finite, spike, step_sigmoid_neuron,
-                     step_tanh_neuron)
+from .neuron import (LIF_FIELDS, LIFGateParams, NeuronState, _check_finite, spike,
+                     step_sigmoid_neuron, step_tanh_neuron)
 
 SPIKE_ALPHABET = (-1.0, 0.0, 1.0)
 
@@ -65,14 +65,17 @@ class ConversionPlan:
 
     @property
     def bank_gates(self) -> tuple:
-        """The spiking gates the engine updates as one LIF bank, in bank
-        order; the c neuron, which the cell combine drives, runs apart."""
-        return ("f", "o", self.spiking_gates[1])
+        """The four spiking neurons in the engine's slot order, the ternary
+        ones last: f, o and the spiking one of i/g, which the engine
+        updates as one bank, and the c neuron, which the cell combine
+        drives."""
+        return ("f", "o", self.spiking_gates[1], "c")
 
 
 @dataclass
 class SpikingLSTMCell:
-    """Gate weights + per-gate LIF parameters + conversion plan."""
+    """Gate weights + per-gate LIF parameters + conversion plan. Each set
+    LIF field is a float array of shape [H], one value per unit."""
 
     weights: LSTMWeights
     gate_params: dict  # gate name in plan.spiking_gates -> LIFGateParams
@@ -84,12 +87,20 @@ class SpikingLSTMCell:
         if set(self.gate_params) != expected:
             raise ValidationError(
                 f"gate_params keys {sorted(self.gate_params)} != spiking gates {sorted(expected)}")
+        units = (self.hidden_dim,)
         for gate, params in self.gate_params.items():
             tanh_type = gate in ("g", "c")
             if tanh_type and not params.is_ternary:
                 raise ValidationError(f"tanh-type gate {gate!r} needs threshold_neg")
             if not tanh_type and params.is_ternary:
                 raise ValidationError(f"sigmoid-type gate {gate!r} must not carry threshold_neg")
+            for name in LIF_FIELDS:
+                value = getattr(params, name)
+                if value is not None and not (isinstance(value, np.ndarray)
+                                              and value.shape == units and value.dtype.kind == "f"):
+                    raise ValidationError(f"gate {gate!r} {name} must be a float array of shape "
+                                          f"[{units[0]}], got {np.asarray(value).dtype} "
+                                          f"of shape {np.shape(value)}")
 
     @property
     def hidden_dim(self) -> int:
@@ -241,61 +252,53 @@ def _span(lattice) -> int:
 
 
 class _GatePack:
-    """One layer's parameters packed gate-major at its dtype, in the order
-    of plan.bank_gates and then the analog gate: the projections as
-    GateProjections w_x and w_h, the bias as [4, 1, 1, H], the LIF bank's
-    vectors as [3, 1, 1, H] and the c neuron's as [1, 1, H]. Built from the
-    cell's arrays at every forward call, so no update can leave it stale."""
+    """One layer's parameters packed slot-major at its dtype: the
+    projections as GateProjections w_x and w_h and the bias as [4, 1, 1, H]
+    in the order of the bank (plan.bank_gates[:3]) and then the analog gate,
+    and the LIF vectors of the four neurons as [4, 1, 1, H] in
+    plan.bank_gates order, th_neg as [ternary, 1, 1, H] of the last
+    `ternary` slots. Built from the cell's arrays at every forward call, so
+    no update can leave it stale."""
 
     def __init__(self, cell: SpikingLSTMCell):
-        plan, w, hidden, dtype = cell.plan, cell.weights, cell.hidden_dim, cell.weights.dtype
-        self.bank_gates, self.hidden, self.dtype = plan.bank_gates, hidden, dtype
-        order = plan.bank_gates + (plan.analog_gate,)
+        plan, w, dtype = cell.plan, cell.weights, cell.weights.dtype
+        self.bank_gates, self.hidden, self.dtype = plan.bank_gates, cell.hidden_dim, dtype
+        order = plan.bank_gates[:3] + (plan.analog_gate,)
         self.w_x, self.w_h = w.projections(order)
         self.b = np.array([w.b[a] for a in order], dtype)[:, None, None]
-
-        def stack(values):
-            out = np.empty((len(values), 1, 1, hidden), dtype)
-            for slot, value in zip(out, values):
-                slot[...] = value
-            return out
-
-        bank = [cell.gate_params[g] for g in plan.bank_gates]
-        self.leak, self.th_pos, self.beta, bank_init = (
-            stack([getattr(p, name) for p in bank])
+        lif = [cell.gate_params[g] for g in plan.bank_gates]
+        self.leak, self.th_pos, self.beta, self.mem_init = (
+            np.array([getattr(p, name) for p in lif], dtype)[:, None, None]
             for name in ("leak", "threshold_pos", "step_bias", "mem_init"))
-        self.gamma = np.array([p.surrogate_gamma for p in bank], dtype)[:, None, None, None]
-        # the ternary slot 2 (spiking g) crosses threshold_neg too
-        self.th_neg = stack([bank[2].threshold_neg])[0] if bank[2].is_ternary else None
+        self.gamma = np.array([p.surrogate_gamma for p in lif], dtype)[:, None, None, None]
+        ternary = [p.threshold_neg for p in lif if p.is_ternary]
+        self.ternary, self.th_neg = len(ternary), np.array(ternary, dtype)[:, None, None]
         self.analog_i = plan.analog_gate == "i"
         self.act = cell.act
-        c = cell.gate_params["c"]
-        leak, beta, c_init = stack([c.leak, c.step_bias, c.mem_init])
-        # the c neuron's two thresholds as one [2, 1, 1, H] pair (pos, neg)
-        self.c = (leak, stack([c.threshold_pos, c.threshold_neg]), beta, c.surrogate_gamma)
-        self.mem_init = [bank_init, c_init]  # the membranes at each element's start
+        # what _cell_block reads: the bank's slots, slot 2's th_neg when g
+        # spikes, and the c neuron's slot with its thresholds as one pair
+        self.bank = (self.leak[:3], self.th_pos[:3], self.beta[:3], self.gamma[:3])
+        self.ig_neg = self.th_neg[0] if self.ternary == 2 else None
+        self.c = (self.leak[3], np.stack([self.th_pos[3], self.th_neg[-1]]), self.beta[3],
+                  self.gamma[3])
 
 
 class _SnnLayerTape:
     """Forward recordings of one spiking layer over the (n, t) lattice:
     only what the backward cannot replay bit for bit.
 
-    V is the LIF bank's membranes as the forward computes them, gate-major
-    [3, N, T, B, H] in the order of plan.bank_gates, and V_c the c
-    neuron's, [N, T, B, H]. P_analog is the analog gate's pre-activation,
-    Hp and Cp the hidden spikes and cell values behind one zero element.
-    The spikes, the membranes entering each step and the analog activation
-    are replayed from V, V_c and P_analog (replay, replay_backwards)
-    against the pack the forward ran with."""
+    V is the four neurons' membranes as the forward computes them,
+    slot-major [4, N, T, B, H] in the order of plan.bank_gates. P_analog is
+    the analog gate's pre-activation, Hp and Cp the hidden spikes and cell
+    values behind one zero element. The spikes, the membranes entering each
+    step and the analog activation are replayed from V and P_analog
+    (replay, replay_backwards) against the pack the forward ran with."""
 
     def __init__(self, pack: _GatePack, relaxed: bool, batch, n_elements, T):
         shape = (n_elements, T, batch, pack.hidden)
         self.pack, self.relaxed = pack, relaxed
-        self.V, self.V_c = np.empty((3,) + shape, pack.dtype), np.empty(shape, pack.dtype)
-        self.P_analog = np.empty(shape, pack.dtype)
-        # what a block records: [3, N, T, B, H] or [N, T, B, H]
-        self.lattices = {("V", "bank"): self.V, ("V", "c"): self.V_c,
-                         ("P_analog", None): self.P_analog}
+        self.V, self.P_analog = np.empty((4,) + shape, pack.dtype), np.empty(shape, pack.dtype)
+        self.lattices = {"V": self.V, "P_analog": self.P_analog}  # what a block records
         # H and C behind one zero element: row n of Hp/Cp is element n - 1
         self.Hp = np.empty((n_elements + 1,) + shape[1:], pack.dtype)
         self.Cp = np.empty_like(self.Hp)
@@ -309,45 +312,34 @@ class _SnnLayerTape:
                 for key, a in self.lattices.items()}
 
     def replay(self, elements: slice = slice(None), upre: bool = False) -> dict:
-        """What the forward computed from V, V_c and P_analog and did not
-        record, for the cells of a slice of elements, by the forward's own
+        """What the forward computed from V and P_analog and did not record,
+        for the cells of a slice of elements, by the forward's own
         operations and in its layout, each array's axis -4 the element:
-        S_pos, the bank's spikes, [3, n, T, B, H] in plan.bank_gates order;
-        S_neg, its ternary slot 2's negative component, when g spikes; S_c,
-        the c neuron's (positive, negative) pair, [2, n, T, B, H]; A_analog,
-        the analog gate's activation; and, with upre, which only the
-        backward asks for, Upre and Upre_c, the bank's and the c neuron's
-        membranes entering each step (mem_init at t = 0, else the
-        soft-reset membrane of step t - 1)."""
-        pack, relaxed = self.pack, self.relaxed
-        V, V_c = self.V[:, elements], self.V_c[elements]
+        S_pos, every slot's positive spike component, [4, n, T, B, H] in
+        plan.bank_gates order; S_neg, the negative one of the last
+        pack.ternary slots, [ternary, n, T, B, H]; A_analog, the analog
+        gate's activation; and, with upre, which only the backward asks for,
+        Upre, [4, n, T, B, H], the membranes entering each step (mem_init at
+        t = 0, else the soft-reset membrane of step t - 1)."""
+        pack, relaxed, ternary = self.pack, self.relaxed, -self.pack.ternary
+        V = self.V[:, elements]
 
         def per_cell(a):  # a [..., 1, 1, H] parameter stack, broadcast over [n, t, b]
             return a[..., None, :, :, :]
 
-        th_pos, gamma = per_cell(pack.th_pos), per_cell(pack.gamma)
-        out = {"S_pos": spike(V, th_pos, gamma, relaxed)}
-        if pack.th_neg is not None:
-            th_neg = per_cell(pack.th_neg)
-            out["S_neg"] = spike(V[2], th_neg, gamma[2], relaxed)
-        _, th_c, _, gamma_c = pack.c
-        th_c = per_cell(th_c)
-        out["S_c"] = spike(V_c, th_c, gamma_c, relaxed)
-        out["A_analog"] = (hard_sigmoid if pack.analog_i else hard_tanh)(
-            self.P_analog[elements], pack.act)
+        th_pos, th_neg, gamma = (per_cell(a) for a in (pack.th_pos, pack.th_neg, pack.gamma))
+        out = {"S_pos": spike(V, th_pos, gamma, relaxed),
+               "S_neg": spike(V[ternary:], th_neg, gamma[ternary:], relaxed),
+               "A_analog": (hard_sigmoid if pack.analog_i else hard_tanh)(
+                   self.P_analog[elements], pack.act)}
         if upre:
             U = np.empty_like(V)  # the step-t membranes, step t - 1's post-reset ones
-            U[:, :, 0] = pack.mem_init[0]
+            U[:, :, 0] = pack.mem_init
             post = U[:, :, 1:]
             np.multiply(th_pos, out["S_pos"][:, :, :-1], out=post)
             np.subtract(V[:, :, :-1], post, out=post)
-            if pack.th_neg is not None:
-                post[2] -= th_neg * out["S_neg"][:, :-1]
-            U_c = np.empty_like(V_c)
-            U_c[:, 0] = pack.mem_init[1]
-            c_reset = th_c * out["S_c"][:, :, :-1]
-            U_c[:, 1:] = V_c[:, :-1] - c_reset[0] - c_reset[1]
-            out["Upre"], out["Upre_c"] = U, U_c
+            post[ternary:] -= th_neg * out["S_neg"][:, :, :-1]
+            out["Upre"] = U
         return out
 
     def replay_span(self) -> int:
@@ -369,49 +361,50 @@ class _SnnLayerTape:
 
 def _cell_block(pack, x, h_in, c_in, c_out, U, tally, relaxed, tape_rows, cells):
     """The one body of a block of L cells (n, t), on [L, B, .] stacks: the
-    gate projections as [4, L, B, H], the f/o/spiking-i|g LIF bank as
-    [3, L, B, H], the cell combine and the c neuron. U and tally are
-    [bank, c] pairs of membranes and spike counts, [3, L, B, H] and
-    [L, B, H]. Writes the cell values into c_out, adds each neuron's spike
-    components into tally and, when taping, writes rows `cells` of
-    tape.rows(). Rebinds U to the post-reset membranes and returns the
-    hidden spikes."""
+    gate projections as [4, L, B, H] (slot 3 the analog gate's), the
+    f/o/spiking-i|g LIF bank in slots 0-2, the cell combine and the c
+    neuron in slot 3. U, the membranes entering the block, and tally, the
+    spike counts, are slot-major [4, L, B, H] (U may broadcast). Writes the
+    cell values into c_out, adds each neuron's spike components into tally
+    and, when taping, writes rows `cells` of tape.rows(). Returns the
+    hidden spikes and the post-reset membranes, written over P."""
     P = pack.w_x(x)
     P += pack.w_h(h_in)
     P += pack.b
     # the bank's V = leak * U + P + beta, summed in place into P: addition
     # commutes exactly. At large B each temporary saved is one pass over
     # 3*B*H elements.
+    leak, th_pos, beta, gamma = pack.bank
     V = P[:3]
-    V += pack.leak * U[0]
-    V += pack.beta
-    s_pos = spike(V, pack.th_pos, pack.gamma, relaxed)
-    tally[0] += s_pos
-    u_bank = pack.th_pos * s_pos
-    np.subtract(V, u_bank, out=u_bank)
+    V += leak * U[:3]
+    V += beta
+    s_pos = spike(V, th_pos, gamma, relaxed)
+    tally[:3] += s_pos
     s_ig = s_pos[2]
-    if pack.th_neg is not None:
-        s_neg = spike(V[2], pack.th_neg, pack.gamma[2], relaxed)
-        tally[0][2] += s_neg
-        u_bank[2] -= pack.th_neg * s_neg
+    if pack.ig_neg is not None:
+        s_neg = spike(V[2], pack.ig_neg, gamma[2], relaxed)
+        tally[2] += s_neg
         s_ig = s_ig - s_neg
     analog = (hard_sigmoid if pack.analog_i else hard_tanh)(P[3], pack.act)
     i_val, g_val = (analog, s_ig) if pack.analog_i else (s_ig, analog)
     drive = s_pos[0] * c_in + i_val * g_val  # the cell combine drives the c neuron
     c_out[...] = drive
     leak, th_c, beta, gamma = pack.c
-    V_c = leak * U[1] + drive + beta
+    V_c = leak * U[3] + drive + beta
     c_pos, c_neg = s_c = spike(V_c, th_c, gamma, relaxed)
-    tally[1] += c_pos
-    tally[1] += c_neg
+    tally[3] += c_pos
+    tally[3] += c_neg
     if tape_rows is not None:  # the rest replays from these (_SnnLayerTape.replay)
-        record = {("V", "bank"): V, ("V", "c"): V_c, ("P_analog", None): P[3]}
-        for key, value in record.items():
-            tape_rows[key][..., cells, :, :] = value
-    U[0] = u_bank
+        V_rows = tape_rows["V"]
+        V_rows[:3, cells], V_rows[3, cells] = V, V_c
+        tape_rows["P_analog"][cells] = P[3]
+    V -= th_pos * s_pos  # P becomes the post-reset membranes
+    if pack.ig_neg is not None:
+        V[2] -= pack.ig_neg * s_neg
     c_reset = th_c * s_c
-    U[1] = V_c - c_reset[0] - c_reset[1]
-    return s_pos[1] * (c_pos - c_neg)
+    np.subtract(V_c, c_reset[0], out=P[3])
+    P[3] -= c_reset[1]
+    return s_pos[1] * (c_pos - c_neg), P
 
 
 def _diagonal_rows(start, count, step):
@@ -436,8 +429,8 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     WAVEFRONT_BUDGET, else single cells in element order. Cell (n, t) reads
     (n - 1, t) through h and c and (n, t - 1) through the membranes, so
     either way a block reads only what earlier blocks wrote, and both walks
-    give the same bits. The membranes, spike counts and taped lattices of
-    the LIF bank and of the c neuron are [bank, c] pairs whose axis -3 is
+    give the same bits. The membranes, spike counts and taped membranes
+    are slot-major [4, ...] arrays in plan.bank_gates order whose axis -3 is
     the step (or the lattice row).
     """
     batch, n_elements, T, n_in = x_feed.shape
@@ -450,10 +443,9 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
     narrow = not (relaxed or want_tape or wavefront)
     pack = _GatePack(cell)
     tape = _SnnLayerTape(pack, relaxed, batch, n_elements, T) if want_tape else None
-    bank_gates = cell.plan.bank_gates
     # spike components summed over (n, t): the nonzero count of hard
     # spikes, at the cost of one add per component and block
-    spikes = [np.zeros((3, batch, hidden), dtype=dtype), np.zeros((batch, hidden), dtype=dtype)]
+    spikes = np.zeros((4, batch, hidden), dtype=dtype)
     # x, the taped lattices, and H and C behind their zero element, as views
     # whose row n*T + t is cell (n, t): a block is one basic slice of each
     x_rows = x_feed.reshape(batch, n_elements * T, n_in)
@@ -466,14 +458,13 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
         c_step = np.zeros((T, batch, hidden), dtype=dtype)  # c of the last element at each t
     if wavefront:
         # membranes entering step t, at row t; row 0 is mem_init
-        M = [np.empty(s.shape[:-2] + (T + 1, batch, hidden), dtype=dtype) for s in spikes]
-        for m, u0 in zip(M, pack.mem_init):
-            m[..., 0, :, :] = u0[..., 0, :, :]
-        tally = [np.zeros(s.shape[:-2] + (T, batch, hidden), dtype=dtype) for s in spikes]
+        M = np.empty((4, T + 1, batch, hidden), dtype=dtype)
+        M[:, 0] = pack.mem_init[:, 0]
+        tally = np.zeros((4, T, batch, hidden), dtype=dtype)
         blocks = ((k, max(0, k - n_elements + 1), min(T - 1, k))
                   for k in range(n_elements + T - 1))
-    else:  # one membrane pair, rebound at each step: a store would spill the L2
-        tally = [s[..., None, :, :] for s in spikes]
+    else:  # one membrane array, rebound at each step: a store would spill the L2
+        tally = spikes[:, None]
         blocks = ((n + t, t, t) for n in range(n_elements) for t in range(T))
     for k, t0, t1 in blocks:
         count, steps = t1 - t0 + 1, slice(t0, t1 + 1)
@@ -481,24 +472,20 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
         ahead = _diagonal_rows((k + 1) * T - t0 * (T - 1), count, T - 1)  # the same cells in Hp
         c_in, c_out = (Cp[cells], Cp[ahead]) if tape is not None else (c_step[steps],) * 2
         if wavefront:
-            U = [m[..., steps, :, :] for m in M]
+            U = M[:, steps]
         elif t0 == 0:
-            U = list(pack.mem_init)
-        h = _cell_block(pack, x_rows[:, cells].swapaxes(0, 1), Hp[cells], c_in, c_out,
-                        U, [s[..., steps, :, :] for s in tally] if wavefront else tally,
-                        relaxed, tape_rows, cells)
+            U = pack.mem_init
+        h, U = _cell_block(pack, x_rows[:, cells].swapaxes(0, 1), Hp[cells], c_in, c_out, U,
+                           tally[:, steps] if wavefront else tally, relaxed, tape_rows, cells)
         Hp[ahead] = h
         if narrow and np.count_nonzero(Hp[ahead] != h):  # int8 truncated a multi-bit value
             _assert_spikes("hidden output", h, ternary=True)
         if wavefront:
-            for m, u in zip(M, U):
-                m[..., t0 + 1:t1 + 2, :, :] = u
+            M[:, t0 + 1:t1 + 2] = U
         if t1 == T - 1:  # element k - T + 1 ends: a non-finite membrane stays so until then
-            _check_finite(U[0][:, -1], bank_gates)
-            _check_finite(U[1][-1:], ("c",))
+            _check_finite(U[:, -1], pack.bank_gates)
     if wavefront:
-        for s, counts in zip(spikes, tally):
-            s += counts.sum(axis=-3)
+        spikes += tally.sum(axis=-3)
     H = Hp[T:].reshape(n_elements, T, batch, hidden)
     if not relaxed:
         _assert_spikes("hidden output", H, ternary=True)
@@ -509,7 +496,7 @@ def _layer_forward(cell: SpikingLSTMCell, x_feed: np.ndarray, relaxed: bool,
             np.count_nonzero(H[elements], axis=-1), -1, 0)
         if not stats.input_analog:
             stats.input_nnz[rows, elements] = np.count_nonzero(x_feed[:, elements], axis=-1)
-    per_gate = {**dict(zip(bank_gates, spikes[0])), "c": spikes[1]}
+    per_gate = dict(zip(pack.bank_gates, spikes))
     for g, counts in stats.gate_spikes.items():
         counts[rows] = per_gate[g].sum(axis=-1)  # the cast truncates, as astype does
     return H, tape

@@ -15,8 +15,8 @@ carries gradient by default. The tape holds the membranes, the analog
 pre-activation, H and C; the backward replays each element's spikes,
 entering membranes and analog activation from it (tape.replay_backwards),
 in passes small enough that the temporaries stay in cache, and reads them
-in the forward's layout: per cell, one LIF backward for the [3, B, H] bank
-and one for the c neuron, in descending (n, t).
+in the forward's slot-major layout: per cell, one LIF backward for the c
+neuron's slot 3 and one for the bank's slots 0-2, in descending (n, t).
 
 The hard and relaxed SNN modes share one backward; `relaxed=True` switches
 the forward to the triangle-ramp relaxation of every spike (whose exact
@@ -125,8 +125,9 @@ def model_parameters(model) -> dict:
 
 def set_parameters(model, new_values: dict) -> None:
     """Rebind parameter arrays (used for dtype switches and snapshots). Each
-    name must be one of model_parameters(model) and each value of its
-    shape, else ValidationError before anything is rebound."""
+    name must be one of model_parameters(model), each value of its shape,
+    and every tensor of the model must afterwards share one floating dtype,
+    else ValidationError before anything is rebound."""
     table = _parameter_table(model)
     for name, value in new_values.items():
         if name not in table:
@@ -135,6 +136,15 @@ def set_parameters(model, new_values: dict) -> None:
         if np.shape(value) != np.shape(holder[key]):
             raise ValidationError(f"parameter {name} has shape {np.shape(holder[key])}, "
                                   f"got {np.shape(value)}")
+    after = {name: np.asarray(new_values[name] if name in new_values else holder[key]).dtype
+             for name, (holder, key) in table.items()}
+    want = after[next((name for name in table if name not in new_values), next(iter(after)))]
+    for name, dtype in after.items():
+        if not np.issubdtype(dtype, np.floating):
+            raise ValidationError(f"parameter {name} would have dtype {dtype}, not a floating one")
+        if dtype != want:
+            raise ValidationError(f"parameter {name} would have dtype {dtype}, the model's "
+                                  f"other tensors {want}")
     for name, value in new_values.items():
         holder, key = table[name]
         holder[key] = value
@@ -269,13 +279,14 @@ def _spike_backward(V, theta, gamma, ds, reset, grad, relaxed):
 
 
 def _lif_backward(params, V, s_pos, s_neg, upre, ds, D, grads, first, relaxed):
-    """Backward of one step of a [slots, B, H] LIF bank: f/o/spiking-i|g,
-    or the c neuron as one slot. params are the forward's (leak, th_pos,
-    th_neg, gamma); th_neg, when set, and s_neg [B, H] are the last slot's
-    ternary component. ds and D are the gradients into the emitted spikes
-    and the post-reset membranes. Adds into grads, a [len(LIF_FIELDS),
-    slots, H] buffer (mem_init at the `first` step only), and returns dL/dV,
-    also the gradient into the drive, and the previous step's D."""
+    """Backward of one step of [slots, B, H] LIF neurons: the bank's slots
+    0-2 (f/o/spiking-i|g) or the c neuron's slot 3. params are the
+    forward's (leak, th_pos, th_neg, gamma); th_neg, when set, and s_neg
+    [B, H] are the last slot's ternary component. ds and D are the
+    gradients into the emitted spikes and the post-reset membranes. Adds
+    into grads, a [len(LIF_FIELDS), slots, H] buffer (mem_init at the
+    `first` step only), and returns dL/dV, also the gradient into the
+    drive, and the previous step's D."""
     leak, th_p, th_n, gamma = params
     ds_pos = ds - D * th_p
     dV = D + _spike_backward(V, th_p, gamma, ds_pos, D * s_pos, grads[1], relaxed)
@@ -332,44 +343,43 @@ def snn_backward(model: SpikingLSTM, batch, seed: int = 0, relaxed: bool = False
         dX_out = np.zeros_like(tapes[li - 1].H) if want_dx else None
         x_feed = aux["encoded"] if li == 0 else np.moveaxis(tapes[li - 1].H, 2, 0)
         # the bank's and the c neuron's (leak, th_pos, th_neg, gamma) as
-        # [slots, 1, H] stacks; th_neg and gamma[-1] act on the last slot
-        leak_c, th_c, _, gamma_c = pack.c
-        bank = (pack.leak[:, 0], pack.th_pos[:, 0],
-                None if pack.th_neg is None else pack.th_neg[0], pack.gamma[:, 0])
-        c = (leak_c, th_c[0], th_c[1, 0], np.full((1, 1, 1), gamma_c, pack.dtype))
-        # the LIF gradients, [field, slot, H]: the bank's slots, then c's
-        lif = np.zeros((len(LIF_FIELDS), 4, pack.hidden), pack.dtype)
+        # [slots, 1, H] views; th_neg and gamma[-1] act on the last slot
+        leak, th_pos, th_neg, gamma = (a[:, 0] for a in (pack.leak, pack.th_pos, pack.th_neg,
+                                                          pack.gamma))
+        bank = (leak[:3], th_pos[:3], th_neg[0] if pack.ternary == 2 else None, gamma[:3])
+        c = (leak[3:], th_pos[3:], th_neg[-1], gamma[3:])
+        lif = np.zeros((len(LIF_FIELDS), 4, pack.hidden), pack.dtype)  # [field, slot, H]
 
         dH_next, dC_next = np.zeros_like(tape.H[0]), np.zeros_like(tape.H[0])  # [T, B, H]
         ds = np.empty((3,) + dH_next.shape[1:], pack.dtype)  # into the bank's emitted spikes
         for n, r in tape.replay_backwards():  # element n's spikes, Upre, A_analog
             dH_prev, dC_prev = np.zeros_like(dH_next), np.zeros_like(dC_next)
             D, D_c = np.zeros_like(ds), np.zeros_like(ds[:1])  # into post-reset membranes
-            S_pos, S_neg, S_c = r["S_pos"], r.get("S_neg"), r["S_c"]
+            V, S_pos, S_neg, Upre = tape.V[:, n], r["S_pos"], r["S_neg"], r["Upre"]
+            ig_neg = S_neg[0] if pack.ternary == 2 else None  # the spiking g's
             for t in range(T - 1, -1, -1):
                 dh = dH_seed[n, t] + dH_next[t]
-                np.multiply(dh, S_c[0, t] - S_c[1, t], out=ds[1])  # o
-                dV_c, D_c = _lif_backward(c, tape.V_c[n, t, None], S_c[:1, t], S_c[1, t],
-                                          r["Upre_c"][t, None], dh * S_pos[1:2, t], D_c,
-                                          lif[:, 3:], t == 0, relaxed)
+                np.multiply(dh, S_pos[3, t] - S_neg[-1, t], out=ds[1])  # o
+                dV_c, D_c = _lif_backward(c, V[3:, t], S_pos[3:, t], S_neg[-1, t], Upre[3:, t],
+                                          dh * S_pos[1:2, t], D_c, lif[:, 3:], t == 0, relaxed)
                 # --- cell combine ---
                 dc_total = dC_next[t] + dV_c[0]
                 np.multiply(dc_total, tape.Cp[n, t], out=ds[0])  # f, by c of element n - 1
                 dC_prev[t] += dc_total * S_pos[0, t]
                 np.multiply(dc_total, r["A_analog"][t], out=ds[2])  # the spiking one of i/g
-                dA = dc_total * (S_pos[2, t] if S_neg is None else S_pos[2, t] - S_neg[t])
+                dA = dc_total * (S_pos[2, t] if ig_neg is None else S_pos[2, t] - ig_neg[t])
                 # --- the spiking bank, then the analog gate ---
-                dV, D = _lif_backward(bank, tape.V[:, n, t], S_pos[:, t],
-                                      None if S_neg is None else S_neg[t], r["Upre"][:, t], ds,
+                dV, D = _lif_backward(bank, V[:3, t], S_pos[:3, t],
+                                      None if ig_neg is None else ig_neg[t], Upre[:3, t], ds,
                                       D, lif[:, :3], t == 0, relaxed)
-                dP = dict(zip(pack.bank_gates, dV))
+                dP = dict(zip(pack.bank_gates[:3], dV))
                 dP[cell.plan.analog_gate] = dA * analog_grad(tape.P_analog[n, t], cell.act)
                 # --- projections ---
                 _projection_backward(cell.weights, dP, x_feed[:, n, t], tape.Hp[n, t], grads, gp,
                                      dH_prev[t] if n > 0 else None,
                                      dX_out[n, t] if want_dx else None)
             dH_next, dC_next = dH_prev, dC_prev
-        for gate, by_field in zip(pack.bank_gates + ("c",), lif.swapaxes(0, 1)):
+        for gate, by_field in zip(pack.bank_gates, lif.swapaxes(0, 1)):
             for name, value in zip(LIF_FIELDS, by_field):  # threshold_neg: ternary ones only
                 if f"{gp}.lif.{gate}.{name}" in grads:
                     grads[f"{gp}.lif.{gate}.{name}"] += value

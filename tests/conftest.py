@@ -33,25 +33,21 @@ def random_snn(input_dim, hidden_dims, head_dims, rng, time_steps=2, scale=0.1, 
 
 
 def flat_replay(replayed: dict, bank_gates) -> dict:
-    """A tape.replay() result by (name, gate), its bank read through
-    plan.bank_gates: the bank's S_pos and Upre per gate, the ternary slot
-    2's S_neg under its gate, the c neuron's pair as S_pos/S_neg and its
-    Upre_c as Upre under "c", and A_analog under gate None."""
+    """A tape.replay() result by (name, gate), its slots read through the
+    four plan.bank_gates: S_pos and Upre per gate, S_neg per ternary gate
+    (the last ones), and A_analog under gate None."""
     out = {("A_analog", None): replayed["A_analog"]}
     for name in ("S_pos", "Upre"):
         if name in replayed:
             out.update({(name, g): a for g, a in zip(bank_gates, replayed[name])})
-    if "S_neg" in replayed:
-        out["S_neg", bank_gates[2]] = replayed["S_neg"]
-    out["S_pos", "c"], out["S_neg", "c"] = replayed["S_c"]
-    if "Upre_c" in replayed:
-        out["Upre", "c"] = replayed["Upre_c"]
+    S_neg = replayed["S_neg"]
+    out.update({("S_neg", g): a for g, a in zip(bank_gates[-len(S_neg):], S_neg)})
     return out
 
 
 def tape_arrays(tape) -> dict:
-    """A taped layer's recorded lattices (a bank under gate "bank") and its
-    whole-lattice replay with Upre, by (name, gate)."""
+    """A taped layer's recorded lattices (V of all four slots under "V")
+    and its whole-lattice replay with Upre, by (name, gate)."""
     return {**tape.lattices, **flat_replay(tape.replay(upre=True), tape.pack.bank_gates)}
 
 

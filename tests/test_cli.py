@@ -1,10 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spikelstm
 from spikelstm import checkpoint
 from spikelstm.cli import main
 from spikelstm.lstm import AnnLSTM
@@ -442,3 +445,13 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, command, overrides
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    """`python -m spikelstm` is the command line: --version exits 0."""
+    src = os.path.dirname(os.path.dirname(spikelstm.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "spikelstm", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"spikelstm {spikelstm.__version__}"

@@ -50,6 +50,23 @@ def test_cell_rejects_mismatched_gate_params():
         SpikingLSTMCell(weights=zero_weights(1, 1), gate_params=params, plan=plan, act=CFG)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("leak", 1.0),  # a scalar
+    ("mem_init", np.zeros(2)),  # one value short
+    ("threshold_pos", np.ones(3, np.int64)),  # not a float array
+    ("threshold_neg", [-1.0, -1.0, -1.0]),  # not an array
+])
+def test_cell_takes_only_per_unit_lif_fields(field, value):
+    """A set LIF field that is not a float array of shape [H] raises
+    ValidationError naming the gate and the field, where the cell is
+    built, not later in snapshot_parameters or snn_backward."""
+    plan = ConversionPlan("g")
+    params = default_gate_params(plan, CFG, 3)
+    params["c"] = dataclasses.replace(params["c"], **{field: value})
+    with pytest.raises(ValidationError, match=f"gate 'c' {field} must be a float array"):
+        SpikingLSTMCell(weights=zero_weights(2, 3), gate_params=params, plan=plan, act=CFG)
+
+
 @pytest.mark.parametrize("plan, act, name", [("g", CFG, "plan"),
                                              ("i", HardActConfig(v_sig=2.0), "act")])
 def test_model_rejects_layers_that_differ_in_plan_or_act(plan, act, name):
@@ -366,6 +383,27 @@ def test_forward_rejects_non_finite_membrane(monkeypatch, gate, walk):
         snn_forward(model, seq)
 
 
+@pytest.mark.parametrize("walk", ["wavefront", "cells"])
+def test_each_element_end_makes_one_finite_check(monkeypatch, walk):
+    """The four neurons' post-reset membranes are one slot-major array, so
+    each element's end checks them with one _check_finite call, over
+    [4, B, H], under either walk."""
+    rng = np.random.default_rng(10)
+    model = random_snn(2, [3, 4], [2], rng, time_steps=3, scale=1.0)
+    check, calls = snn_module._check_finite, []
+
+    def counted(membrane, gates):
+        calls.append((membrane.shape, gates))
+        check(membrane, gates)
+
+    monkeypatch.setattr(snn_module, "_check_finite", counted)
+    if walk == "cells":
+        monkeypatch.setattr(snn_module, "WAVEFRONT_BUDGET", 0)
+    snn_batch_forward(model, rng.random((2, 5, 2)), 3, "direct", seed=0)
+    gates = model.plan.bank_gates
+    assert calls == [((4, 2, 3), gates)] * 5 + [((4, 2, 4), gates)] * 5
+
+
 def test_forward_rejects_multi_bit_spike_input(monkeypatch):
     rng = np.random.default_rng(11)
     model = random_snn(2, [3], [2], rng, time_steps=2, encoding="poisson")
@@ -540,9 +578,8 @@ def test_replay_reads_the_parameters_the_forward_ran_with(plan):
 @pytest.mark.parametrize("plan", ["g", "i"])
 def test_a_tape_holds_four_membrane_lattices_p_analog_hp_and_cp(plan):
     """The arrays a taped layer holds besides its parameter pack, views
-    resolved to their base, add up to the bank's three V lattices, the c
-    neuron's, P_analog, and Hp and Cp, one zero element longer; and the
-    zero elements are zero."""
+    resolved to their base, add up to V's four lattices, P_analog, and Hp
+    and Cp, one zero element longer; and the zero elements are zero."""
     rng = np.random.default_rng(48)
     batch, n_elements, T, feats = 5, 6, 3, 4
     model = random_snn(feats, [7, 9], [3], rng, plan=ConversionPlan(plan), time_steps=T,
@@ -765,15 +802,16 @@ def test_poisson_range_is_checked_before_any_tile_runs(monkeypatch):
 
 @pytest.mark.parametrize("plan", ["g", "i"])
 def test_replay_makes_upre_only_when_asked(plan):
-    """replay() leaves Upre out; with upre=True it adds it, and every other
-    array is the same bits."""
+    """replay() gives S_pos, S_neg and A_analog; with upre=True it adds
+    Upre, and every other array is the same bits."""
     rng = np.random.default_rng(51)
     model = random_snn(3, [5], [2], rng, plan=ConversionPlan(plan), time_steps=3, scale=1.5)
     _, tapes, _ = snn_batch_forward(model, rng.random((4, 5, 3)), 3, "direct", seed=0,
                                     want_tapes=True)
     lean, full = tapes[0].replay(slice(1, 4)), tapes[0].replay(slice(1, 4), upre=True)
     upre = {gate for name, gate in flat_replay(full, model.plan.bank_gates) if name == "Upre"}
-    assert "Upre" not in lean and "Upre_c" not in lean
+    assert set(lean) == {"S_pos", "S_neg", "A_analog"}
+    assert set(full) == {"S_pos", "S_neg", "Upre", "A_analog"}
     assert upre == set(model.cells[0].gate_params)
-    del full["Upre"], full["Upre_c"]
+    del full["Upre"]
     assert _bits(lean) == _bits(full)

@@ -295,11 +295,14 @@ def test_f32_fit_that_diverges_restores_the_callers_f64_parameters():
     ("cells.0.lif.f.threshold_neg", -np.ones(3)),  # would make the sigmoid f gate ternary
     ("layers.0.b.f", np.zeros(3)),  # an ANN's name
     ("cells.0.b.f", np.zeros(4)),  # the wrong shape
+    ("cells.0.w_x.f", np.ones((3, 2), np.int64)),  # not a floating dtype
+    ("cells.0.lif.c.leak", np.ones(3, np.float32)),  # a second floating dtype
 ])
 def test_set_parameters_rejects_what_the_model_lacks(name, value):
-    """A name the model has no tensor under, or a value of another shape,
-    raises ValidationError naming it, and no tensor is rebound, not even
-    the valid one given before it."""
+    """A name the model has no tensor under, a value of another shape, or
+    one that would leave the model's tensors without one shared floating
+    dtype raises ValidationError naming it, and no tensor is rebound, not
+    even the valid one given before it."""
     model = random_snn(2, [3], [2], np.random.default_rng(12), scale=1.0)
     before = model_parameters(model)
     snapshot = {k: v.copy() for k, v in before.items()}
