@@ -57,6 +57,8 @@ def _read_f64(fh, shape, what) -> np.ndarray:
 def save_model(model, path: str) -> None:
     is_snn = isinstance(model, SpikingLSTM)
     if is_snn:
+        for cell in model.cells:  # fields may be rebound after construction: check first
+            cell.check_gate_params()
         layers = [c.weights for c in model.cells]
         encoding = 1 if model.encoding == "poisson" else 0
         analog = 1 if model.plan.analog_gate == "g" else 0

@@ -2,8 +2,9 @@
 
 Subcommands: train-ann, convert, train-snn, eval, pipeline-sim,
 energy-report, verify. Configs are JSON with a required config_version;
-unknown fields are rejected with their path. Dataset paths may be
-relative to $SPIKELSTM_DATA_ROOT. Exit codes: 0 success, 1 runtime
+each section is read against one table of its fields (read_section), so an
+unknown field or a malformed value is rejected with its path. Dataset paths
+may be relative to $SPIKELSTM_DATA_ROOT. Exit codes: 0 success, 1 runtime
 failure, 2 config/validation failure.
 """
 
@@ -33,6 +34,79 @@ from .verify import per_step_reference, run_all
 DATA_ROOT_ENV = "SPIKELSTM_DATA_ROOT"
 CONFIG_VERSION = 1
 
+# Each config section is one table: field -> (kind, least, default). `least`
+# bounds a number, or each item of a list, from below. A field missing or
+# null takes its default; a default of None leaves the field out, so the
+# library call it feeds keeps its own default, and REQUIRED fields must be
+# given.
+REQUIRED = object()
+TOP = {"config_version": (int, None, REQUIRED), "dataset": (dict, None, REQUIRED)}
+TRAIN_TOP = {**TOP, "seed": (int, 0, 0), "model": (dict, None, {}), "train": (dict, None, {}),
+             "out_dir": (str, None, REQUIRED)}
+TRAIN_SNN_TOP = {**TRAIN_TOP, "snn": (dict, None, REQUIRED)}
+DATASET = {"kind": (str, None, REQUIRED), "size": (int, 1, 600), "seed": (int, 0, 1),
+           "n_classes": (int, 1, None), "n_elements": (int, 1, None),
+           "n_features": (int, 1, None), "noise": (float, 0, 0.5), "dir": (str, None, None),
+           "path": (str, None, None), "pad_to": (int, None, None),
+           "limit_train": (int, 1, None), "val_fraction": (float, None, None),
+           "test_fraction": (float, None, 0.15), "split_seed": (int, 0, 0)}
+MODEL = {"hidden": (list, 1, (8,)), "head": (list, 1, ()), "v_sig": (float, None, None),
+         "v_tanh_pos": (float, None, None), "v_tanh_neg": (float, None, None),
+         "init_scale": (float, 0, 0.3), "init_seed": (int, 0, 0),
+         "forget_bias": (float, None, None)}
+TRAIN = {"epochs": (int, 1, None), "batch_size": (int, 1, None), "lr": (float, None, None),
+         "grad_clip": (float, None, None), "precision": (str, None, None),
+         "lr_decay_epochs": (list, 0, None), "lr_decay_factor": (float, None, None)}
+SNN = {"init_checkpoint": (str, None, None), "time_steps": (int, None, 2),
+       "encoding": (str, None, None), "analog_gate": (str, None, None),
+       "shift": (bool, None, None), "surrogate_gamma": (float, None, None),
+       **{f"train_{key}": (bool, None, None)
+          for key in ("threshold", "leak", "init", "bias")}}
+KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
+              str: "a string", list: "a list of integers", dict: "an object"}
+
+
+def _of_kind(value, kind) -> bool:
+    if isinstance(value, bool) or kind is bool:  # a JSON boolean is no number
+        return isinstance(value, bool) and kind is bool
+    if kind is float:  # NaN fails the comparison; an int too large for a float fails it too
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind is list:
+        return isinstance(value, list) and all(_of_kind(item, int) for item in value)
+    return isinstance(value, kind)
+
+
+def read_section(section, table: dict, path: str) -> dict:
+    """The fields of one config section, checked against its table: each
+    given field, else its default unless that is None; a list as a tuple.
+    Every ConfigError names path.field."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for key in section:
+        if key not in table:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    fields = {}
+    for key, (kind, least, default) in table.items():
+        value = section.get(key)
+        if value is None:
+            if default is REQUIRED:
+                raise ConfigError(f"{path}.{key}: required")
+            if default is not None:
+                fields[key] = default
+            continue
+        if not _of_kind(value, kind) or least is not None and any(
+                item < least for item in (value if kind is list else [value])):
+            bound = "" if least is None else f" >= {least}"
+            raise ConfigError(f"{path}.{key}: expected {KIND_NAMES[kind]}{bound}, got {value!r}")
+        fields[key] = tuple(value) if kind is list else value
+    return fields
+
+
+def _given(fields: dict, *keys) -> dict:
+    """The named fields a section holds, as keyword arguments to a library
+    call that keeps its own defaults for the others."""
+    return {key: fields[key] for key in keys if key in fields}
+
 
 def _resolve(path: str) -> str:
     if os.path.isabs(path):
@@ -40,56 +114,8 @@ def _resolve(path: str) -> str:
     return os.path.join(os.environ.get(DATA_ROOT_ENV, "."), path)
 
 
-def _expect_keys(obj: dict, allowed, required, path: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {unknown}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        raise ConfigError(f"{path}: missing required field(s) {missing}")
-
-
-def _typed(obj: dict, key: str, kinds, path: str, default=None):
-    if key not in obj or obj[key] is None:
-        return default
-    value = obj[key]
-    if kinds is bool and not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a boolean")
-    if kinds is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    if kinds is float and not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    if kinds is str and not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}: expected a string")
-    if kinds is list and not isinstance(value, list):
-        raise ConfigError(f"{path}.{key}: expected a list")
-    return value
-
-
-def _count(obj: dict, key: str, path: str, default: int | None, least: int = 1) -> int:
-    value = _typed(obj, key, int, path, default)
-    if value is not None and value < least:
-        raise ConfigError(f"{path}.{key}: expected an integer >= {least}, got {value}")
-    return value
-
-
-def _nonnegative(obj: dict, key: str, path: str, default: float) -> float:
-    value = _typed(obj, key, float, path, default)
-    if value < 0:
-        raise ConfigError(f"{path}.{key}: expected a number >= 0, got {value}")
-    return value
-
-
-def _int_list(obj: dict, key: str, path: str, default: list, least: int = 1) -> list:
-    values = _typed(obj, key, list, path, default)
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= least for v in values):
-        raise ConfigError(f"{path}.{key}: expected a list of integers >= {least}, got {values!r}")
-    return values
-
-
-def load_config(path: str) -> dict:
+def load_config(path: str, table: dict) -> dict:
+    """The top level of a JSON config file, read against `table`."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -97,114 +123,70 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON ({err})")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    version = cfg.get("config_version")
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"{path}: config_version must be {CONFIG_VERSION}, got {version!r}")
+    cfg = read_section(cfg, table, "config")
+    if cfg["config_version"] != CONFIG_VERSION:
+        raise ConfigError(f"config.config_version: expected {CONFIG_VERSION}, "
+                          f"got {cfg['config_version']}")
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # dataset / model builders
 
-_DATASET_KEYS = ("kind", "size", "seed", "n_classes", "n_elements", "n_features",
-                 "noise", "dir", "path", "pad_to", "limit_train", "val_fraction",
-                 "test_fraction", "split_seed")
-
-
 def build_dataset(cfg: dict, path: str = "dataset"):
     """Returns (train, val, test) SequenceDatasets."""
-    _expect_keys(cfg, _DATASET_KEYS, ("kind",), path)
-    kind = _typed(cfg, "kind", str, path)
-    val_fraction = _typed(cfg, "val_fraction", float, path, 0.15)
-    test_fraction = _typed(cfg, "test_fraction", float, path, 0.15)
-    split_seed = _count(cfg, "split_seed", path, 0, least=0)
+    ds = read_section(cfg, DATASET, path)
+    kind, split_seed = ds["kind"], ds["split_seed"]
+    fractions = _given(ds, "val_fraction", "test_fraction")
     if kind in ("synthetic-planted", "synthetic-recall"):
-        ds = synthetic_task(
+        full = synthetic_task(
             "planted-pattern" if kind == "synthetic-planted" else "delayed-recall",
-            size=_count(cfg, "size", path, 600),
-            seed=_count(cfg, "seed", path, 1, least=0),
-            n_classes=_count(cfg, "n_classes", path, 3),
-            n_elements=_count(cfg, "n_elements", path, 12),
-            n_features=_count(cfg, "n_features", path, 6),
-            noise=_nonnegative(cfg, "noise", path, 0.5),
-        )
-        return split_dataset(ds, val_fraction, test_fraction, split_seed)
+            **_given(ds, "size", "seed", "n_classes", "n_elements", "n_features", "noise"))
+        return split_dataset(full, **fractions, seed=split_seed)
     if kind == "mnist-idx":
-        directory = _typed(cfg, "dir", str, path)
-        if directory is None:
+        if "dir" not in ds:
             raise ConfigError(f"{path}.dir: required for mnist-idx")
-        pad_to = _typed(cfg, "pad_to", int, path, 32)
-        if pad_to not in ROW_PADS:
-            raise ConfigError(f"{path}.pad_to: expected one of {ROW_PADS}, got {pad_to}")
-        limit = _count(cfg, "limit_train", path, None)
-        full = load_tmnist(_resolve(directory), "train", pad_to)
-        if limit is not None:
-            order = np.random.default_rng(split_seed).permutation(len(full))[:limit]
+        pad = _given(ds, "pad_to")
+        if pad and pad["pad_to"] not in ROW_PADS:
+            raise ConfigError(f"{path}.pad_to: expected one of {ROW_PADS}, got {pad['pad_to']}")
+        full = load_tmnist(_resolve(ds["dir"]), "train", **pad)
+        if "limit_train" in ds:
+            order = np.random.default_rng(split_seed).permutation(len(full))[:ds["limit_train"]]
             full = full.subset(order)
-        train, val, _ = split_dataset(full, val_fraction, 0.0, split_seed)
-        test = load_tmnist(_resolve(directory), "test", pad_to)
-        return train, val, test
+        # the official test split stands apart, so no test_fraction
+        train, val, _ = split_dataset(full, **_given(ds, "val_fraction"), seed=split_seed)
+        return train, val, load_tmnist(_resolve(ds["dir"]), "test", **pad)
     if kind == "seqf":
-        file_path = _typed(cfg, "path", str, path)
-        if file_path is None:
+        if "path" not in ds:
             raise ConfigError(f"{path}.path: required for seqf")
-        ds = load_feature_tensor(_resolve(file_path))
-        return split_dataset(ds, val_fraction, test_fraction, split_seed)
+        return split_dataset(load_feature_tensor(_resolve(ds["path"])), **fractions,
+                             seed=split_seed)
     raise ConfigError(f"{path}.kind: unknown dataset kind {kind!r}")
-
-
-_MODEL_KEYS = ("hidden", "head", "v_sig", "v_tanh_pos", "v_tanh_neg", "init_scale",
-               "init_seed", "forget_bias")
 
 
 def build_ann(cfg: dict, input_dim: int, n_classes: int, path: str = "model") -> AnnLSTM:
     """A random ANN from the model section: at least one hidden layer."""
-    _expect_keys(cfg, _MODEL_KEYS, (), path)
-    hidden = _int_list(cfg, "hidden", path, [8])
-    if not hidden:
+    m = read_section(cfg, MODEL, path)
+    if not m["hidden"]:
         raise ConfigError(f"{path}.hidden: expected at least one layer")
-    head = _int_list(cfg, "head", path, [])
-    rng = np.random.default_rng(_count(cfg, "init_seed", path, 0, least=0))
-    act = HardActConfig(v_sig=_typed(cfg, "v_sig", float, path, 4.0),
-                        v_tanh_pos=_typed(cfg, "v_tanh_pos", float, path, 3.0),
-                        v_tanh_neg=_typed(cfg, "v_tanh_neg", float, path, -2.0))
-    return AnnLSTM.random(input_dim, hidden, head + [n_classes], rng, act=act,
-                          scale=_nonnegative(cfg, "init_scale", path, 0.3),
-                          forget_bias=_typed(cfg, "forget_bias", float, path, 0.0))
-
-
-_TRAIN_KEYS = ("epochs", "batch_size", "lr", "grad_clip", "precision", "lr_decay_epochs",
-               "lr_decay_factor")
+    act = HardActConfig(**_given(m, "v_sig", "v_tanh_pos", "v_tanh_neg"))
+    return AnnLSTM.random(input_dim, m["hidden"], [*m["head"], n_classes],
+                          np.random.default_rng(m["init_seed"]), act=act,
+                          scale=m["init_scale"], **_given(m, "forget_bias"))
 
 
 def build_train_config(cfg: dict, seed: int, mask: TrainMask, path: str = "train") -> TrainConfig:
-    _expect_keys(cfg, _TRAIN_KEYS, (), path)
-    return TrainConfig(
-        epochs=_typed(cfg, "epochs", int, path, 5),
-        batch_size=_typed(cfg, "batch_size", int, path, 32),
-        lr=_typed(cfg, "lr", float, path, 1e-3),
-        grad_clip=_typed(cfg, "grad_clip", float, path, 5.0),
-        precision=_typed(cfg, "precision", str, path, "f64"),
-        lr_decay_epochs=tuple(_int_list(cfg, "lr_decay_epochs", path, [], least=0)),
-        lr_decay_factor=_typed(cfg, "lr_decay_factor", float, path, 0.1),
-        seed=seed,
-        mask=mask,
-    )
+    return TrainConfig(**read_section(cfg, TRAIN, path), seed=seed, mask=mask)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_train_ann(args) -> int:
-    cfg = load_config(args.config)
-    _expect_keys(cfg, ("config_version", "seed", "dataset", "model", "train", "out_dir"),
-                 ("config_version", "dataset", "out_dir"), "config")
-    seed = _count(cfg, "seed", "config", 0, least=0)
+    cfg = load_config(args.config, TRAIN_TOP)
     train, val, _ = build_dataset(cfg["dataset"])
-    model = build_ann(cfg.get("model", {}), train.sequences.shape[2], train.n_classes)
-    tc = build_train_config(cfg.get("train", {}), seed, TrainMask())
+    model = build_ann(cfg["model"], train.sequences.shape[2], train.n_classes)
+    tc = build_train_config(cfg["train"], cfg["seed"], TrainMask())
     return _fit(args.command, model, train, val, tc, cfg["out_dir"])
 
 
@@ -239,53 +221,39 @@ def cmd_convert(args) -> int:
 
 
 def cmd_train_snn(args) -> int:
-    cfg = load_config(args.config)
-    _expect_keys(cfg, ("config_version", "seed", "dataset", "model", "train", "snn", "out_dir"),
-                 ("config_version", "dataset", "snn", "out_dir"), "config")
-    seed = _count(cfg, "seed", "config", 0, least=0)
-    snn_cfg = cfg["snn"]
-    _expect_keys(snn_cfg, ("init_checkpoint", "time_steps", "encoding", "analog_gate",
-                           "shift", "surrogate_gamma", "train_threshold", "train_leak",
-                           "train_init", "train_bias"), (), "snn")
-    mask = TrainMask(
-        weights=True,
-        threshold=_override(args.train_threshold, _typed(snn_cfg, "train_threshold", bool, "snn", False)),
-        leak=_override(args.train_leak, _typed(snn_cfg, "train_leak", bool, "snn", False)),
-        mem_init=_override(args.train_init, _typed(snn_cfg, "train_init", bool, "snn", False)),
-        step_bias=_typed(snn_cfg, "train_bias", bool, "snn", False),
-    )
+    cfg = load_config(args.config, TRAIN_SNN_TOP)
+    snn = read_section(cfg["snn"], SNN, "snn")
+    # TrainMask holds the defaults; a --train-* flag overrides its config switch
+    switches = {"threshold": ("train_threshold", args.train_threshold),
+                "leak": ("train_leak", args.train_leak), "mem_init": ("train_init", args.train_init),
+                "step_bias": ("train_bias", None)}
+    mask = TrainMask(**{name: flag == "on" if flag else snn[key]
+                        for name, (key, flag) in switches.items() if flag or key in snn})
     train, val, _ = build_dataset(cfg["dataset"])
-    T = _typed(snn_cfg, "time_steps", int, "snn", 2)
-    encoding = _typed(snn_cfg, "encoding", str, "snn", "direct")
-    init_ckpt = _typed(snn_cfg, "init_checkpoint", str, "snn")
+    init_ckpt = snn.get("init_checkpoint")
     # no pre-trained model: the conversion of a random ANN (no-pretraining start)
     model = (checkpoint.load_model(_resolve(init_ckpt)) if init_ckpt else
-             build_ann(cfg.get("model", {}), train.sequences.shape[2], train.n_classes))
+             build_ann(cfg["model"], train.sequences.shape[2], train.n_classes))
     if isinstance(model, AnnLSTM):
-        model = convert_model(model, T=T, plan=ConversionPlan(
-            _typed(snn_cfg, "analog_gate", str, "snn", "i")),
-            shift=_typed(snn_cfg, "shift", bool, "snn", True),
-            surrogate_gamma=_typed(snn_cfg, "surrogate_gamma", float, "snn", 0.3),
-            encoding=encoding)
-    else:
-        for key in ("analog_gate", "shift", "surrogate_gamma"):  # the checkpoint's own
-            if snn_cfg.get(key) is not None:
+        model = convert_model(model, T=snn["time_steps"],
+                              plan=ConversionPlan(**_given(snn, "analog_gate")),
+                              **_given(snn, "shift", "surrogate_gamma", "encoding"))
+    else:  # the checkpoint's own plan, shift and gamma, and its T and encoding unless given
+        given = [key for key, value in cfg["snn"].items() if value is not None]
+        for key in ("analog_gate", "shift", "surrogate_gamma"):
+            if key in given:
                 raise ConfigError(f"snn.{key}: applies only when converting an ANN, "
                                   f"and {init_ckpt} holds a spiking model")
-        # rebuilt, so the new T and encoding are validated
-        model = dataclasses.replace(model, time_steps=T, encoding=encoding)
-    tc = build_train_config(cfg.get("train", {}), seed, mask)
+        # rebuilt, so a new T or encoding is validated
+        model = dataclasses.replace(model, **{key: snn[key] for key in ("time_steps", "encoding")
+                                              if key in given})
+    tc = build_train_config(cfg["train"], cfg["seed"], mask)
     return _fit(args.command, model, train, val, tc, cfg["out_dir"])
-
-
-def _override(flag, config_value):
-    return config_value if flag is None else flag == "on"
 
 
 def cmd_eval(args) -> int:
     model = checkpoint.load_model(args.ckpt)
-    cfg = load_config(args.dataset_config)
-    _expect_keys(cfg, ("config_version", "dataset"), ("config_version", "dataset"), "config")
+    cfg = load_config(args.dataset_config, TOP)
     train, val, test = build_dataset(cfg["dataset"])
     split = {"train": train, "val": val, "test": test}[args.split]
     if len(split) == 0:
@@ -337,8 +305,7 @@ def cmd_pipeline_sim(args) -> int:
 
 def cmd_energy_report(args) -> int:
     model = checkpoint.load_model(args.ckpt)
-    cfg = load_config(args.dataset_config)
-    _expect_keys(cfg, ("config_version", "dataset"), ("config_version", "dataset"), "config")
+    cfg = load_config(args.dataset_config, TOP)
     _, _, test = build_dataset(cfg["dataset"])
     limit = min(args.limit, len(test))
     if limit < 1:

@@ -19,7 +19,8 @@ def convert(ann_model: AnnLSTM, T: int, plan: ConversionPlan | None = None,
     """Map a trained hard-activation LSTM to a spiking LSTM.
 
     Weights and gate biases are copied verbatim (exactly, bit for bit).
-    Thresholds come from the activation scales the ANN was trained with:
+    LIF fields are built at the weights' dtype. Thresholds come from the
+    activation scales the ANN was trained with:
     they are the zero-error thresholds in the infinite-T limit. Applied to
     an untrained AnnLSTM.random it builds the no-pretraining start.
     """
@@ -29,7 +30,8 @@ def convert(ann_model: AnnLSTM, T: int, plan: ConversionPlan | None = None,
         cells.append(SpikingLSTMCell(
             weights=weights.copy(),
             gate_params=default_gate_params(plan, ann_model.act, weights.hidden_dim,
-                                            shift=shift, surrogate_gamma=surrogate_gamma),
+                                            shift=shift, surrogate_gamma=surrogate_gamma,
+                                            dtype=weights.dtype),
             plan=plan,
             act=ann_model.act,
         ))

@@ -9,6 +9,7 @@ output nonlinearity shares the hard-tanh scales of the g gate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +85,7 @@ class LSTMWeights:
     @classmethod
     def random(cls, input_dim: int, hidden_dim: int, rng, scale: float = 0.1,
                forget_bias: float = 0.0) -> "LSTMWeights":
+        _check_scale(scale)
         b = {a: np.zeros(hidden_dim) for a in GATES}
         b["f"] += forget_bias  # positive init eases long-range recall tasks
         return cls(
@@ -91,6 +93,14 @@ class LSTMWeights:
             w_h={a: rng.uniform(-scale, scale, (hidden_dim, hidden_dim)) for a in GATES},
             b=b,
         )
+
+
+def _check_scale(scale) -> None:
+    """uniform(-scale, scale) draws from a range of width 2 * scale, which
+    must be finite."""
+    if not math.isfinite(2 * scale):
+        raise ValidationError(f"init scale {scale} is too large to sample: 2 * scale "
+                              f"must be finite")
 
 
 @dataclass
@@ -120,6 +130,7 @@ class ClassifierHead:
     @classmethod
     def random(cls, dims: list, rng, scale: float = 0.1) -> "ClassifierHead":
         """dims = [in, out] or [in, hidden, out]."""
+        _check_scale(scale)
         pairs = []
         for d_in, d_out in zip(dims[:-1], dims[1:]):
             pairs.append([rng.uniform(-scale, scale, (d_out, d_in)), np.zeros(d_out)])

@@ -75,7 +75,8 @@ class ConversionPlan:
 @dataclass
 class SpikingLSTMCell:
     """Gate weights + per-gate LIF parameters + conversion plan. Each set
-    LIF field is a float array of shape [H], one value per unit."""
+    LIF field is an array of shape [H] at the weights' dtype, one value per
+    unit."""
 
     weights: LSTMWeights
     gate_params: dict  # gate name in plan.spiking_gates -> LIFGateParams
@@ -83,11 +84,19 @@ class SpikingLSTMCell:
     act: HardActConfig = field(default_factory=HardActConfig)
 
     def __post_init__(self):
+        self.check_gate_params()
+
+    def check_gate_params(self) -> None:
+        """Raise ValidationError unless gate_params holds the plan's spiking
+        gates, threshold_neg on the tanh-type ones only, and every set LIF
+        field as an array of shape [H] at the weights' dtype. A field can be
+        rebound after construction, so the forward's pack and save_model run
+        this check too."""
         expected = set(self.plan.spiking_gates)
         if set(self.gate_params) != expected:
             raise ValidationError(
                 f"gate_params keys {sorted(self.gate_params)} != spiking gates {sorted(expected)}")
-        units = (self.hidden_dim,)
+        units, dtype = (self.hidden_dim,), self.weights.dtype
         for gate, params in self.gate_params.items():
             tanh_type = gate in ("g", "c")
             if tanh_type and not params.is_ternary:
@@ -97,10 +106,10 @@ class SpikingLSTMCell:
             for name in LIF_FIELDS:
                 value = getattr(params, name)
                 if value is not None and not (isinstance(value, np.ndarray)
-                                              and value.shape == units and value.dtype.kind == "f"):
+                                              and value.shape == units and value.dtype == dtype):
                     raise ValidationError(f"gate {gate!r} {name} must be a float array of shape "
-                                          f"[{units[0]}], got {np.asarray(value).dtype} "
-                                          f"of shape {np.shape(value)}")
+                                          f"[{units[0]}] at the weights' {dtype}, got "
+                                          f"{np.asarray(value).dtype} of shape {np.shape(value)}")
 
     @property
     def hidden_dim(self) -> int:
@@ -261,6 +270,7 @@ class _GatePack:
     no update can leave it stale."""
 
     def __init__(self, cell: SpikingLSTMCell):
+        cell.check_gate_params()
         plan, w, dtype = cell.plan, cell.weights, cell.weights.dtype
         self.bank_gates, self.hidden, self.dtype = plan.bank_gates, cell.hidden_dim, dtype
         order = plan.bank_gates[:3] + (plan.analog_gate,)
@@ -592,32 +602,36 @@ def snn_forward(model: SpikingLSTM, sequence, T: int | None = None, rng_seed: in
 
 
 def default_gate_params(plan: ConversionPlan, act: HardActConfig, hidden: int,
-                        shift: bool = True, surrogate_gamma: float = 0.3) -> dict:
+                        shift: bool = True, surrogate_gamma: float = 0.3,
+                        dtype=np.float64) -> dict:
     """Converted-default LIF parameters for every spiking gate.
 
     Sigmoid gates carry the intrinsic half-offset as a per-step bias of
     v_sig/2 and (with shift on) a one-time membrane init of v_sig/2; tanh
     gates keep zero step bias and init at v_tanh_pos/2. All leaks start
-    at 1 (IF) so fine-tuning, not conversion, discovers leak values.
+    at 1 (IF) so fine-tuning, not conversion, discovers leak values. Every
+    field is an array of shape [hidden] at `dtype`.
     """
-    ones = np.ones(hidden)
+    def full(value):
+        return np.full(hidden, value, dtype)
+
     params = {}
     for gate in plan.spiking_gates:
         if gate in ("g", "c"):
             params[gate] = LIFGateParams(
-                leak=ones.copy(),
-                threshold_pos=act.v_tanh_pos * ones,
-                threshold_neg=act.v_tanh_neg * ones,
-                step_bias=np.zeros(hidden),
-                mem_init=(act.v_tanh_pos / 2.0) * ones if shift else np.zeros(hidden),
+                leak=full(1.0),
+                threshold_pos=full(act.v_tanh_pos),
+                threshold_neg=full(act.v_tanh_neg),
+                step_bias=full(0.0),
+                mem_init=full(act.v_tanh_pos / 2.0 if shift else 0.0),
                 surrogate_gamma=surrogate_gamma,
             )
         else:
             params[gate] = LIFGateParams(
-                leak=ones.copy(),
-                threshold_pos=act.v_sig * ones,
-                step_bias=(act.v_sig / 2.0) * ones,
-                mem_init=(act.v_sig / 2.0) * ones if shift else np.zeros(hidden),
+                leak=full(1.0),
+                threshold_pos=full(act.v_sig),
+                step_bias=full(act.v_sig / 2.0),
+                mem_init=full(act.v_sig / 2.0 if shift else 0.0),
                 surrogate_gamma=surrogate_gamma,
             )
     return params

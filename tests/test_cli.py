@@ -455,3 +455,128 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"spikelstm {spikelstm.__version__}"
+
+
+# Every config field as (section, field, kind, least, required), the section
+# named as in the error message ("config" is a command's top level).
+TOP_FIELDS = [("config", "config_version", int, None, True), ("config", "seed", int, 0, False),
+              ("config", "dataset", dict, None, True), ("config", "model", dict, None, False),
+              ("config", "train", dict, None, False), ("config", "out_dir", str, None, True)]
+DATASET_FIELDS = [("dataset", "kind", str, None, True), ("dataset", "size", int, 1, False),
+                  ("dataset", "seed", int, 0, False), ("dataset", "n_classes", int, 1, False),
+                  ("dataset", "n_elements", int, 1, False),
+                  ("dataset", "n_features", int, 1, False), ("dataset", "noise", float, 0, False),
+                  ("dataset", "dir", str, None, False), ("dataset", "path", str, None, False),
+                  ("dataset", "pad_to", int, None, False),
+                  ("dataset", "limit_train", int, 1, False),
+                  ("dataset", "val_fraction", float, None, False),
+                  ("dataset", "test_fraction", float, None, False),
+                  ("dataset", "split_seed", int, 0, False)]
+MODEL_FIELDS = [("model", "hidden", list, 1, False), ("model", "head", list, 1, False),
+                ("model", "v_sig", float, None, False), ("model", "v_tanh_pos", float, None, False),
+                ("model", "v_tanh_neg", float, None, False),
+                ("model", "init_scale", float, 0, False), ("model", "init_seed", int, 0, False),
+                ("model", "forget_bias", float, None, False)]
+TRAIN_FIELDS = [("train", "epochs", int, 1, False), ("train", "batch_size", int, 1, False),
+                ("train", "lr", float, None, False), ("train", "grad_clip", float, None, False),
+                ("train", "precision", str, None, False),
+                ("train", "lr_decay_epochs", list, 0, False),
+                ("train", "lr_decay_factor", float, None, False)]
+SNN_FIELDS = [("config", "snn", dict, None, True), ("snn", "init_checkpoint", str, None, False),
+              ("snn", "time_steps", int, None, False), ("snn", "encoding", str, None, False),
+              ("snn", "analog_gate", str, None, False), ("snn", "shift", bool, None, False),
+              ("snn", "surrogate_gamma", float, None, False),
+              *[("snn", f"train_{key}", bool, None, False)
+                for key in ("threshold", "leak", "init", "bias")]]
+
+
+def _malformed(kind, least, required):
+    """A boolean, a string, a list (of a boolean, for a list field) and an
+    object, each unless the field holds one; NaN and Infinity for a number;
+    one below the bound; null where the field is required."""
+    values = [] if kind is bool else [True]
+    values += [] if kind is str else ["x"]
+    values += [[True] if kind is list else [1]]
+    values += [] if kind is dict else [{}]
+    values += [float("nan"), float("inf")] if kind in (int, float) else []
+    if least is not None:
+        values.append([least - 1] if kind is list else least - 1)
+    return values + ([None] if required else [])
+
+
+SWEEP = [(command, section, name, value)
+         for command, fields in (("train-ann", TOP_FIELDS + DATASET_FIELDS + MODEL_FIELDS
+                                  + TRAIN_FIELDS),
+                                 ("train-snn", TOP_FIELDS + MODEL_FIELDS + TRAIN_FIELDS
+                                  + SNN_FIELDS),
+                                 ("eval", DATASET_FIELDS))
+         for section, name, kind, least, required in fields
+         for value in _malformed(kind, least, required)]
+
+
+@pytest.fixture(scope="module")
+def snn_ckpt(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("sweep") / "snn.ckpt")
+    checkpoint.save_model(random_snn(6, [4], [3], np.random.default_rng(0)), path)
+    return path
+
+
+@pytest.mark.parametrize("command, section, name, value", SWEEP,
+                         ids=[f"{c} {s}.{n}={json.dumps(v)}" for c, s, n, v in SWEEP])
+def test_every_config_field_rejects_a_malformed_value(tmp_path, capsys, snn_ckpt, command,
+                                                      section, name, value):
+    """A value of the wrong kind (a boolean is no number, a number must be
+    finite, a list holds integers), below its field's bound or null where
+    the field is required exits 2 naming section.field, without a traceback
+    and before a dataset is trained on."""
+    out_dir = tmp_path / "run"
+    cfg = {"config_version": 1, "seed": 0, "dataset": dict(DATASET, size=60),
+           "model": {"hidden": [3]}, "train": {"epochs": 1}, "snn": {"time_steps": 2},
+           "out_dir": str(out_dir)}
+    if section == "config":
+        cfg[name] = value
+    else:
+        cfg[section][name] = value
+    if command == "eval":
+        ds_cfg = write_json(tmp_path / "ds.json", {"config_version": 1,
+                                                   "dataset": cfg["dataset"]})
+        argv = ["eval", "--ckpt", snn_ckpt, "--dataset-config", ds_cfg]
+    else:
+        if command == "train-ann":
+            del cfg["snn"]
+        argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{name}" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_init_scale_too_large_to_sample_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "config_version": 1, "dataset": DATASET, "model": {"init_scale": 1e308},
+        "out_dir": str(tmp_path / "run")})
+    assert main(["train-ann", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "scale" in err and "Traceback" not in err
+
+
+def test_train_snn_resume_keeps_the_checkpoints_time_steps_and_encoding(tmp_path):
+    """A resumed spiking checkpoint keeps its own T and encoding unless the
+    config gives them."""
+    from spikelstm.data import SequenceDataset, save_feature_tensor
+
+    rng = np.random.default_rng(1)  # values in [0, 1], as poisson encoding needs
+    save_feature_tensor(str(tmp_path / "x.seqf"), SequenceDataset(
+        rng.random((60, 5, 6)), np.arange(60) % 3, 3))
+    ckpt = str(tmp_path / "snn.ckpt")
+    checkpoint.save_model(random_snn(6, [4], [3], np.random.default_rng(0), time_steps=4,
+                                     encoding="poisson"), ckpt)
+    for run, snn, expected in (("kept", {"time_steps": None}, (4, "poisson")),
+                               ("given", {"time_steps": 3, "encoding": "direct"}, (3, "direct"))):
+        cfg = write_json(tmp_path / f"{run}.json", {
+            "config_version": 1, "dataset": {"kind": "seqf", "path": str(tmp_path / "x.seqf")},
+            "train": {"epochs": 1}, "snn": {"init_checkpoint": ckpt, **snn},
+            "out_dir": str(tmp_path / run)})
+        assert main(["train-snn", "--config", cfg]) == 0
+        model = checkpoint.load_model(str(tmp_path / run / "model.ckpt"))
+        assert (model.time_steps, model.encoding) == expected

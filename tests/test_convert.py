@@ -8,8 +8,8 @@ from spikelstm.convert import convert, conversion_error_report
 from spikelstm.errors import ValidationError
 from spikelstm.lstm import AnnLSTM, ClassifierHead
 import spikelstm.snn as snn_module
-from spikelstm.snn import ConversionPlan
-from spikelstm.train import model_parameters
+from spikelstm.snn import ConversionPlan, SpikingLSTMCell, default_gate_params
+from spikelstm.train import cast_parameters, model_parameters, set_parameters
 
 from conftest import zero_weights
 
@@ -170,3 +170,21 @@ def test_error_report_memory_falls_with_the_tape():
     finally:
         tracemalloc.stop()
     assert peak < 16 * n_elements * T * probes * hidden * X.itemsize
+
+
+def test_convert_of_a_float32_ann_builds_float32_lif_fields():
+    """convert builds the LIF fields at the weights' dtype, so rebinding a
+    weight to its own value passes set_parameters' dtype check; a cell whose
+    LIF fields are at another dtype than its weights raises ValidationError
+    naming the gate and field."""
+    ann = AnnLSTM.random(3, [4], [2], np.random.default_rng(0))
+    cast_parameters(ann, np.float32)
+    snn = convert(ann, T=2, plan=ConversionPlan("g"))
+    assert {v.dtype for v in model_parameters(snn).values()} == {np.dtype(np.float32)}
+    cell = snn.cells[0]
+    set_parameters(snn, {"cells.0.w_x.f": cell.weights.w_x["f"]})
+    f64_params = default_gate_params(cell.plan, cell.act, 4)
+    with pytest.raises(ValidationError, match="gate 'f' leak must be a float array of shape "
+                                              r"\[4\] at the weights' float32"):
+        SpikingLSTMCell(weights=cell.weights, gate_params=f64_params, plan=cell.plan,
+                        act=cell.act)

@@ -3,7 +3,8 @@ import pytest
 
 from spikelstm.activations import HardActConfig, hard_tanh
 from spikelstm.errors import DimensionMismatch, ValidationError
-from spikelstm.lstm import AnnLSTM, ClassifierHead, GateProjection, ann_batch_forward, ann_cell_step
+from spikelstm.lstm import (AnnLSTM, ClassifierHead, GateProjection, LSTMWeights,
+                            ann_batch_forward, ann_cell_step)
 from spikelstm.train import cast_parameters
 
 from conftest import zero_weights
@@ -189,3 +190,14 @@ def test_gate_projection_rows_equal_the_full_projection():
         np.testing.assert_array_equal(proj(X[b]), full[:, b])
         np.testing.assert_array_equal(proj(X[b, 2]), full[:, b, 2])
     np.testing.assert_array_equal(proj(X[:, ::-2]), full[:, :, ::-2])
+
+
+@pytest.mark.parametrize("scale", [1e308, float("inf"), float("nan")])
+def test_random_rejects_a_scale_too_large_to_sample(scale):
+    """uniform(-scale, scale) needs a finite 2 * scale: a larger scale raises
+    ValidationError, not numpy's OverflowError."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError, match="scale"):
+        LSTMWeights.random(2, 3, rng, scale)
+    with pytest.raises(ValidationError, match="scale"):
+        ClassifierHead.random([3, 2], rng, scale)

@@ -67,6 +67,22 @@ def test_cell_takes_only_per_unit_lif_fields(field, value):
         SpikingLSTMCell(weights=zero_weights(2, 3), gate_params=params, plan=plan, act=CFG)
 
 
+def test_a_lif_field_rebound_after_construction_reaches_no_forward_or_checkpoint(tmp_path):
+    """The forward's pack and save_model run the cell's field check, so a
+    scalar bound after construction raises ValidationError naming the gate
+    and field, and save_model raises before it opens the file."""
+    from spikelstm.checkpoint import save_model
+
+    model = random_snn(3, [4], [3], np.random.default_rng(0))
+    model.cells[0].gate_params["f"].leak = 0.9
+    with pytest.raises(ValidationError, match="gate 'f' leak"):
+        snn_batch_forward(model, np.zeros((2, 5, 3)), 2, "direct", 0)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValidationError, match="gate 'f' leak"):
+        save_model(model, str(path))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("plan, act, name", [("g", CFG, "plan"),
                                              ("i", HardActConfig(v_sig=2.0), "act")])
 def test_model_rejects_layers_that_differ_in_plan_or_act(plan, act, name):
