@@ -39,31 +39,35 @@ class HardActConfig:
 
 def hard_sigmoid(z, cfg: HardActConfig):
     """clip(z / v_sig + 1/2, 0, 1). Total function, symmetric about (0, 1/2)."""
-    return np.clip(z / cfg.v_sig + 0.5, 0.0, 1.0)
+    out = np.asarray(z / cfg.v_sig)  # in place; ndarray.clip skips np.clip's wrappers
+    out += 0.5
+    return out.clip(0.0, 1.0, out=out)
 
 
 def hard_sigmoid_grad(z, cfg: HardActConfig):
     """Subgradient of hard_sigmoid; 1/v_sig on the closed linear region."""
     half = cfg.v_sig / 2.0
-    inside = (z >= -half) & (z <= half)
-    return np.where(inside, _slope(z, cfg.v_sig), 0.0)
+    return ((z >= -half) & (z <= half)) * _slope(z, cfg.v_sig)
 
 
 def hard_tanh(z, cfg: HardActConfig):
     """Two-ramp hard tanh: z/v_tanh_pos clipped to [0,1] for z >= 0,
-    z/|v_tanh_neg| clipped to [-1,0] for z < 0. Continuous with value 0 at 0."""
-    pos = np.clip(z / cfg.v_tanh_pos, 0.0, 1.0)
-    neg = np.clip(z / abs(cfg.v_tanh_neg), -1.0, 0.0)
-    return np.where(z >= 0.0, pos, neg)
+    z/|v_tanh_neg| clipped to [-1,0] for z < 0. Continuous with value 0 at 0.
+    The sum of both ramps, the positive one clipped below at -0.0: the pick
+    by the sign of z, bit for bit (README: Hard activations)."""
+    out = np.asarray(z / cfg.v_tanh_pos)
+    out.clip(-0.0, 1.0, out=out)
+    neg = np.asarray(z / abs(cfg.v_tanh_neg))
+    out += neg.clip(-1.0, 0.0, out=neg)
+    return out
 
 
 def hard_tanh_grad(z, cfg: HardActConfig):
     """Subgradient of hard_tanh; the z >= 0 branch owns the origin."""
-    g_pos = np.where((z >= 0.0) & (z <= cfg.v_tanh_pos), _slope(z, cfg.v_tanh_pos), 0.0)
-    g_neg = np.where((z < 0.0) & (z >= cfg.v_tanh_neg), _slope(z, abs(cfg.v_tanh_neg)), 0.0)
-    return g_pos + g_neg
+    g_pos = ((z >= 0.0) & (z <= cfg.v_tanh_pos)) * _slope(z, cfg.v_tanh_pos)
+    return g_pos + ((z < 0.0) & (z >= cfg.v_tanh_neg)) * _slope(z, abs(cfg.v_tanh_neg))
 
 
 def _slope(z, scale):
-    """1 / scale at the float dtype of z."""
+    """1 / scale at the float dtype of z; mask * it is where(mask, it, 0.0)."""
     return np.asarray(1.0 / scale, np.result_type(z, 1.0))

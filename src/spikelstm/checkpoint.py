@@ -59,6 +59,8 @@ def save_model(model, path: str) -> None:
     if is_snn:
         for cell in model.cells:  # fields may be rebound after construction: check first
             cell.check_gate_params()
+            for params in cell.gate_params.values():  # rebuilt, so its domain checks run again
+                LIFGateParams(**vars(params))
         layers = [c.weights for c in model.cells]
         encoding = 1 if model.encoding == "poisson" else 0
         analog = 1 if model.plan.analog_gate == "g" else 0

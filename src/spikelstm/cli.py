@@ -137,18 +137,27 @@ def build_dataset(cfg: dict, path: str = "dataset"):
     """Returns (train, val, test) SequenceDatasets."""
     ds = read_section(cfg, DATASET, path)
     kind, split_seed = ds["kind"], ds["split_seed"]
+    if "pad_to" in ds and ds["pad_to"] not in ROW_PADS:  # a value's own check comes first
+        raise ConfigError(f"{path}.pad_to: expected one of {ROW_PADS}, got {ds['pad_to']}")
+    synthetic = ("size", "seed", "n_classes", "n_elements", "n_features", "noise", "test_fraction")
+    reads = {"synthetic-planted": synthetic, "synthetic-recall": synthetic,
+             "mnist-idx": ("dir", "pad_to", "limit_train"), "seqf": ("path", "test_fraction")}
+    if kind not in reads:
+        raise ConfigError(f"{path}.kind: unknown dataset kind {kind!r}")
+    unread = [key for key, value in cfg.items() if value is not None  # given, not defaults
+              and key not in reads[kind] + ("kind", "val_fraction", "split_seed")]
+    if unread:
+        raise ConfigError(f"{path}.{unread[0]}: does not apply to dataset kind {kind!r}")
     fractions = _given(ds, "val_fraction", "test_fraction")
     if kind in ("synthetic-planted", "synthetic-recall"):
         full = synthetic_task(
             "planted-pattern" if kind == "synthetic-planted" else "delayed-recall",
-            **_given(ds, "size", "seed", "n_classes", "n_elements", "n_features", "noise"))
+            **_given(ds, *synthetic[:-1]))  # test_fraction is the split's
         return split_dataset(full, **fractions, seed=split_seed)
     if kind == "mnist-idx":
         if "dir" not in ds:
             raise ConfigError(f"{path}.dir: required for mnist-idx")
         pad = _given(ds, "pad_to")
-        if pad and pad["pad_to"] not in ROW_PADS:
-            raise ConfigError(f"{path}.pad_to: expected one of {ROW_PADS}, got {pad['pad_to']}")
         full = load_tmnist(_resolve(ds["dir"]), "train", **pad)
         if "limit_train" in ds:
             order = np.random.default_rng(split_seed).permutation(len(full))[:ds["limit_train"]]
@@ -156,12 +165,9 @@ def build_dataset(cfg: dict, path: str = "dataset"):
         # the official test split stands apart, so no test_fraction
         train, val, _ = split_dataset(full, **_given(ds, "val_fraction"), seed=split_seed)
         return train, val, load_tmnist(_resolve(ds["dir"]), "test", **pad)
-    if kind == "seqf":
-        if "path" not in ds:
-            raise ConfigError(f"{path}.path: required for seqf")
-        return split_dataset(load_feature_tensor(_resolve(ds["path"])), **fractions,
-                             seed=split_seed)
-    raise ConfigError(f"{path}.kind: unknown dataset kind {kind!r}")
+    if "path" not in ds:  # seqf
+        raise ConfigError(f"{path}.path: required for seqf")
+    return split_dataset(load_feature_tensor(_resolve(ds["path"])), **fractions, seed=split_seed)
 
 
 def build_ann(cfg: dict, input_dim: int, n_classes: int, path: str = "model") -> AnnLSTM:
@@ -231,6 +237,9 @@ def cmd_train_snn(args) -> int:
                         for name, (key, flag) in switches.items() if flag or key in snn})
     train, val, _ = build_dataset(cfg["dataset"])
     init_ckpt = snn.get("init_checkpoint")
+    given = [key for key, value in cfg["model"].items() if value is not None]
+    if init_ckpt and given:  # the checkpoint is the model, so a model field would be ignored
+        raise ConfigError(f"model.{given[0]}: does not apply with snn.init_checkpoint")
     # no pre-trained model: the conversion of a random ANN (no-pretraining start)
     model = (checkpoint.load_model(_resolve(init_ckpt)) if init_ckpt else
              build_ann(cfg["model"], train.sequences.shape[2], train.n_classes))

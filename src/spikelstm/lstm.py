@@ -3,8 +3,8 @@
 ann_batch_forward is the one ANN forward; ann_cell_step is the per-step
 reference cell the tests hold it to.
 
-Gate order everywhere (including checkpoints) is f, i, g, o. The cell
-output nonlinearity shares the hard-tanh scales of the g gate.
+Gate order everywhere (including checkpoints) is f, i, g, o but in
+ann_batch_forward's z, f, i, o, g. The cell output shares g's hard tanh.
 """
 
 from __future__ import annotations
@@ -224,7 +224,8 @@ def ann_batch_forward(model: AnnLSTM, X: np.ndarray, want_caches: bool = False):
     X is cast to the model's dtype, at which every array of the run is
     made. h and c start at zero; logits come from the head on the final
     hidden state of the top layer. The caches hold every gate value the
-    backward pass and the conversion-error report read.
+    backward pass and the conversion-error report read, z per step as
+    [4, B, H] of gates f, i, o, g and the gates as (f, i, g, o, tc).
     """
     X = np.asarray(X, dtype=model.dtype)
     if X.ndim != 3 or 0 in X.shape[:2]:
@@ -239,16 +240,15 @@ def ann_batch_forward(model: AnnLSTM, X: np.ndarray, want_caches: bool = False):
         c = np.zeros_like(h)
         cache = {"z": [], "gates": [], "c": [c], "h": [h], "x": x_seq}
         outs = np.empty((batch, n_elements, w.hidden_dim), dtype=X.dtype)
-        proj_x, proj_h = w.projections()
-        b = np.array([w.b[a] for a in GATES])[:, None]
+        order = ("f", "i", "o", "g")  # the sigmoid gates first, for one hard_sigmoid call
+        proj_x, proj_h = w.projections(order)
+        b = np.array([w.b[a] for a in order])[:, None]
         for n in range(n_elements):
-            z = proj_x(x_seq[:, n])  # gates f, i, g, o; in place, as [4, B, H] temporaries cost
+            z = proj_x(x_seq[:, n])  # in place, as [4, B, H] temporaries cost
             z += proj_h(h)
             z += b
-            f = hard_sigmoid(z[0], model.act)
-            i = hard_sigmoid(z[1], model.act)
-            o = hard_sigmoid(z[3], model.act)
-            g = hard_tanh(z[2], model.act)
+            f, i, o = hard_sigmoid(z[:3], model.act)
+            g = hard_tanh(z[3], model.act)
             c = f * c + i * g
             tc = hard_tanh(c, model.act)
             h = o * tc

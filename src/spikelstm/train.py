@@ -192,17 +192,32 @@ def _head_backward(head, caches, dlogits, grads):
     return d  # gradient wrt the head input
 
 
-def _projection_backward(w, dz, x, h, grads, prefix, dh=None, dx=None):
-    """Backward of one step's projections z_a = x @ w_x[a].T + h @ w_h[a].T + b[a]:
-    accumulates the parameter gradients, and the input ones into dh and dx."""
-    for a in GATES:
-        grads[f"{prefix}.w_x.{a}"] += dz[a].T @ x
-        grads[f"{prefix}.w_h.{a}"] += dz[a].T @ h
-        grads[f"{prefix}.b.{a}"] += dz[a].sum(axis=0)
-        if dh is not None:
-            dh += dz[a] @ w.w_h[a]
-        if dx is not None:
-            dx += dz[a] @ w.w_x[a]
+def _gate_gradients(model, layers, prefix):
+    """A zeroed GradientBundle whose gate arrays are slices of [4, H, .] buffers
+    (w_x, w_h, b) in GATES order, and per layer (stacked w_x and w_h, buffers)."""
+    kinds, views, per_layer = ("w_x", "w_h", "b"), {}, []
+    for li, w in enumerate(layers):
+        stacked = [np.array([getattr(w, kind)[a] for a in GATES]) for kind in kinds]
+        buffers = [np.zeros_like(m) for m in stacked]
+        views.update((f"{prefix}.{li}.{kind}.{a}", g)
+                     for kind, buf in zip(kinds, buffers) for a, g in zip(GATES, buf))
+        per_layer.append((stacked[:2], buffers))
+    return ({k: views[k] if k in views else np.zeros_like(v)
+             for k, v in model_parameters(model).items()}, per_layer)
+
+
+def _projection_backward(stacks, dz, x, h, buffers, dh=None, dx=None):
+    """Backward of one step's projections z = x @ w_x.T + h @ w_h.T + b, with
+    dz [4, B, H] and the _gate_gradients stacks in GATES order: adds the
+    parameter gradients into buffers and writes the input ones into dh and
+    dx, summed over the gates in GATES order from 0.0, as into zeros."""
+    dz_t, (g_x, g_h, g_b) = dz.swapaxes(-1, -2), buffers
+    g_x += np.matmul(dz_t, x)
+    g_h += np.matmul(dz_t, h)
+    g_b += dz.sum(axis=-2)
+    for out, w in ((dh, stacks[1]), (dx, stacks[0])):
+        if out is not None:
+            np.add.reduce(np.matmul(dz, w), axis=0, initial=0.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -221,41 +236,35 @@ def ann_backward(model: AnnLSTM, batch):
     if not np.isfinite(loss):
         bad = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
         raise NumericalFault(f"non-finite loss (first bad batch index {bad})")
-    grads = {k: np.zeros_like(v) for k, v in model_parameters(model).items()}
+    grads, per_layer = _gate_gradients(model, model.layers, "layers")
 
     dh_seed_top = _head_backward(model.head, caches["head"], dlogits, grads)
     # process layers top-down; dX of a layer seeds dh of the one below
     dX_above = None
     for li in range(len(model.layers) - 1, -1, -1):
-        w = model.layers[li]
+        stacks, buffers = per_layer[li]
         cache = caches["layers"][li]
         n_elements = len(cache["gates"])
         dh = np.zeros_like(cache["h"][0])
         dc = np.zeros_like(dh)
         dX_out = np.zeros_like(cache["x"]) if li > 0 else None
+        dz = np.empty((4,) + dh.shape, dh.dtype)  # gates f, i, g, o
         for n in range(n_elements - 1, -1, -1):
             f, i, g, o, tc = cache["gates"][n]
-            z = cache["z"][n]  # gates f, i, g, o
-            dh_n = dh.copy()
+            z = cache["z"][n]  # gates f, i, o, g
             if li == len(model.layers) - 1 and n == n_elements - 1:
-                dh_n += dh_seed_top
+                dh += dh_seed_top
             if dX_above is not None:
-                dh_n += dX_above[:, n]
-            do = dh_n * tc
-            dc = dc + dh_n * o * hard_tanh_grad(cache["c"][n + 1], model.act)
-            df = dc * cache["c"][n]
-            di = dc * g
-            dg = dc * i
+                dh += dX_above[:, n]
+            dc = dc + dh * o * hard_tanh_grad(cache["c"][n + 1], model.act)
+            sig = hard_sigmoid_grad(z[:3], model.act)  # f, i, o
+            np.multiply(dc * cache["c"][n], sig[0], out=dz[0])
+            np.multiply(dc * g, sig[1], out=dz[1])
+            np.multiply(dc * i, hard_tanh_grad(z[3], model.act), out=dz[2])
+            np.multiply(dh * tc, sig[2], out=dz[3])
             dc = dc * f
-            dz = {
-                "f": df * hard_sigmoid_grad(z[0], model.act),
-                "i": di * hard_sigmoid_grad(z[1], model.act),
-                "o": do * hard_sigmoid_grad(z[3], model.act),
-                "g": dg * hard_tanh_grad(z[2], model.act),
-            }
-            dh = np.zeros_like(dh)
-            _projection_backward(w, dz, cache["x"][:, n], cache["h"][n], grads, f"layers.{li}",
-                                 dh, None if dX_out is None else dX_out[:, n])
+            _projection_backward(stacks, dz, cache["x"][:, n], cache["h"][n], buffers, dh,
+                                 None if dX_out is None else dX_out[:, n])
         dX_above = dX_out
     return float(loss), grads
 
@@ -325,7 +334,7 @@ def snn_backward(model: SpikingLSTM, batch, seed: int = 0, relaxed: bool = False
     if not np.isfinite(loss):
         bad = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
         raise NumericalFault(f"non-finite loss (first bad batch index {bad})")
-    grads = {k: np.zeros_like(v) for k, v in model_parameters(model).items()}
+    grads, per_layer = _gate_gradients(model, [cell.weights for cell in model.cells], "cells")
 
     dhbar = _head_backward(model.head, aux["head_cache"], dlogits, grads)
     # seeds: gradient into H[n, t] of the top layer
@@ -336,7 +345,7 @@ def snn_backward(model: SpikingLSTM, batch, seed: int = 0, relaxed: bool = False
 
     for li in range(top, -1, -1):
         cell, tape = model.cells[li], tapes[li]
-        pack = tape.pack
+        pack, (stacks, buffers) = tape.pack, per_layer[li]
         analog_grad = hard_sigmoid_grad if pack.analog_i else hard_tanh_grad
         gp = f"cells.{li}"
         want_dx = li > 0
@@ -352,6 +361,8 @@ def snn_backward(model: SpikingLSTM, batch, seed: int = 0, relaxed: bool = False
 
         dH_next, dC_next = np.zeros_like(tape.H[0]), np.zeros_like(tape.H[0])  # [T, B, H]
         ds = np.empty((3,) + dH_next.shape[1:], pack.dtype)  # into the bank's emitted spikes
+        dz = np.empty((4,) + ds.shape[1:], pack.dtype)  # into the projections, gates f, i, g, o
+        slots = [GATES.index(a) for a in pack.bank_gates[:3] + (cell.plan.analog_gate,)]
         for n, r in tape.replay_backwards():  # element n's spikes, Upre, A_analog
             dH_prev, dC_prev = np.zeros_like(dH_next), np.zeros_like(dC_next)
             D, D_c = np.zeros_like(ds), np.zeros_like(ds[:1])  # into post-reset membranes
@@ -372,10 +383,10 @@ def snn_backward(model: SpikingLSTM, batch, seed: int = 0, relaxed: bool = False
                 dV, D = _lif_backward(bank, V[:3, t], S_pos[:3, t],
                                       None if ig_neg is None else ig_neg[t], Upre[:3, t], ds,
                                       D, lif[:, :3], t == 0, relaxed)
-                dP = dict(zip(pack.bank_gates[:3], dV))
-                dP[cell.plan.analog_gate] = dA * analog_grad(tape.P_analog[n, t], cell.act)
+                dz[slots[:3]] = dV
+                np.multiply(dA, analog_grad(tape.P_analog[n, t], cell.act), out=dz[slots[3]])
                 # --- projections ---
-                _projection_backward(cell.weights, dP, x_feed[:, n, t], tape.Hp[n, t], grads, gp,
+                _projection_backward(stacks, dz, x_feed[:, n, t], tape.Hp[n, t], buffers,
                                      dH_prev[t] if n > 0 else None,
                                      dX_out[n, t] if want_dx else None)
             dH_next, dC_next = dH_prev, dC_prev

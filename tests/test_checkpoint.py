@@ -6,7 +6,7 @@ import pytest
 from spikelstm.activations import HardActConfig
 from spikelstm.checkpoint import load_model, save_model
 from spikelstm.convert import convert
-from spikelstm.errors import CheckpointFormatError
+from spikelstm.errors import CheckpointFormatError, ValidationError
 from spikelstm.lstm import AnnLSTM
 from spikelstm.snn import ConversionPlan, SpikingLSTM
 from spikelstm.train import model_parameters
@@ -146,3 +146,21 @@ def test_trailing_bytes_rejected(tmp_path):
     padded.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointFormatError, match="trailing"):
         load_model(padded)
+
+
+@pytest.mark.parametrize("gate, name, value", [("f", "leak", -0.5), ("c", "threshold_pos", 0.0),
+                                               ("g", "threshold_neg", 0.5),
+                                               ("o", "mem_init", np.nan),
+                                               ("c", "step_bias", np.inf)])
+def test_save_model_refuses_a_lif_field_outside_its_domain(tmp_path, gate, name, value):
+    """A LIF field rebound after construction to a value that load_model
+    would refuse (a non-positive leak or threshold_pos, a non-negative
+    threshold_neg, a non-finite value) makes save_model raise
+    ValidationError naming the field before the file opens."""
+    ann = AnnLSTM.random(3, [4, 4], [3], np.random.default_rng(0))
+    model = convert(ann, T=2, plan=ConversionPlan("i"))
+    setattr(model.cells[1].gate_params[gate], name, np.full(4, value))
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValidationError, match=f"{name} must be"):
+        save_model(model, str(path))
+    assert not path.exists()

@@ -158,8 +158,13 @@ def test_eval_rejects_non_finite_lif_field_with_exit_2(tmp_path, capsys):
     """A NaN threshold in a checkpoint is refused at load, naming the field,
     before it can reach a membrane."""
     model = random_snn(3, [4], [3], np.random.default_rng(0))
-    model.cells[0].gate_params["f"].threshold_pos = np.full(4, np.nan)
+    marker = np.full(4, 1234.5)  # save_model refuses NaN, so the file gets it in place of this
+    model.cells[0].gate_params["f"].threshold_pos = marker
     checkpoint.save_model(model, str(tmp_path / "nan.ckpt"))
+    raw = (tmp_path / "nan.ckpt").read_bytes()
+    assert raw.count(marker.tobytes()) == 1
+    (tmp_path / "nan.ckpt").write_bytes(raw.replace(marker.tobytes(),
+                                                    np.full(4, np.nan).tobytes()))
     ds_cfg = write_json(tmp_path / "ds.json", {"config_version": 1, "dataset": DATASET})
     assert main(["eval", "--ckpt", str(tmp_path / "nan.ckpt"), "--dataset-config", ds_cfg]) == 2
     err = capsys.readouterr().err
@@ -549,6 +554,65 @@ def test_every_config_field_rejects_a_malformed_value(tmp_path, capsys, snn_ckpt
     err = capsys.readouterr().err
     assert f"{section}.{name}" in err and "Traceback" not in err
     assert not out_dir.exists()
+
+
+# Fields a config gives that its dataset kind, or a train-snn resumed from a
+# checkpoint, would ignore: (command, dataset, model, field named).
+SYNTHETIC_ONLY = {"size": 60, "seed": 2, "n_classes": 3, "n_elements": 5, "n_features": 4,
+                  "noise": 0.1}
+NOT_READ = [
+    *[(command, {**DATASET, "kind": kind, "size": 60, key: value}, None, f"dataset.{key}")
+      for command in ("train-ann", "eval") for kind in ("synthetic-planted", "synthetic-recall")
+      for key, value in (("dir", "mnist"), ("path", "x.seqf"), ("pad_to", 32),
+                         ("limit_train", 5))],
+    *[(command, {"kind": "mnist-idx", "dir": "mnist", key: value}, None, f"dataset.{key}")
+      for command in ("train-ann", "eval")
+      for key, value in (*SYNTHETIC_ONLY.items(), ("test_fraction", 0.2), ("path", "x.seqf"))],
+    *[(command, {"kind": "seqf", "path": "x.seqf", key: value}, None, f"dataset.{key}")
+      for command in ("train-ann", "eval")
+      for key, value in (*SYNTHETIC_ONLY.items(), ("dir", "mnist"), ("pad_to", 32),
+                         ("limit_train", 5))],
+    *[("train-snn", dict(DATASET, size=60), {key: value, "init_seed": None}, f"model.{key}")
+      for key, value in (("hidden", [3]), ("init_scale", 0.2), ("v_sig", 4.0))],
+]
+
+
+@pytest.mark.parametrize("command, dataset, model, field", NOT_READ,
+                         ids=[f"{c} {d['kind']} {f}" for c, d, _, f in NOT_READ])
+def test_every_config_field_that_would_be_ignored_exits_2(tmp_path, capsys, snn_ckpt, command,
+                                                          dataset, model, field):
+    """A dataset field its kind does not read, or a model field when
+    snn.init_checkpoint gives the model, exits 2 naming it before any file
+    is read or a model trained. Only the fields given count: a null one,
+    or the table's default, does not."""
+    out_dir = tmp_path / "run"
+    if command == "eval":
+        cfg = write_json(tmp_path / "ds.json", {"config_version": 1, "dataset": dataset})
+        argv = ["eval", "--ckpt", snn_ckpt, "--dataset-config", cfg]
+    else:
+        cfg = {"config_version": 1, "dataset": dataset, "train": {"epochs": 1},
+               "out_dir": str(out_dir)}
+        if model is not None:
+            cfg.update(model=model, snn={"init_checkpoint": snn_ckpt})
+        argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert field in err and "does not apply" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_null_fields_a_kind_does_not_read_are_not_given(tmp_path, snn_ckpt):
+    """Null is no value: a synthetic dataset with null dir, path, pad_to and
+    limit_train trains, and so does a resumed train-snn whose model section
+    holds only nulls."""
+    dataset = dict(DATASET, size=60, dir=None, path=None, pad_to=None, limit_train=None)
+    for command, extra in (("train-ann", {"model": {"hidden": [3]}}),
+                           ("train-snn", {"model": {"hidden": None, "init_scale": None},
+                                          "snn": {"init_checkpoint": snn_ckpt}})):
+        cfg = write_json(tmp_path / f"{command}.json", {
+            "config_version": 1, "dataset": dataset, "train": {"epochs": 1},
+            "out_dir": str(tmp_path / command), **extra})
+        assert main([command, "--config", cfg]) == 0
 
 
 def test_init_scale_too_large_to_sample_exits_2(tmp_path, capsys):

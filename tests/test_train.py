@@ -11,11 +11,12 @@ from spikelstm import snn as snn_module
 from spikelstm.convert import convert
 from spikelstm.data import synthetic_task
 from spikelstm.errors import TrainingDiverged, ValidationError
-from spikelstm.lstm import AnnLSTM, ClassifierHead, ann_batch_forward
+from spikelstm.lstm import GATES, AnnLSTM, ClassifierHead, ann_batch_forward
 from spikelstm.snn import ConversionPlan, SpikingLSTMCell, default_gate_params
-from spikelstm.train import (Adam, TrainConfig, TrainMask, ann_backward, cast_parameters,
-                             clip_global_norm, evaluate, fit, model_parameters, set_parameters,
-                             snn_backward, snn_batch_forward, softmax_cross_entropy)
+from spikelstm.train import (Adam, TrainConfig, TrainMask, _gate_gradients, _projection_backward,
+                             ann_backward, cast_parameters, clip_global_norm, evaluate, fit,
+                             model_parameters, set_parameters, snn_backward, snn_batch_forward,
+                             softmax_cross_entropy)
 from spikelstm.verify import check_ann_gradients, check_snn_gradients
 
 from conftest import random_snn, tape_arrays, zero_weights
@@ -154,6 +155,83 @@ def test_clip_bounds_global_norm_exactly():
     grads2 = {"a": np.ones(2)}
     clip_global_norm(grads2, 5.0)
     np.testing.assert_array_equal(grads2["a"], 1.0)
+
+
+def _per_gate_projection_backward(w, dz, x, h, grads, prefix, dh=None, dx=None):
+    """The per-gate loop that the stacked projection backward replaced
+    (dz a dict gate -> [B, H]), as the bitwise reference."""
+    for a in GATES:
+        grads[f"{prefix}.w_x.{a}"] += dz[a].T @ x
+        grads[f"{prefix}.w_h.{a}"] += dz[a].T @ h
+        grads[f"{prefix}.b.{a}"] += dz[a].sum(axis=0)
+        if dh is not None:
+            dh += dz[a] @ w.w_h[a]
+        if dx is not None:
+            dx += dz[a] @ w.w_x[a]
+
+
+@pytest.mark.parametrize("inputs", ["dh and dx", "dh", "dx", "neither"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch", [1, 2, 32])
+def test_stacked_projection_backward_is_the_per_gate_loop_bit_for_bit(batch, dtype, inputs):
+    """_projection_backward on [4, B, H] stacks gives the per-gate loop's
+    parameter gradients, accumulated over steps, and its input gradients,
+    summed into zeros in GATES order, bit for bit: x a strided element
+    slice of a [B, N, K] lattice, dz with zeros and signed zeros among its
+    values, dh and dx overwritten whatever they held."""
+    rng = np.random.default_rng(batch)
+    model = AnnLSTM.random(5, [6], [2], rng, scale=0.8)
+    cast_parameters(model, dtype)
+    w = model.layers[0]
+    grads, ((stacks, buffers),) = _gate_gradients(model, model.layers, "layers")
+    ref = {k: v.copy() for k, v in grads.items()}
+    X = rng.normal(size=(batch, 3, 5)).astype(dtype)
+    for n in range(3):  # three steps accumulate
+        dz = rng.normal(size=(4, batch, 6)).astype(dtype)
+        dz[:, ::2, 1] = 0.0
+        dz[:, 1::2, 2] = -0.0
+        x, h = X[:, n], rng.normal(size=(batch, 6)).astype(dtype)
+        dh = np.full((batch, 6), np.nan, dtype) if "dh" in inputs else None
+        dx = np.full((batch, 5), np.nan, dtype) if "dx" in inputs else None
+        ref_dh, ref_dx = (None if a is None else np.zeros_like(a) for a in (dh, dx))
+        _projection_backward(stacks, dz, x, h, buffers, dh, dx)
+        _per_gate_projection_backward(w, dict(zip(GATES, dz)), x, h, ref, "layers.0",
+                                      ref_dh, ref_dx)
+        for got, want in ((dh, ref_dh), (dx, ref_dx)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    for name, value in ref.items():
+        assert grads[name].dtype == dtype and grads[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["ann", "snn-i", "snn-g"])
+def test_backward_returns_one_array_per_parameter(kind):
+    """ann_backward and snn_backward return one gradient per parameter
+    name, of its shape and dtype, on distinct memory, and clip_global_norm
+    scales that bundle to the bits it gives a deep copy (no shared buffer
+    is scaled twice)."""
+    import copy
+
+    rng = np.random.default_rng(7)
+    X, y = rng.random((3, 5, 4)), rng.integers(0, 3, 3)
+    if kind == "ann":
+        model = AnnLSTM.random(4, [5, 3], [3], rng, scale=0.8)
+        _, grads = ann_backward(model, (X, y))
+    else:
+        model = random_snn(4, [5, 3], [3], rng, scale=0.8, plan=ConversionPlan(kind[-1]))
+        _, grads = snn_backward(model, (X, y), seed=1)
+    params = model_parameters(model)
+    assert list(grads) == list(params)
+    for name, p in params.items():
+        assert (grads[name].shape, grads[name].dtype) == (p.shape, p.dtype), name
+        assert not any(np.shares_memory(grads[name], g) for other, g in grads.items()
+                       if other != name), name
+    copied = copy.deepcopy(grads)
+    norm = clip_global_norm(grads, 1e-3)
+    assert norm == clip_global_norm(copied, 1e-3) and norm > 1e-3
+    for name in grads:
+        assert grads[name].tobytes() == copied[name].tobytes(), name
 
 
 def test_piecewise_constant_landscape_still_yields_surrogate_gradient():
